@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -21,9 +20,9 @@ import numpy as np
 
 from . import dynamics, estimators, fisher, protocols
 from .dynamics import EvolutionSpec, NoiseSchedule
-from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
-                      SensorModel, ValidationError, cat_initial_state,
-                      cat_spec_for, load_model)
+from .hilbert import (CatSpec, NumericalContractError, SensorModel,
+                      ValidationError, cat_initial_state, cat_spec_for,
+                      load_model)
 from .svgmap import render_heatmap_svg
 
 
@@ -107,18 +106,15 @@ def _emit(text: str, out: str | None):
         write_atomic(out, text)
 
 
-def _evolved_state(model: SensorModel, schedule: NoiseSchedule, t: float,
-                   dt: float | None) -> DensityMatrix:
-    rho0 = cat_initial_state(model)
-    spec = EvolutionSpec(model=model, schedule=schedule, t_final=t, dt=dt)
-    return dynamics.evolve_lindblad_numeric(spec, rho0)
+def _load_model(command: str, args) -> SensorModel:
+    """Check what the run will touch, then load its model."""
+    RunManifest(command, model_path=args.model,
+                outputs=_outputs(args)).validate()
+    return load_model(args.model)
 
 
 def _cmd_validate(args) -> int:
-    manifest = RunManifest("validate", model_path=args.model,
-                           outputs=_outputs(args))
-    manifest.validate()
-    model = load_model(args.model)
+    model = _load_model("validate", args)
     spec = cat_spec_for(model)
     doc = {
         "kind": model.kind,
@@ -137,10 +133,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    manifest = RunManifest("evolve", model_path=args.model,
-                           outputs=_outputs(args))
-    manifest.validate()
-    model = load_model(args.model)
+    model = _load_model("evolve", args)
     schedule = parse_schedule(args.schedule)
     rho0 = cat_initial_state(model)
     spec = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
@@ -163,27 +156,22 @@ def _qfi_report(args, model: SensorModel, schedule: NoiseSchedule,
                 method: str) -> fisher.QfiReport:
     spec = cat_spec_for(model)
     if method == "analytic":
-        if args.param == "time":
-            return fisher.qfi_time_cat(spec, schedule, args.t)
-        return fisher.qfi_freq_cat(spec, schedule, args.t)
-    rho_t = _evolved_state(model, schedule, args.t, args.dt)
+        return fisher.cat_qfi_report(spec, schedule, args.t, args.param)
+    run = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
+                        dt=args.dt)
+    rho_t = dynamics.evolve_lindblad_numeric(run, cat_initial_state(model))
+    time = args.param == "time"
     if method == "numeric":
-        if args.param == "time":
-            drho = fisher.drho_dt(model, schedule, rho_t, args.t)
-        else:
-            drho = fisher.drho_domega(model, schedule, rho_t, args.t)
-        _, report = fisher.sld_and_qfi(rho_t, drho, parameter=args.param)
-        return report
-    if args.param == "time":
-        return fisher.qfi_time_lower_bound(model, schedule, rho_t, args.t)
-    return fisher.qfi_freq_lower_bound(model, schedule, rho_t, args.t)
+        drho = (fisher.drho_dt if time else fisher.drho_domega)(
+            model, schedule, rho_t, args.t)
+        return fisher.sld_and_qfi(rho_t, drho, parameter=args.param)[1]
+    bound = fisher.qfi_time_lower_bound if time else \
+        fisher.qfi_freq_lower_bound
+    return bound(model, schedule, rho_t, args.t)
 
 
 def _cmd_qfi(args, method: str | None = None) -> int:
-    manifest = RunManifest("qfi", model_path=args.model,
-                           outputs=_outputs(args))
-    manifest.validate()
-    model = load_model(args.model)
+    model = _load_model("qfi", args)
     schedule = parse_schedule(args.schedule)
     report = _qfi_report(args, model, schedule,
                          method if method else args.method)
@@ -196,21 +184,18 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    manifest = RunManifest("estimate", model_path=args.model,
-                           outputs=_outputs(args))
-    manifest.validate()
-    model = load_model(args.model)
+    model = _load_model("estimate", args)
     schedule = parse_schedule(args.schedule)
     spec = cat_spec_for(model)
     if args.sweep:
         lo, hi, steps = _parse_sweep(args.sweep)
+        ts = np.linspace(lo, hi, steps)
+        columns = estimators.signal_statistics(spec, schedule, ts,
+                                               args.param)[1:]
+        columns += (_one_over_qfi(spec, schedule, ts, args.param),)
         lines = ["t,mean,var_O,d_mean,var_estimator,one_over_qfi"]
-        for t in np.linspace(lo, hi, steps):
-            t = float(t)
-            rep = estimators.estimator_variance(spec, schedule, t, args.param)
-            inv = _one_over_qfi(spec, schedule, t, args.param)
-            lines.append(f"{t!r},{rep.mean!r},{rep.variance_o!r},"
-                         f"{rep.d_mean!r},{rep.variance_estimator!r},{inv!r}")
+        for row in zip(ts.tolist(), *(c.tolist() for c in columns)):
+            lines.append(",".join(repr(v) for v in row))
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     rep = estimators.estimator_variance(spec, schedule, args.t, args.param)
@@ -222,15 +207,11 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _one_over_qfi(spec: CatSpec, schedule: NoiseSchedule, t: float,
-                  param: str) -> float:
-    if param == "time":
-        q = fisher.qfi_time_cat(spec, schedule, t)
-    else:
-        q = fisher.qfi_freq_cat(spec, schedule, t)
-    if q.value == 0.0 or q.diverged:
-        return math.inf if q.value == 0.0 else 0.0
-    return 1.0 / q.value
+@np.errstate(divide="ignore")
+def _one_over_qfi(spec: CatSpec, schedule: NoiseSchedule, t, param: str):
+    """1/F: 0 at the onset divergence, inf where F vanishes."""
+    qfi = fisher.law_at(fisher.qfi_law, spec, schedule, t, param)
+    return dynamics.scalar_or_array(t, np.divide(1.0, qfi))
 
 
 def _parse_sweep(text: str) -> tuple[float, float, int]:
@@ -295,8 +276,7 @@ def _cmd_scan(args) -> int:
     outputs = [("csv", args.out)]
     if args.svg:
         outputs.append(("svg", args.svg))
-    manifest = RunManifest("scan", outputs=outputs)
-    manifest.validate()
+    RunManifest("scan", outputs=outputs).validate()
     grid = parse_grid(args.grid)
     table = protocols.heatmap_scan(grid, args.param)
     write_atomic(args.out, table.to_csv())
@@ -326,10 +306,7 @@ def _parse_box(text: str) -> dict:
 
 
 def _cmd_optimize(args) -> int:
-    manifest = RunManifest("optimize", model_path=args.model,
-                           outputs=_outputs(args))
-    manifest.validate()
-    model = load_model(args.model)
+    model = _load_model("optimize", args)
     spec = cat_spec_for(model)
     box = _parse_box(args.box)
     report = protocols.maximize_ratio(
@@ -361,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t", type=float, required=True,
                            help="sensing time")
         if param:
-            p.add_argument("--param", choices=("time", "omega"),
+            p.add_argument("--param", choices=fisher.PARAMETERS,
                            required=True, help="estimated parameter")
         p.add_argument("--out", default=None, help="output path "
                        "(stdout when omitted)")
@@ -398,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("scan", help="advantage-ratio heatmap over a grid")
-    p.add_argument("--param", choices=("time", "omega"), required=True)
+    p.add_argument("--param", choices=fisher.PARAMETERS, required=True)
     p.add_argument("--grid", default="default_fig1",
                    help="default_fig1 or x=name:min:max:steps;y=...")
     p.add_argument("--out", required=True, help="CSV output path")
@@ -407,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize the advantage ratio")
     p.add_argument("--model", required=True)
-    p.add_argument("--param", choices=("time", "omega"), required=True)
+    p.add_argument("--param", choices=fisher.PARAMETERS, required=True)
     p.add_argument("--box", required=True,
                    help="t=<v|lo:hi>;gamma=<v|lo:hi> (or gamma_dot=...)")
     p.add_argument("--schedule-kind", choices=("constant", "linear_ramp"),

@@ -36,7 +36,8 @@ class NoiseSchedule:
     """Dephasing rate profile gamma_t with onset t0.
 
     Noise acts strictly after the onset: the reported rate is zero for
-    t <= t0.  Integrals are closed-form for all three variants.
+    t <= t0.  Integrals are closed-form for all three variants.  Rates
+    and integrals broadcast over an array of times.
     """
 
     variant: str
@@ -87,75 +88,62 @@ class NoiseSchedule:
         ks = tuple((float(t), float(g)) for t, g in knots)
         return cls(variant="piecewise_linear", knots=ks)
 
-    def rate(self, t: float) -> float:
+    def rate(self, t):
         """gamma_t; zero at and before the onset, by convention."""
-        if self.variant == "constant":
-            return self.gamma if t > self.t0 else 0.0
-        if self.variant == "linear_ramp":
-            return self.gamma_dot * (t - self.t0) if t > self.t0 else 0.0
-        return self._piecewise_rate(t, right=False)
+        return self._rate(t, right=False)
 
-    def rate_right(self, t: float) -> float:
+    def rate_right(self, t):
         """Right-continuous rate: the value just after t.
 
-        Differs from ``rate`` only exactly at onset and knot times.  The
-        integrator samples this so a step that begins at the onset
-        integrates the post-onset dynamics; divergence checks use it to
-        spot a rate that switches on discontinuously."""
+        Differs from ``rate`` only exactly at the onset.  The integrator
+        samples this so a step that begins at the onset integrates the
+        post-onset dynamics; divergence checks use it to spot a rate
+        that switches on discontinuously."""
+        return self._rate(t, right=True)
+
+    def _rate(self, t, right: bool):
+        ts = times(t)
         if self.variant == "constant":
-            return self.gamma if t >= self.t0 else 0.0
-        if self.variant == "linear_ramp":
-            return self.gamma_dot * (t - self.t0) if t >= self.t0 else 0.0
-        return self._piecewise_rate(t, right=True)
+            g = self.gamma
+        elif self.variant == "linear_ramp":
+            g = self.gamma_dot * (ts - self.t0)
+        else:
+            kt = np.array([tk for tk, _ in self.knots])
+            kg = np.array([gk for _, gk in self.knots])
+            i = np.clip(np.searchsorted(kt, ts, side="right") - 1, 0,
+                        len(kt) - 2)
+            ta, tb, ga, gb = kt[i], kt[i + 1], kg[i], kg[i + 1]
+            g = np.where(ts >= kt[-1], kg[-1],
+                         ga + (gb - ga) * (ts - ta) / (tb - ta))
+        on = ts >= self.t0 if right else ts > self.t0
+        return scalar_or_array(t, np.where(on, g, 0.0))
 
-    def _piecewise_rate(self, t: float, right: bool) -> float:
-        ks = self.knots
-        if t < ks[0][0]:
-            return 0.0
-        if t == ks[0][0]:
-            # left convention reports 0 exactly at the onset knot
-            return ks[0][1] if right else 0.0
-        if t >= ks[-1][0]:
-            return ks[-1][1]
-        for (ta, ga), (tb, gb) in zip(ks, ks[1:]):
-            if ta <= t < tb:
-                return ga + (gb - ga) * (t - ta) / (tb - ta)
-        return ks[-1][1]
-
-    def integral(self, t: float) -> float:
+    def integral(self, t):
         """Integrated rate from the onset up to t (0 when t <= t0)."""
+        ts = times(t)
         if self.variant == "constant":
-            return self.gamma * max(0.0, t - self.t0)
-        if self.variant == "linear_ramp":
-            dt = max(0.0, t - self.t0)
-            return 0.5 * self.gamma_dot * dt * dt
-        ks = self.knots
-        if t <= ks[0][0]:
-            return 0.0
-        total = 0.0
-        for (ta, ga), (tb, gb) in zip(ks, ks[1:]):
-            if t <= ta:
-                break
-            hi = min(t, tb)
-            # exact trapezoid of the linear segment, cut at t if needed
-            ghi = ga + (gb - ga) * (hi - ta) / (tb - ta)
-            total += 0.5 * (ga + ghi) * (hi - ta)
-        if t > ks[-1][0]:
-            total += ks[-1][1] * (t - ks[-1][0])
-        return total
+            total = self.gamma * np.maximum(0.0, ts - self.t0)
+        elif self.variant == "linear_ramp":
+            dt = np.maximum(0.0, ts - self.t0)
+            total = 0.5 * self.gamma_dot * dt * dt
+        else:
+            ks = self.knots
+            total = np.zeros_like(ts)
+            for (ta, ga), (tb, gb) in zip(ks, ks[1:]):
+                hi = np.minimum(ts, tb)
+                # exact trapezoid of the linear segment, cut at t
+                ghi = ga + (gb - ga) * (hi - ta) / (tb - ta)
+                total = total + np.where(ts > ta,
+                                         0.5 * (ga + ghi) * (hi - ta), 0.0)
+            total = total + np.where(ts > ks[-1][0],
+                                     ks[-1][1] * (ts - ks[-1][0]), 0.0)
+        return scalar_or_array(t, total)
 
     def max_rate(self, t_final: float) -> float:
-        if self.variant == "constant":
-            return self.gamma if t_final > self.t0 else 0.0
-        if self.variant == "linear_ramp":
-            return self.gamma_dot * max(0.0, t_final - self.t0)
-        best = 0.0
-        for tk, gk in self.knots:
-            if tk <= t_final:
-                best = max(best, gk)
-        best = max(best, self._piecewise_rate(min(t_final, self.knots[-1][0]),
-                                              right=True))
-        return best
+        if self.variant != "piecewise_linear":
+            return self.rate(t_final)
+        return max([0.0, self.rate_right(min(t_final, self.knots[-1][0]))]
+                   + [gk for tk, gk in self.knots if tk <= t_final])
 
     def breakpoints(self, t_final: float) -> list[float]:
         """Times in (0, t_final) where the rate is not smooth."""
@@ -166,9 +154,20 @@ class NoiseSchedule:
         return sorted({p for p in pts if 0.0 < p < t_final})
 
 
-def schedule_eval(schedule: NoiseSchedule, t: float) -> tuple[float, float]:
-    """(gamma_t, integral of gamma from t0 to t) at a single time."""
-    if t < 0.0 or not math.isfinite(t):
+def times(t) -> np.ndarray:
+    """t as a float array of at least one dimension (faster than 0-d)."""
+    return np.atleast_1d(np.asarray(t, dtype=float))
+
+
+def scalar_or_array(t, values: np.ndarray):
+    """``values`` (computed on ``times(t)``), as a float for a scalar t."""
+    return values.item() if isinstance(t, float) or np.ndim(t) == 0 \
+        else values
+
+
+def schedule_eval(schedule: NoiseSchedule, t):
+    """(gamma_t, integral of gamma from t0 to t) at t (or t array)."""
+    if not np.all(np.isfinite(t) & (np.asarray(t, dtype=float) >= 0.0)):
         raise ValidationError("t must be nonnegative and finite")
     return schedule.rate(t), schedule.integral(t)
 
@@ -257,15 +256,16 @@ def _rk4_segment(h: np.ndarray, l: np.ndarray, schedule: NoiseSchedule,
     span = t_end - t_start
     n = max(1, int(math.ceil(span / dt_target - 1e-12)))
     dt = span / n
-    for i in range(n):
-        ta = t_start + i * dt
-        tb = t_end if i == n - 1 else t_start + (i + 1) * dt
-        step = tb - ta
-        g1 = schedule.rate_right(ta)
-        gm = schedule.rate_right(0.5 * (ta + tb))
-        # The segment end is a breakpoint; the rate that belongs to this
-        # segment there is the left limit, not the value after the jump.
-        g2 = schedule.rate(tb) if i == n - 1 else schedule.rate_right(tb)
+    edges = t_start + np.arange(n + 1) * dt
+    edges[n] = t_end
+    ta, tb = edges[:-1], edges[1:]
+    # The segment end is a breakpoint; the rate that belongs to this
+    # segment there is the left limit, not the value after the jump.
+    g2s = schedule.rate_right(tb)
+    g2s[-1] = schedule.rate(t_end)
+    steps = zip((tb - ta).tolist(), schedule.rate_right(ta).tolist(),
+                schedule.rate_right(0.5 * (ta + tb)).tolist(), g2s.tolist())
+    for step, g1, gm, g2 in steps:
         k1 = _rhs(h, l, g1, rho)
         k2 = _rhs(h, l, gm, rho + 0.5 * step * k1)
         k3 = _rhs(h, l, gm, rho + 0.5 * step * k2)
@@ -373,14 +373,13 @@ def cat_state_analytic(spec: CatSpec, schedule: NoiseSchedule,
     (1/2) exp(i dE t) exp(-dL^2 Gamma), so the eigenvalues are
     (1 +- exp(-dL^2 Gamma)) / 2.
     """
-    rate, integral = schedule_eval(schedule, t)
-    del rate
+    _, integral = schedule_eval(schedule, t)
     decay = spec.delta_l ** 2 * integral
     phase = spec.delta_e * t
-    coher = 0.5 * math.exp(-decay)
-    off = coher * complex(math.cos(phase), math.sin(phase))
+    coher = math.exp(-decay)
+    off = 0.5 * coher * complex(math.cos(phase), math.sin(phase))
     rho = np.array([[0.5, off], [np.conj(off), 0.5]], dtype=complex)
-    diag = CatDiagonalization(p=0.5 * (1.0 + math.exp(-decay)),
-                              p_star=0.5 * (1.0 - math.exp(-decay)),
-                              phase=phase, decay=decay)
+    diag = CatDiagonalization(p=0.5 * (1.0 + coher),
+                              p_star=0.5 * (1.0 - coher), phase=phase,
+                              decay=decay)
     return DensityMatrix(rho), diag

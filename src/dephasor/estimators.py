@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import NoiseSchedule, schedule_eval
-from .fisher import qfi_freq_cat, qfi_time_cat
+from .dynamics import NoiseSchedule, scalar_or_array, schedule_eval, times
+from .fisher import (law_at, qfi_law, require_finite, require_law,
+                     signal_derivative_law, signal_law)
 from .hilbert import CatSpec, Operator, SensorModel, ValidationError
-
-PARAMETERS = ("time", "omega")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,64 +85,51 @@ def observable_expectation(spec: CatSpec, schedule: NoiseSchedule,
                            t: float) -> EstimateReport:
     """Signal mean and variance at a single time."""
     _, integral = schedule_eval(schedule, t)
-    mean = math.cos(spec.delta_e * t) * math.exp(
-        -spec.delta_l ** 2 * integral)
+    mean = float(signal_law(spec, integral, t))
     return EstimateReport(mean=mean, variance_o=1.0 - mean * mean,
                           diagnostics={"integral": integral})
 
 
-def _signal_derivative(spec: CatSpec, schedule: NoiseSchedule, t: float,
-                       parameter: str) -> float:
-    rate, integral = schedule_eval(schedule, t)
-    phase = spec.delta_e * t
-    if parameter == "time":
-        envelope = math.exp(-spec.delta_l ** 2 * integral)
-        return -envelope * (spec.delta_e * math.sin(phase)
-                            + rate * spec.delta_l ** 2 * math.cos(phase))
-    # frequency readout assumes energy dephasing, so the envelope decays
-    # with dE^2 and picks up an omega dependence through it
-    if spec.delta_l != spec.delta_e:
-        raise ValidationError(
-            "frequency estimation requires energy dephasing "
-            "(delta_l == delta_e)")
-    envelope = math.exp(-spec.delta_e ** 2 * integral)
-    de = spec.delta_e
-    return -envelope * ((de * t / spec.omega) * math.sin(phase)
-                        + (2.0 * de * de * integral / spec.omega)
-                        * math.cos(phase))
+@np.errstate(all="ignore")
+def signal_statistics(spec: CatSpec, schedule: NoiseSchedule, t,
+                      parameter: str):
+    """(integral, mean, var(O), d<O>/d lambda, var(O) / |d<O>/d lambda|^2)
+    at a time or an array of times (floats for a scalar time); the last
+    is an explicit infinity where the signal is stationary."""
+    require_law(spec, parameter)
+    ts = times(t)
+    rate, integral = schedule_eval(schedule, ts)
+    mean = signal_law(spec, integral, ts)
+    d_mean = signal_derivative_law(spec, parameter, rate, integral, ts)
+    var_o = 1.0 - mean * mean
+    var_est = np.where(d_mean == 0.0, np.inf, var_o / (d_mean * d_mean))
+    return tuple(scalar_or_array(t, v) for v in
+                 (integral, mean, var_o, d_mean, var_est))
 
 
 def estimator_variance(spec: CatSpec, schedule: NoiseSchedule, t: float,
                        parameter: str) -> EstimateReport:
     """Error propagation var(O) / |d<O>/d lambda|^2 at a single time."""
-    if parameter not in PARAMETERS:
-        raise ValidationError(f"unknown parameter {parameter!r}")
-    base = observable_expectation(spec, schedule, t)
-    d_mean = _signal_derivative(spec, schedule, t, parameter)
-    if d_mean == 0.0:
-        var_est = math.inf
-    else:
-        var_est = base.variance_o / (d_mean * d_mean)
-    diagnostics = dict(base.diagnostics)
+    integral, mean, var_o, d_mean, var_est = signal_statistics(
+        spec, schedule, t, parameter)
+    diagnostics = {"integral": integral}
     if math.isinf(var_est):
         diagnostics["diverged"] = True
-    return EstimateReport(mean=base.mean, variance_o=base.variance_o,
-                          d_mean=d_mean, variance_estimator=var_est,
-                          parameter=parameter, diagnostics=diagnostics)
+    return EstimateReport(mean=mean, variance_o=var_o, d_mean=d_mean,
+                          variance_estimator=var_est, parameter=parameter,
+                          diagnostics=diagnostics)
 
 
-def saturation_ratio(spec: CatSpec, schedule: NoiseSchedule, t: float,
-                     parameter: str) -> float:
+@np.errstate(all="ignore")
+def saturation_ratio(spec: CatSpec, schedule: NoiseSchedule, t,
+                     parameter: str):
     """var(estimate) times the matching QFI; 1 means a saturated bound.
 
     Infinite on a stationary signal or a diverged QFI; never drops below
-    1 beyond numerical error.
+    1 beyond numerical error.  Takes a time or an array of times.
     """
-    est = estimator_variance(spec, schedule, t, parameter)
-    if parameter == "time":
-        qfi = qfi_time_cat(spec, schedule, t)
-    else:
-        qfi = qfi_freq_cat(spec, schedule, t)
-    if est.diverged or qfi.diverged:
-        return math.inf
-    return est.variance_estimator * qfi.value
+    var_est = signal_statistics(spec, schedule, t, parameter)[4]
+    qfi = law_at(qfi_law, spec, schedule, t, parameter)
+    flagged = np.isinf(var_est) | np.isinf(qfi)
+    value = np.where(flagged, np.inf, np.multiply(var_est, qfi))
+    return scalar_or_array(t, require_finite(value, flagged))

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import NoiseSchedule, schedule_eval
-from .hilbert import (CatSpec, DensityMatrix, Operator, SensorModel,
-                      ValidationError, commutator, commutator_norms,
-                      hermiticity_defect, operator_expectation)
+from .dynamics import NoiseSchedule, scalar_or_array, schedule_eval, times
+from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
+                      Operator, SensorModel, ValidationError, commutator,
+                      commutator_norms, hermiticity_defect,
+                      operator_expectation)
 from .linalg import jacobi_eigh
 
 SLD_PAIR_CUTOFF = 1e-10
@@ -64,7 +65,7 @@ class QfiReport:
                 "parameter": self.parameter, "diagnostics": self.diagnostics}
 
 
-def _check_parameter(parameter: str):
+def check_parameter(parameter: str):
     if parameter not in PARAMETERS:
         raise ValidationError(f"unknown parameter {parameter!r}")
 
@@ -77,7 +78,7 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     p_j + p_k < 1e-10 contribute nothing; ``truncated_rank`` counts the
     eigenvalues whose diagonal pair fell below the cutoff.
     """
-    _check_parameter(parameter)
+    check_parameter(parameter)
     dm = drho.matrix if isinstance(drho, Operator) else np.asarray(
         drho, dtype=complex)
     if dm.shape != rho.matrix.shape:
@@ -191,57 +192,144 @@ def qfi_freq_lower_bound(model: SensorModel, schedule: NoiseSchedule,
                                   "norm_hh_sq": n_hh})
 
 
-def _decay_quotient(numerator: float, x: float) -> float:
-    """numerator / (1 - exp(-x)) with the x -> 0 limit handled upstream."""
-    return numerator / (-math.expm1(-x))
+# Cat-state closed forms, written once: numpy-broadcasting laws of
+# (rate, dose, t).  A non-finite value other than the onset divergence of
+# the time QFI is an overflow: NumericalContractError, no numpy warning.
+_quiet = np.errstate(all="ignore")
 
 
-def qfi_time_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
-    """Exact time-estimation QFI of the two-branch cat state.
+def require_law(spec: CatSpec, parameter: str):
+    """Reject an unknown parameter, and omega without energy dephasing."""
+    check_parameter(parameter)
+    if parameter == "omega" and not spec.energy_like:
+        raise ValidationError(
+            "frequency laws require energy dephasing (L = H)")
 
-    F = e^{-2 dL^2 G} (dE^2 + gamma_t^2 dL^4 / (1 - e^{-2 dL^2 G})).
 
-    At G = 0 the second term is 0 when the rate is still 0 (a ramp at
-    its onset) and diverges when the rate has already switched on (a
-    constant schedule evaluated exactly at its onset); the divergence is
-    reported as an infinity flag, not a crash.
-    """
-    rate, integral = schedule_eval(schedule, t)
-    x = 2.0 * spec.delta_l ** 2 * integral
-    diagnostics = {"rate": rate, "integral": integral, "exponent": x}
-    if x == 0.0:
-        onset_rate = schedule.rate_right(t)
-        if onset_rate * spec.delta_l ** 2 > 0.0:
-            diagnostics["diverged"] = True
-            return QfiReport(value=math.inf, method="analytic_cat",
-                             parameter="time", diagnostics=diagnostics)
-        value = spec.delta_e ** 2
+def require_finite(value, flagged=False):
+    """``value``, unless it holds inf or NaN not ``flagged`` as allowed."""
+    finite = np.isfinite(value)
+    if not finite.all() and (~finite & ~np.asarray(flagged)).any():
+        raise NumericalContractError(
+            "a cat-state closed form is non-finite (floating-point "
+            "overflow or underflow)")
+    return value
+
+
+def decay_exponent(spec: CatSpec, dose):
+    """x = 2 dL^2 Gamma."""
+    return 2.0 * spec.delta_l ** 2 * np.asarray(dose, dtype=float)
+
+
+def baseline_law(spec: CatSpec, parameter: str, t):
+    """Noiseless QFI: dE^2 for time, (dE/w)^2 t^2 for omega."""
+    t = np.asarray(t, dtype=float)
+    if parameter == "time":
+        return np.full(t.shape, spec.delta_e ** 2)
+    return spec.delta_e * spec.delta_e / (spec.omega ** 2) * (t * t)
+
+
+def _qfi(spec, parameter, rate, dose, t, onset_rate):
+    """(QFI with inf at the onset, zero-dose mask, onset mask)."""
+    x = decay_exponent(spec, dose)
+    de = spec.delta_e
+    if parameter == "time":
+        noise = rate * rate * spec.delta_l ** 4 / (-np.expm1(-x))
+        value = np.exp(-x) * (de ** 2 + noise)
     else:
-        noise_term = _decay_quotient(rate * rate * spec.delta_l ** 4, x)
-        value = math.exp(-x) * (spec.delta_e ** 2 + noise_term)
-    return QfiReport(value=value, method="analytic_cat", parameter="time",
+        noise = 4.0 * de * de * dose * dose / (-np.expm1(-x))
+        value = de * de / (spec.omega ** 2) * np.exp(-x) * (noise + t * t)
+    zero, onset = x == 0.0, False
+    if zero.any():
+        value = np.where(zero, baseline_law(spec, parameter, t), value)
+        if parameter == "time":
+            onset = zero & (np.asarray(onset_rate) * spec.delta_l ** 2 > 0.0)
+            value = np.where(onset, np.inf, value)
+    return value, zero, onset
+
+
+@_quiet
+def qfi_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
+    """Exact QFI of the two-branch cat state.
+
+    time:   F = e^{-x} (dE^2 + gamma_t^2 dL^4 / (1 - e^{-x}))
+    omega:  F = (dE/w)^2 e^{-x} (4 dE^2 Gamma^2 / (1 - e^{-x}) + t^2)
+
+    with x = 2 dL^2 Gamma.  At x = 0 the noise terms take their limit 0,
+    but the time QFI is an explicit inf where the rate just after t,
+    ``onset_rate``, has already switched on (a constant rate at onset).
+    """
+    value, _, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
+    return require_finite(value, onset)
+
+
+@_quiet
+def ratio_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
+    """QFI / noiseless baseline: exactly 1 at zero dose, inf at the onset
+    divergence of the time QFI.  Needs dE > 0."""
+    qfi, zero, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
+    ratio = qfi / baseline_law(spec, parameter, t)
+    if zero.any():
+        ratio = np.where(zero & ~np.asarray(onset), 1.0, ratio)
+    return require_finite(ratio, onset)
+
+
+@_quiet
+def signal_law(spec: CatSpec, dose, t):
+    """Parity signal <O> = cos(dE t) e^{-dL^2 Gamma}."""
+    return require_finite(np.cos(spec.delta_e * np.asarray(t, dtype=float))
+                          * np.exp(-spec.delta_l ** 2 * np.asarray(dose)))
+
+
+@_quiet
+def signal_derivative_law(spec: CatSpec, parameter: str, rate, dose, t):
+    """d<O>/dt, or d<O>/d omega for energy dephasing (dL = dE), where the
+    envelope picks up its omega dependence through dE = w d_eps."""
+    t = np.asarray(t, dtype=float)
+    de, phase = spec.delta_e, spec.delta_e * t
+    envelope = np.exp(-spec.delta_l ** 2 * np.asarray(dose))
+    if parameter == "time":
+        return require_finite(-envelope * (
+            de * np.sin(phase) + rate * spec.delta_l ** 2 * np.cos(phase)))
+    return require_finite(-envelope * (
+        (de * t / spec.omega) * np.sin(phase)
+        + (2.0 * de * de * dose / spec.omega) * np.cos(phase)))
+
+
+@_quiet
+def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
+    """``qfi_law`` or ``ratio_law`` on a schedule, at a time or an array
+    of times; a scalar time gives a float."""
+    require_law(spec, parameter)
+    ts = times(t)
+    rate, dose = schedule_eval(schedule, ts)
+    return scalar_or_array(t, law(spec, parameter, rate, dose, ts,
+                                  schedule.rate_right(ts)))
+
+
+@_quiet
+def cat_qfi_report(spec: CatSpec, schedule: NoiseSchedule, t: float,
+                   parameter: str) -> QfiReport:
+    """``qfi_law`` at one time, with its schedule inputs as diagnostics."""
+    value = law_at(qfi_law, spec, schedule, t, parameter)
+    rate, dose = schedule_eval(schedule, t)
+    diagnostics = {"rate": rate} if parameter == "time" else {}
+    diagnostics.update(integral=dose,
+                       exponent=float(decay_exponent(spec, dose)))
+    if math.isinf(value):
+        diagnostics["diverged"] = True
+    return QfiReport(value=value, method="analytic_cat", parameter=parameter,
                      diagnostics=diagnostics)
 
 
-def qfi_freq_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
-    """Exact frequency-estimation QFI of the cat state, for L = H.
+def qfi_time_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
+    """Exact time-estimation QFI of the two-branch cat state."""
+    return cat_qfi_report(spec, schedule, t, "time")
 
-    F = (dE^2/w^2) e^{-2 dE^2 G} (4 dE^2 G^2 / (1 - e^{-2 dE^2 G}) + t^2).
-    """
-    if spec.delta_l != spec.delta_e:
-        raise ValidationError(
-            "frequency QFI requires energy dephasing (delta_l == delta_e)")
-    _, integral = schedule_eval(schedule, t)
-    de = spec.delta_e
-    x = 2.0 * de * de * integral
-    if x == 0.0:
-        bracket = t * t
-    else:
-        bracket = _decay_quotient(4.0 * de * de * integral * integral, x) \
-            + t * t
-    value = (de * de / (spec.omega ** 2)) * math.exp(-x) * bracket
-    return QfiReport(value=value, method="analytic_cat", parameter="omega",
-                     diagnostics={"integral": integral, "exponent": x})
+
+def qfi_freq_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
+    """Exact frequency-estimation QFI of the cat state, for L = H."""
+    return cat_qfi_report(spec, schedule, t, "omega")
 
 
 def qfi_closed(spec_or_model, rho: DensityMatrix | None = None,
@@ -251,25 +339,24 @@ def qfi_closed(spec_or_model, rho: DensityMatrix | None = None,
     Accepts a CatSpec (var(H) = dE^2/4 exactly) or a SensorModel with a
     pure state.
     """
-    _check_parameter(parameter)
+    check_parameter(parameter)
     if isinstance(spec_or_model, CatSpec):
         spec = spec_or_model
-        var_h = 0.25 * spec.delta_e ** 2
-        omega = spec.omega
-    elif isinstance(spec_or_model, SensorModel):
-        model = spec_or_model
-        if rho is None:
-            raise ValidationError("a state is required with a model")
-        purity = rho.purity()
-        if purity < 1.0 - PURITY_TOL:
-            raise ValidationError(
-                f"closed-evolution baseline needs a pure state "
-                f"(purity {purity:.12f})")
-        _, var_h = operator_expectation(
-            Operator(model.hamiltonian(), hermitian=True), rho)
-        omega = model.omega
-    else:
+        return QfiReport(value=float(baseline_law(spec, parameter, t)),
+                         method="closed_baseline", parameter=parameter,
+                         diagnostics={"var_h": 0.25 * spec.delta_e ** 2})
+    if not isinstance(spec_or_model, SensorModel):
         raise ValidationError("expected a CatSpec or SensorModel")
+    if rho is None:
+        raise ValidationError("a state is required with a model")
+    purity = rho.purity()
+    if purity < 1.0 - PURITY_TOL:
+        raise ValidationError(
+            f"closed-evolution baseline needs a pure state "
+            f"(purity {purity:.12f})")
+    _, var_h = operator_expectation(
+        Operator(spec_or_model.hamiltonian(), hermitian=True), rho)
+    omega = spec_or_model.omega
     if parameter == "time":
         value = 4.0 * var_h
     else:

@@ -210,11 +210,8 @@ class SensorModel:
 
 def _qubit_diagonal(n: int) -> np.ndarray:
     # Collective half-spin: basis state with k excited qubits sits at (n-2k)/2.
-    eps = np.empty(2 ** n)
-    for b in range(2 ** n):
-        k = bin(b).count("1")
-        eps[b] = 0.5 * (n - 2 * k)
-    return eps
+    k = np.array([bin(b).count("1") for b in range(2 ** n)])
+    return 0.5 * (n - 2 * k)
 
 
 def _resolve_lindblad(h_mat: np.ndarray, omega: float, lindblad,
@@ -309,13 +306,13 @@ def build_sensor_model(kind: str, size: int, omega: float,
                 np.zeros(h.dim))
             eps = np.diag(basis.conj().T @ h_mat @ basis).real.copy()
         size = h.dim
-        if branches is None:
+        if branches is None:  # a 1x1 or flat h leaves no distinct pair
             branches = (int(np.argmin(eps)), int(np.argmax(eps)))
-        else:
-            b0, b1 = int(branches[0]), int(branches[1])
-            if not (0 <= b0 < size and 0 <= b1 < size) or b0 == b1:
-                raise ValidationError("branch indices out of range")
-            branches = (b0, b1)
+        b0, b1 = int(branches[0]), int(branches[1])
+        if not (0 <= b0 < size and 0 <= b1 < size) or b0 == b1:
+            raise ValidationError(
+                "branch indices out of range or not two distinct levels")
+        branches = (b0, b1)
 
     model = SensorModel(kind=kind, size=size, omega=omega,
                         h=Operator(h_mat, hermitian=True), lindblad=lop,
@@ -347,10 +344,13 @@ def _check_spectrum(model: SensorModel):
 
 
 def cat_spec_for(model: SensorModel) -> CatSpec:
-    """CatSpec with the branch gaps of the model's two branch states."""
-    return CatSpec(delta_e=model.branch_gap(),
-                   delta_l=model.lindblad_branch_gap(),
-                   omega=model.omega)
+    """CatSpec with the branch gaps of the model's two branch states.
+    With L = H the noise gap is the energy gap by construction, since
+    gaps taken from the two spectra can differ in the last bit."""
+    delta_e = model.branch_gap()
+    delta_l = delta_e if model.energy_lindblad else \
+        model.lindblad_branch_gap()
+    return CatSpec(delta_e=delta_e, delta_l=delta_l, omega=model.omega)
 
 
 def branch_model(spec: CatSpec) -> SensorModel:
@@ -505,15 +505,16 @@ def model_from_json(text: str) -> SensorModel:
         if "h" not in doc or "matrix" not in doc["h"]:
             raise ValidationError("custom models require an h matrix")
         h_op = Operator(_matrix_from_json(doc["h"]["matrix"]), hermitian=True)
-    try:
-        size = int(doc["N"])
-        omega = float(doc["omega"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed N or omega: {exc}") from exc
+    size = doc["N"]
+    if not isinstance(size, int) or isinstance(size, bool):
+        raise ValidationError(f"N must be an integer, got {size!r}")
     gap = doc.get("branch_gap")
-    return build_sensor_model(kind, size, omega, lind,
-                              branch_gap=float(gap) if gap is not None else None,
-                              h=h_op)
+    try:
+        omega = float(doc["omega"])
+        gap = float(gap) if gap is not None else None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed omega or branch_gap: {exc}") from exc
+    return build_sensor_model(kind, size, omega, lind, branch_gap=gap, h=h_op)
 
 
 def load_model(path: str) -> SensorModel:

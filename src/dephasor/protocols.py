@@ -23,52 +23,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import NoiseSchedule, schedule_eval
+from .dynamics import NoiseSchedule, scalar_or_array, times
+from .fisher import check_parameter, law_at, ratio_law
 from .hilbert import CatSpec, ValidationError
 
 LN2 = math.log(2.0)
 GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
-PARAMETERS = ("time", "omega")
 X_AXES = ("t", "omega_t")
 Y_AXES = ("gamma", "gamma_dot")
 
 
-def advantage_ratio(spec: CatSpec, schedule: NoiseSchedule, t: float,
-                    parameter: str) -> float:
+def advantage_ratio(spec: CatSpec, schedule: NoiseSchedule, t,
+                    parameter: str):
     """F_open / F_cl for the cat sensor, from the exact closed forms.
 
-    Values above 1 mean the noise helps.  The ratio tends to 1 as the
-    integrated rate vanishes; a rate that switches on discontinuously
-    at the evaluation time makes the time ratio infinite.
-    """
-    if parameter not in PARAMETERS:
-        raise ValidationError(f"unknown parameter {parameter!r}")
+    Values above 1 mean the noise helps; ``fisher.ratio_law`` gives the
+    limits.  Takes a time or an array of times (``fisher.law_at``)."""
     if spec.delta_e <= 0.0:
         raise ValidationError("the ratio needs a positive energy gap")
-    rate, integral = schedule_eval(schedule, t)
-    if parameter == "time":
-        x = 2.0 * spec.delta_l ** 2 * integral
-        if x == 0.0:
-            if schedule.rate_right(t) * spec.delta_l ** 2 > 0.0:
-                return math.inf
-            return 1.0
-        noise = rate * rate * spec.delta_l ** 4 / (
-            spec.delta_e ** 2 * (-math.expm1(-x)))
-        return math.exp(-x) * (1.0 + noise)
-    if spec.delta_l != spec.delta_e:
-        raise ValidationError(
-            "the frequency ratio requires energy dephasing "
-            "(delta_l == delta_e)")
-    x = 2.0 * spec.delta_e ** 2 * integral
-    if x == 0.0:
-        return 1.0
-    if t <= 0.0:
-        raise ValidationError(
-            "the frequency baseline vanishes at t = 0 with noise on")
-    noise = 4.0 * spec.delta_e ** 2 * integral * integral / (
-        t * t * (-math.expm1(-x)))
-    return math.exp(-x) * (1.0 + noise)
+    return law_at(ratio_law, spec, schedule, t, parameter)
 
 
 def ramp_window_gain(spec: CatSpec, gamma_dot: float) -> float:
@@ -108,10 +82,11 @@ class SensingTime(NamedTuple):
 def optimal_window_ramp(spec: CatSpec, gamma_dot: float) -> RampWindow:
     """Half-coherence window sqrt(ln2 / (gdot dL^2)) after the onset.
 
-    ``advantage_possible`` records whether the window beats the
-    threshold sqrt(2 ln2)/dE, the condition gdot dL^2 / dE^2 > 1/2.
-    The window fixes the decayed coherence at 1/2; it is an operating
-    point, not a global maximum.
+    ``advantage_possible`` records whether the window falls below the
+    threshold sqrt(2) ln2 / dE, the condition gdot dL^2 / dE^2 >
+    1/(2 ln2) under which the exact gain 1/2 + ln2 gdot dL^2 / dE^2 at
+    the window exceeds 1.  The window fixes the decayed coherence at
+    1/2; it is an operating point, not a global maximum.
     """
     if gamma_dot <= 0.0:
         raise ValidationError("ramp slope must be positive")
@@ -120,7 +95,7 @@ def optimal_window_ramp(spec: CatSpec, gamma_dot: float) -> RampWindow:
     window = math.sqrt(LN2 / (gamma_dot * spec.delta_l ** 2))
     if spec.delta_e <= 0.0:
         return RampWindow(window, True, math.inf)
-    limit = math.sqrt(2.0 * LN2) / spec.delta_e
+    limit = math.sqrt(2.0) * LN2 / spec.delta_e
     return RampWindow(window, window < limit, limit)
 
 
@@ -226,17 +201,15 @@ class HeatmapTable:
         return "\n".join(lines) + "\n"
 
     def ratio_grid(self) -> np.ndarray:
-        nx, ny = len(self.x_values), len(self.y_values)
-        grid = np.empty((ny, nx))
-        for i, (_, _, ratio, _) in enumerate(self.rows):
-            grid[i // nx, i % nx] = ratio
-        return grid
+        return np.array([row[2] for row in self.rows]).reshape(
+            len(self.y_values), len(self.x_values))
 
 
-def _cell_schedule(grid: GridSpec, y: float) -> NoiseSchedule:
-    if grid.y_name == "gamma":
-        return NoiseSchedule.constant(y, t0=grid.t0)
-    return NoiseSchedule.linear_ramp(y, t0=grid.t0)
+def _rate_schedule(rate_key: str, value: float, t0: float) -> NoiseSchedule:
+    """A constant rate for 'gamma', a linear ramp for 'gamma_dot'."""
+    if rate_key == "gamma":
+        return NoiseSchedule.constant(value, t0=t0)
+    return NoiseSchedule.linear_ramp(value, t0=t0)
 
 
 def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:
@@ -246,19 +219,16 @@ def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:
     Cells at or above ratio 1 are classified 'enhanced', below it
     'hindered'.
     """
-    if parameter not in PARAMETERS:
-        raise ValidationError(f"unknown parameter {parameter!r}")
+    check_parameter(parameter)
     xs = grid.x_values()
     ys = grid.y_values()
+    ts = xs / grid.spec.omega if grid.x_name == "omega_t" else xs
     rows = []
-    for y in ys:
-        schedule = _cell_schedule(grid, float(y))
-        for x in xs:
-            t = float(x) / grid.spec.omega if grid.x_name == "omega_t" \
-                else float(x)
-            ratio = advantage_ratio(grid.spec, schedule, t, parameter)
-            region = "enhanced" if ratio >= 1.0 else "hindered"
-            rows.append((float(x), float(y), ratio, region))
+    for y in ys.tolist():
+        ratios = advantage_ratio(
+            grid.spec, _rate_schedule(grid.y_name, y, grid.t0), ts, parameter)
+        rows.extend((x, y, ratio, "enhanced" if ratio >= 1.0 else "hindered")
+                    for x, ratio in zip(xs.tolist(), ratios.tolist()))
     return HeatmapTable(parameter=parameter, x_name=grid.x_name,
                         y_name=grid.y_name, x_values=xs, y_values=ys,
                         rows=rows)
@@ -324,8 +294,7 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
     refinement polishes each ranged axis in turn.  The result never
     falls below any coarse grid evaluation.
     """
-    if parameter not in PARAMETERS:
-        raise ValidationError(f"unknown parameter {parameter!r}")
+    check_parameter(parameter)
     if schedule_kind not in ("constant", "linear_ramp"):
         raise ValidationError(f"unknown schedule kind {schedule_kind!r}")
     rate_key = "gamma" if schedule_kind == "constant" else "gamma_dot"
@@ -335,14 +304,10 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
     if coarse < 64:
         raise ValidationError("coarse grid needs at least 64 points per axis")
 
-    def make_schedule(rate_value: float) -> NoiseSchedule:
-        if schedule_kind == "constant":
-            return NoiseSchedule.constant(rate_value, t0=t0)
-        return NoiseSchedule.linear_ramp(rate_value, t0=t0)
-
-    def evaluate(t: float, rate_value: float) -> float:
-        r = advantage_ratio(spec, make_schedule(rate_value), t, parameter)
-        return -math.inf if math.isinf(r) else r
+    def evaluate(t, rate_value: float):
+        r = advantage_ratio(spec, _rate_schedule(rate_key, rate_value, t0),
+                            times(t), parameter)
+        return scalar_or_array(t, np.where(np.isinf(r), -math.inf, r))
 
     ranged: dict[str, tuple[float, float]] = {}
     fixed: dict[str, float] = {}
@@ -358,35 +323,24 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
     if not ranged:
         raise ValidationError("at least one axis must be a range")
 
-    axes = {}
-    for key, (lo, hi) in ranged.items():
-        axes[key] = np.geomspace(lo, hi, coarse) if lo > 0.0 \
+    axes = {key: np.geomspace(lo, hi, coarse) if lo > 0.0
             else np.linspace(lo, hi, coarse)
+            for key, (lo, hi) in ranged.items()}
 
-    def point(assign: dict) -> float:
-        t = assign.get("t", fixed.get("t"))
-        g = assign.get(rate_key, fixed.get(rate_key))
-        return evaluate(float(t), float(g))
-
-    evaluations = 0
+    # One ratio call per rate value; argmax keeps the first maximum.
+    keys = sorted(ranged)
+    t_axis = axes.get("t", np.array([fixed.get("t")]))
+    rate_axis = axes.get(rate_key, [fixed.get(rate_key)])
+    evaluations = len(t_axis) * len(rate_axis)
     best_val = -math.inf
     best_at: dict[str, float] = {}
-    keys = sorted(ranged)
-    if len(keys) == 1:
-        k = keys[0]
-        for v in axes[k]:
-            val = point({k: v})
-            evaluations += 1
-            if val > best_val:
-                best_val, best_at = val, {k: float(v)}
-    else:
-        for va in axes[keys[0]]:
-            for vb in axes[keys[1]]:
-                val = point({keys[0]: va, keys[1]: vb})
-                evaluations += 1
-                if val > best_val:
-                    best_val = val
-                    best_at = {keys[0]: float(va), keys[1]: float(vb)}
+    for g in rate_axis:
+        vals = evaluate(t_axis, float(g))
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            cell = {"t": float(t_axis[i]), rate_key: float(g)}
+            best_val = float(vals[i])
+            best_at = {k: cell[k] for k in keys}
     coarse_best = best_val
 
     # Golden-section polish along each ranged axis, twice around.
@@ -395,16 +349,12 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
             arr = axes[k]
             i = int(np.searchsorted(arr, best_at[k]))
             i = min(max(i, 1), len(arr) - 2)
-            lo = float(arr[i - 1])
-            hi = float(arr[i + 1])
-            if best_at[k] < lo or best_at[k] > hi:
-                lo = min(lo, best_at[k])
-                hi = max(hi, best_at[k])
+            lo = min(float(arr[i - 1]), best_at[k])
+            hi = max(float(arr[i + 1]), best_at[k])
 
             def slice_f(v: float, axis=k) -> float:
-                assign = dict(best_at)
-                assign[axis] = v
-                return point(assign)
+                cell = {**fixed, **best_at, axis: v}
+                return evaluate(float(cell["t"]), float(cell[rate_key]))
 
             x, fx, used = golden_section_max(slice_f, lo, hi,
                                              rel_tol=rel_tol)
@@ -415,7 +365,6 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
 
     if best_val < coarse_best:
         raise AssertionError("refinement lost the coarse optimum")
-    params = dict(fixed)
-    params.update(best_at)
-    return OptimumReport(best_params=params, best_ratio=best_val,
-                         iterations=evaluations, method="golden_section")
+    return OptimumReport(best_params={**fixed, **best_at},
+                         best_ratio=best_val, iterations=evaluations,
+                         method="golden_section")

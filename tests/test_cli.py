@@ -204,6 +204,57 @@ def test_qfi_rejects_bad_schedule_text(capsys):
     assert err.startswith("error: validation:")
 
 
+def _random_energy_model(rng, path, dim=4):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    h = (q * np.sort(rng.uniform(-1.0, 1.0, dim))) @ q.conj().T
+    h = 0.5 * (h + h.conj().T)
+    doc = {"kind": "custom", "N": dim, "omega": float(rng.uniform(0.5, 1.5)),
+           "lindblad": "energy",
+           "h": {"matrix": [[[float(v.real), float(v.imag)] for v in row]
+                            for row in h]}}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_qfi_omega_on_random_energy_custom_models(capsys, tmp_path):
+    # the branch gaps of these models round apart in the last bit for
+    # about a third of the frames; energy dephasing must still hold
+    rng = np.random.default_rng(20260822)
+    for k in range(12):
+        path = _random_energy_model(rng, tmp_path / f"m{k}.json")
+        code, out, err = run_cli(capsys, "qfi", "--model", path,
+                                 "--schedule", "const:0.2", "--t", "0.7",
+                                 "--param", "omega")
+        assert code == 0, err
+        assert json.loads(out)["value"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("qfi", "--model", GHZ2, "--schedule", "const:1e308", "--t", "1",
+     "--param", "time"),
+    ("qfi", "--model", NOON2, "--schedule", "const:1", "--t", "1e300",
+     "--param", "omega"),
+    ("estimate", "--model", GHZ2, "--schedule", "const:1e308", "--t", "1",
+     "--param", "time"),
+], ids=["qfi-time-rate", "qfi-omega-time", "estimate-time-rate"])
+def test_overflow_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: numerical-contract:")
+    assert "Warning" not in err
+
+
+def test_scan_overflow_exits_2_without_output(capsys, tmp_path):
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, "scan", "--param", "time", "--grid",
+                           "x=t:1:10:3;y=gamma:1e300:1e307:3",
+                           "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: numerical-contract:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- estimate
 
 def test_estimate_single_time_report(capsys):

@@ -290,3 +290,39 @@ def test_load_model_files():
         assert model.dim in (2, 4, 8)
     with pytest.raises(ValidationError, match="commute"):
         load_model(str(root / "bad_noncommuting.json"))
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "photonic_two_mode", "N": 2, "omega": 1.0,
+     "lindblad": "energy", "branch_gap": "x"},
+    {"kind": "qubit_network", "N": 2.7, "omega": 1.0, "lindblad": "energy"},
+    {"kind": "custom", "N": 1, "omega": 1.0, "lindblad": "energy",
+     "h": {"matrix": [[[0.3, 0.0]]]}},
+], ids=["branch_gap-text", "N-fractional", "custom-1x1"])
+def test_model_json_rejected_at_load(doc, tmp_path, capsys):
+    from dephasor.cli import parse_and_run
+    with pytest.raises(ValidationError):
+        model_from_json(json.dumps(doc))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert parse_and_run(["validate", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
+def test_cat_spec_energy_gaps_equal_by_construction():
+    # a rotated 4-level h: omega*spectrum and the gap of the spectrum
+    # round differently for some frames, the CatSpec must not care
+    rng = np.random.default_rng(3)
+    seen_mismatch = False
+    for _ in range(30):
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        q, _ = np.linalg.qr(z)
+        h = (q * np.sort(rng.uniform(-1.0, 1.0, 4))) @ q.conj().T
+        model = build_sensor_model(
+            "custom", 4, float(rng.uniform(0.5, 1.5)), "energy",
+            h=Operator(0.5 * (h + h.conj().T), hermitian=True))
+        seen_mismatch |= model.lindblad_branch_gap() != model.branch_gap()
+        spec = cat_spec_for(model)
+        assert spec.energy_like and spec.delta_l == spec.delta_e
+    assert seen_mismatch

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, NoiseSchedule, ValidationError,
-                      advantage_ratio, constant_rate_gain, default_fig_grid,
-                      heatmap_scan, maximize_ratio, optimal_time_constant,
-                      optimal_window_ramp, ramp_window_gain)
+from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
+                      ValidationError, advantage_ratio, constant_rate_gain,
+                      default_fig_grid, heatmap_scan, maximize_ratio,
+                      optimal_time_constant, optimal_window_ramp,
+                      ramp_window_gain)
 from dephasor.fisher import qfi_closed, qfi_freq_cat, qfi_time_cat
 from dephasor.protocols import GridSpec, golden_section_max
 
@@ -56,6 +57,19 @@ def test_ratio_divergence_at_hard_onset():
     assert math.isinf(advantage_ratio(spec, sch, 1.0, "time"))
 
 
+def test_ratio_overflow_raises_not_nan():
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    with pytest.raises(NumericalContractError, match="non-finite"):
+        advantage_ratio(spec, NoiseSchedule.constant(1e308), 1.0, "time")
+    with pytest.raises(NumericalContractError):
+        advantage_ratio(spec, NoiseSchedule.constant(1.0), 1e300, "omega")
+    grid = GridSpec(x_name="t", x_min=1.0, x_max=10.0, x_steps=3,
+                    y_name="gamma", y_min=1e300, y_max=1e307, y_steps=3,
+                    scale="log", spec=spec)
+    with pytest.raises(NumericalContractError):
+        heatmap_scan(grid, "time")
+
+
 def test_ratio_validation():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     sch = NoiseSchedule.constant(0.1)
@@ -75,13 +89,37 @@ def test_ramp_window_value_and_threshold():
     res = optimal_window_ramp(spec, gamma_dot=2.0)
     assert res.window == pytest.approx(math.sqrt(LN2 / 8.0), abs=1e-16)
     assert res.window == pytest.approx(0.29435250562886867, abs=1e-16)
-    assert res.limit == pytest.approx(0.5887050112577373, abs=1e-15)
-    assert res.advantage_possible  # r = 2 > 1/2
-    # r below the quoted 1/2 threshold flips the flag
+    # exact crossing r = 1/(2 ln2): the limit is sqrt(2) ln2 / dE
+    assert res.limit == pytest.approx(math.sqrt(2.0) * LN2 / 2.0, abs=1e-16)
+    assert res.limit == pytest.approx(0.4901290717342736, abs=1e-16)
+    assert res.advantage_possible  # r = 2 > 1/(2 ln2)
+    # r below the 1/(2 ln2) threshold flips the flag
     small = optimal_window_ramp(CatSpec(delta_e=2.0, delta_l=1.0,
                                         omega=1.0), gamma_dot=1.0)
     assert not small.advantage_possible  # r = 1/4
     assert small.advantage_possible == (small.window < small.limit)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the quoted limit sqrt(2 ln2)/dE encodes the "
+                          "crossing r = 1/2; the exact window gain "
+                          "1/2 + ln2*r crosses 1 at r = 1/(2 ln2)")
+def test_ramp_window_quoted_limit():
+    res = optimal_window_ramp(CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0),
+                              gamma_dot=2.0)
+    assert res.limit == pytest.approx(0.5887050112577373, abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma_dot", [0.3, 0.6, 0.7, 0.75, 1.0, 2.0, 8.0])
+def test_ramp_window_flag_matches_exact_ratio(gamma_dot):
+    # r = gamma_dot for dE = dL; r = 0.6 sat between the quoted 1/2 and
+    # the exact 0.7213 and was flagged although the ratio there is 0.916
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    res = optimal_window_ramp(spec, gamma_dot)
+    ratio = advantage_ratio(spec, NoiseSchedule.linear_ramp(gamma_dot),
+                            res.window, "time")
+    assert ratio == pytest.approx(0.5 + LN2 * gamma_dot, rel=1e-12)
+    assert res.advantage_possible == (ratio > 1.0)
 
 
 def test_matched_time_value_and_threshold():
