@@ -263,9 +263,8 @@ def _rk4_segment(h: np.ndarray, l: np.ndarray, schedule: NoiseSchedule,
     # segment there is the left limit, not the value after the jump.
     g2s = schedule.rate_right(tb)
     g2s[-1] = schedule.rate(t_end)
-    steps = zip((tb - ta).tolist(), schedule.rate_right(ta).tolist(),
-                schedule.rate_right(0.5 * (ta + tb)).tolist(), g2s.tolist())
-    for step, g1, gm, g2 in steps:
+    for step, g1, gm, g2 in zip(tb - ta, schedule.rate_right(ta),
+                                schedule.rate_right(0.5 * (ta + tb)), g2s):
         k1 = _rhs(h, l, g1, rho)
         k2 = _rhs(h, l, gm, rho + 0.5 * step * k1)
         k3 = _rhs(h, l, gm, rho + 0.5 * step * k2)
