@@ -108,10 +108,9 @@ class NoiseSchedule:
         elif self.variant == "linear_ramp":
             g = self.gamma_dot * (ts - self.t0)
         else:
-            kt = np.array([tk for tk, _ in self.knots])
-            kg = np.array([gk for _, gk in self.knots])
-            i = np.clip(np.searchsorted(kt, ts, side="right") - 1, 0,
-                        len(kt) - 2)
+            kt, kg = np.array(self.knots).T
+            # index of the segment [kt[i], kt[i+1]) holding t, clamped
+            i = np.searchsorted(kt[1:-1], ts, side="right")
             ta, tb, ga, gb = kt[i], kt[i + 1], kg[i], kg[i + 1]
             g = np.where(ts >= kt[-1], kg[-1],
                          ga + (gb - ga) * (ts - ta) / (tb - ta))
@@ -167,7 +166,8 @@ def scalar_or_array(t, values: np.ndarray):
 
 def schedule_eval(schedule: NoiseSchedule, t):
     """(gamma_t, integral of gamma from t0 to t) at t (or t array)."""
-    if not np.all(np.isfinite(t) & (np.asarray(t, dtype=float) >= 0.0)):
+    ts = np.asarray(t, dtype=float)
+    if not ((ts >= 0.0) & (ts < math.inf)).all():
         raise ValidationError("t must be nonnegative and finite")
     return schedule.rate(t), schedule.integral(t)
 
@@ -259,12 +259,11 @@ def _rk4_segment(h: np.ndarray, l: np.ndarray, schedule: NoiseSchedule,
     edges = t_start + np.arange(n + 1) * dt
     edges[n] = t_end
     ta, tb = edges[:-1], edges[1:]
+    rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
     # The segment end is a breakpoint; the rate that belongs to this
     # segment there is the left limit, not the value after the jump.
-    g2s = schedule.rate_right(tb)
-    g2s[-1] = schedule.rate(t_end)
-    for step, g1, gm, g2 in zip(tb - ta, schedule.rate_right(ta),
-                                schedule.rate_right(0.5 * (ta + tb)), g2s):
+    rates[2, -1] = schedule.rate(t_end)
+    for step, g1, gm, g2 in zip(tb - ta, *rates):
         k1 = _rhs(h, l, g1, rho)
         k2 = _rhs(h, l, gm, rho + 0.5 * step * k1)
         k3 = _rhs(h, l, gm, rho + 0.5 * step * k2)
