@@ -154,13 +154,13 @@ def _cmd_evolve(args) -> int:
 
 def _qfi_report(args, model: SensorModel, schedule: NoiseSchedule,
                 method: str) -> fisher.QfiReport:
-    spec = cat_spec_for(model)
+    time = args.param == "time"
     if method == "analytic":
-        return fisher.cat_qfi_report(spec, schedule, args.t, args.param)
+        return (fisher.qfi_time_cat if time else fisher.qfi_freq_cat)(
+            cat_spec_for(model), schedule, args.t)
     run = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
                         dt=args.dt)
     rho_t = dynamics.evolve_lindblad_numeric(run, cat_initial_state(model))
-    time = args.param == "time"
     if method == "numeric":
         drho = (fisher.drho_dt if time else fisher.drho_domega)(
             model, schedule, rho_t, args.t)

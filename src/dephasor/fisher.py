@@ -308,7 +308,7 @@ def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
 
 
 @_quiet
-def cat_qfi_report(spec: CatSpec, schedule: NoiseSchedule, t: float,
+def _cat_qfi_report(spec: CatSpec, schedule: NoiseSchedule, t: float,
                    parameter: str) -> QfiReport:
     """``qfi_law`` at one time, with its schedule inputs as diagnostics."""
     value = law_at(qfi_law, spec, schedule, t, parameter)
@@ -324,12 +324,12 @@ def cat_qfi_report(spec: CatSpec, schedule: NoiseSchedule, t: float,
 
 def qfi_time_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
     """Exact time-estimation QFI of the two-branch cat state."""
-    return cat_qfi_report(spec, schedule, t, "time")
+    return _cat_qfi_report(spec, schedule, t, "time")
 
 
 def qfi_freq_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
     """Exact frequency-estimation QFI of the cat state, for L = H."""
-    return cat_qfi_report(spec, schedule, t, "omega")
+    return _cat_qfi_report(spec, schedule, t, "omega")
 
 
 def qfi_closed(spec_or_model, rho: DensityMatrix | None = None,
