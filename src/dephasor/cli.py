@@ -154,18 +154,18 @@ def _cmd_evolve(args) -> int:
 
 def _qfi_report(args, model: SensorModel, schedule: NoiseSchedule,
                 method: str) -> fisher.QfiReport:
-    time = args.param == "time"
+    by_time = args.param == "time"
     if method == "analytic":
-        return (fisher.qfi_time_cat if time else fisher.qfi_freq_cat)(
+        return (fisher.qfi_time_cat if by_time else fisher.qfi_freq_cat)(
             cat_spec_for(model), schedule, args.t)
     run = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
                         dt=args.dt)
     rho_t = dynamics.evolve_lindblad_numeric(run, cat_initial_state(model))
     if method == "numeric":
-        drho = (fisher.drho_dt if time else fisher.drho_domega)(
+        drho = (fisher.drho_dt if by_time else fisher.drho_domega)(
             model, schedule, rho_t, args.t)
         return fisher.sld_and_qfi(rho_t, drho, parameter=args.param)[1]
-    bound = fisher.qfi_time_lower_bound if time else \
+    bound = fisher.qfi_time_lower_bound if by_time else \
         fisher.qfi_freq_lower_bound
     return bound(model, schedule, rho_t, args.t)
 
