@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input validation failure, 2 numerical contract
-violation.  Errors are a single machine-parsable line on stderr.  All
-file output goes through an atomic write (temp file in the target
-directory, then rename), and identical invocations produce byte-
-identical files.
+violation, 3 internal error (any other exception, reported as
+``error: internal: <Type>: <message>``).  Errors are a single
+machine-parsable line on stderr.  All file output goes through an
+atomic write (temp file in the target directory, then rename), and
+identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -412,6 +413,9 @@ def parse_and_run(argv=None) -> int:
     except NumericalContractError as exc:
         sys.stderr.write(f"error: numerical-contract: {exc}\n")
         return 2
+    except Exception as exc:  # last resort: one line, never a traceback
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main():

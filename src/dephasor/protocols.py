@@ -341,6 +341,10 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
             cell = {"t": float(t_axis[i]), rate_key: float(g)}
             best_val = float(vals[i])
             best_at = {k: cell[k] for k in keys}
+    if not best_at:  # only the onset divergence maps a cell to -inf
+        raise ValidationError(
+            f"every coarse cell sits on the onset divergence at t = t0 = "
+            f"{t0!r}; the ratio is infinite there, so move t off the onset")
     coarse_best = best_val
 
     # Golden-section polish along each ranged axis, twice around.

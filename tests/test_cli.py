@@ -158,6 +158,19 @@ def test_evolve_exit_2_on_broken_integration(capsys):
     assert "smaller dt" in err
 
 
+def test_evolve_overflow_prints_one_stderr_line():
+    # in a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "dephasor.cli", "evolve", "--model", NOON2,
+         "--schedule", "const:80", "--t", "400", "--dt", "0.5",
+         "--samples", "2"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: numerical-contract:")
+
+
 # --------------------------------------------------------------------- qfi
 
 def test_qfi_analytic_frozen_value(capsys):
@@ -392,6 +405,15 @@ def test_optimize_rejects_bad_box(capsys):
     assert err.startswith("error: validation:")
 
 
+def test_optimize_all_cells_on_the_onset_is_a_validation_error(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--model", GHZ2,
+                             "--param", "time", "--box", "t=0.5;gamma=1:10",
+                             "--t0", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation:") and "onset" in err
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------- svg rendering
 
 def small_table():
@@ -439,6 +461,16 @@ def test_svg_color_floor_and_ceiling():
 
 
 # ------------------------------------------------------------- entry point
+
+def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("dephasor.cli._cmd_validate", broken)
+    code, out, err = run_cli(capsys, "validate", "--model", GHZ2)
+    assert code == 3 and out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run(

@@ -6,11 +6,16 @@ purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in CHANGES.md which files moved and by how much.
+and says in CHANGES.md which files moved and by how much, as printed by
+the read-only diff mode (it writes nothing):
+
+    PYTHONPATH=src python tests/test_golden.py --diff
 """
 
 import pathlib
+import re
 import sys
+import tempfile
 
 import pytest
 
@@ -122,7 +127,49 @@ def test_golden_bytes(name, tmp_path):
         assert data == (GOLDEN / fname).read_bytes(), fname
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def describe_move(old: bytes, new: bytes) -> str:
+    """How the numbers of ``new`` differ from those of ``old``."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return "text outside the numbers changed"
+    pairs = [(float(a), float(b)) for a, b in
+             zip(NUMBER.findall(old), NUMBER.findall(new)) if a != b]
+    worst = max(abs(a - b) / (max(abs(a), abs(b)) or 1.0)
+                for a, b in pairs)
+    return f"{len(pairs)} numbers moved, largest relative change {worst:.2g}"
+
+
+def print_diff():
+    """Print each fixture the current code would move; writes nothing."""
+    moved = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            for fname, data in run_case(case, pathlib.Path(tmp)).items():
+                path = GOLDEN / fname
+                old = path.read_bytes() if path.exists() else None
+                if old == data:
+                    continue
+                moved += 1
+                what = "new file" if old is None else describe_move(old, data)
+                sys.stdout.write(f"{fname}: {what}\n")
+    sys.stdout.write(f"{moved} files would move\n")
+
+
+def test_describe_move_counts_numbers_and_largest_change():
+    old = b"t,x\n0.5,1.0\n1e-3,-2.0\n"
+    new = b"t,x\n0.5,1.5\n1e-3,-2.5\n"
+    assert describe_move(old, new) == \
+        "2 numbers moved, largest relative change 0.33"
+    assert describe_move(old, b"t,y" + old[3:]) == \
+        "text outside the numbers changed"
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        print_diff()
+        sys.exit(0)
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
         run_case(case, GOLDEN)

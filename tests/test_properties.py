@@ -4,6 +4,11 @@ Random gaps, schedules and time grids check that the array kernel and
 the scalar wrappers agree bit for bit, that the advantage ratio is the
 QFI over its noiseless baseline, that the ratio tends to 1 with the
 dose, and that the time QFI sits above its commutator lower bound.
+
+Random commuting models (H and L both diagonal in one Haar-random frame)
+check the RK4 integrator: it matches a dense-matmul RK4 reference, keeps
+trace and positivity along trajectories, and its state fed through
+``drho_dt`` and the SLD reproduces the closed-form time QFI.
 """
 
 import math
@@ -11,16 +16,20 @@ import math
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
-                      advantage_ratio, branch_model, cat_state_analytic,
-                      estimator_variance, observable_expectation,
-                      saturation_ratio)
+from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, NoiseSchedule,
+                      NumericalContractError, Operator, advantage_ratio,
+                      branch_model, build_sensor_model, cat_initial_state,
+                      cat_spec_for, cat_state_analytic, drho_dt,
+                      estimator_variance, evolve_lindblad_numeric,
+                      observable_expectation, saturation_ratio,
+                      sld_and_qfi, trajectory)
 from dephasor.estimators import signal_statistics
 from dephasor.fisher import (law_at, qfi_closed, qfi_freq_cat, qfi_law,
                              qfi_time_cat, qfi_time_lower_bound)
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import (assume, given, settings,  # noqa: E402
+                        strategies as st)
 
 PARAMS = ("time", "omega")
 
@@ -133,3 +142,109 @@ def test_time_qfi_above_commutator_bound(spec, sch, t):
     rho, _ = cat_state_analytic(spec, sch, t)
     bound = qfi_time_lower_bound(branch_model(spec), sch, rho, t).value
     assert qfi_time_cat(spec, sch, t).value >= bound
+
+
+# ------------------------------------------------ random commuting models
+
+@st.composite
+def commuting_models(draw):
+    """Custom model whose H and L are diagonal in one Haar-random frame.
+
+    Levels are drawn from a mix of floats and a few fixed values, so
+    degenerate spectra of H, of L, or of both come up too."""
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    level = st.floats(-1.0, 1.0) | st.sampled_from((-1.0, 0.0, 1.0))
+    levels = st.lists(level, min_size=dim, max_size=dim)
+    eps = np.array(draw(levels))
+    assume(np.ptp(eps) > 0.1)
+
+    def dense(diag):
+        mat = (q * diag) @ q.conj().T
+        return Operator(0.5 * (mat + mat.conj().T), hermitian=True)
+
+    lindblad = "energy" if draw(st.booleans()) else dense(np.array(
+        draw(levels)))
+    return build_sensor_model("custom", dim, draw(st.floats(0.5, 2.0)),
+                              lindblad, h=dense(eps))
+
+
+def random_state(model, seed):
+    rng = np.random.default_rng(seed)
+    n = model.dim
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+def _dense_rhs(h, l, g, rho):
+    out = -1j * (h @ rho - rho @ h)
+    if g != 0.0:
+        k = l @ rho - rho @ l
+        out -= g * (l @ k - k @ l)
+    return out
+
+
+def dense_rk4(model, schedule, rho, t_final, dt_target):
+    """Reference RK4 on dense matrices: six matmuls per stage and a
+    re-symmetrized state after every step, with the integrator's step
+    rule, breakpoint splits and per-step rates."""
+    h, l = model.hamiltonian(), model.lindblad.matrix
+    lo = 0.0
+    for cut in schedule.breakpoints(t_final) + [t_final]:
+        span = cut - lo
+        n = max(1, int(math.ceil(span / dt_target - 1e-12)))
+        edges = lo + np.arange(n + 1) * (span / n)
+        edges[n] = cut
+        ta, tb = edges[:-1], edges[1:]
+        rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
+        rates[2, -1] = schedule.rate(cut)
+        for step, g1, gm, g2 in zip(tb - ta, *rates):
+            k1 = _dense_rhs(h, l, g1, rho)
+            k2 = _dense_rhs(h, l, gm, rho + 0.5 * step * k1)
+            k3 = _dense_rhs(h, l, gm, rho + 0.5 * step * k2)
+            k4 = _dense_rhs(h, l, g2, rho + step * k3)
+            rho = rho + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            rho = 0.5 * (rho + rho.conj().T)
+        lo = cut
+    return rho
+
+
+@settings(max_examples=40)
+@given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
+       st.floats(0.1, 1.5), st.integers(200, 500), st.integers(0, 2 ** 16))
+def test_eigenbasis_rk4_matches_dense_reference(model, sch, t, steps, seed):
+    rho0 = random_state(model, seed)
+    dt = t / steps
+    got = evolve_lindblad_numeric(
+        EvolutionSpec(model=model, schedule=sch, t_final=t, dt=dt), rho0)
+    want = dense_rk4(model, sch, np.array(rho0.matrix), t, dt)
+    assert np.max(np.abs(got.matrix - want)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(commuting_models(), schedules(rate=st.floats(0.0, 5.0)),
+       st.floats(0.1, 1.5), st.integers(2, 6))
+def test_trajectory_keeps_trace_and_positivity(model, sch, t, samples):
+    states = trajectory(EvolutionSpec(model=model, schedule=sch, t_final=t),
+                        cat_initial_state(model), samples)
+    assert len(states) == samples
+    for _, rho in states:
+        assert abs(complex(np.trace(rho.matrix)) - 1.0) <= 1e-9
+        assert rho.min_eigenvalue() >= -1e-7
+
+
+@settings(max_examples=40)
+@given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
+       st.floats(0.1, 1.5))
+def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
+    assume(abs(t - sch.t0) > 1e-3)  # the time QFI diverges at the onset
+    rho_t = evolve_lindblad_numeric(
+        EvolutionSpec(model=model, schedule=sch, t_final=t),
+        cat_initial_state(model))
+    _, report = sld_and_qfi(rho_t, drho_dt(model, sch, rho_t, t), "time")
+    want = qfi_time_cat(cat_spec_for(model), sch, t).value
+    assert math.isclose(report.value, want, rel_tol=1e-6)
