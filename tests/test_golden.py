@@ -28,6 +28,8 @@ GHZ3 = str(ROOT / "models" / "ghz3.json")
 NOON2 = str(ROOT / "models" / "noon2.json")
 GRID_9X7 = "x=t:0.01:2:9;y=gamma:0.05:20:7;deltaE=2"
 GRID_RAMP = "x=omega_t:0.02:3:9;y=gamma_dot:0.1:30:7;deltaE=1.5;omega=1.5"
+GRID_TALL = "x=t:0.05:2:12;y=gamma_dot:0.1:30:30;deltaE=1.5"
+GRID_2X2 = "x=t:0.2:1.2:2;y=gamma:0.05:2:2;deltaE=1"
 
 # case name -> argv without the output flags; the extensions are the
 # files the case writes (the first through --out, an .svg through --svg)
@@ -95,6 +97,10 @@ CASES = {
         ["scan", "--param", "time", "--grid", GRID_9X7], ("csv", "svg")),
     "scan-ramp-time": (
         ["scan", "--param", "time", "--grid", GRID_RAMP], ("csv", "svg")),
+    "scan-tall-time": (
+        ["scan", "--param", "time", "--grid", GRID_TALL], ("csv", "svg")),
+    "scan-2x2-omega": (
+        ["scan", "--param", "omega", "--grid", GRID_2X2], ("csv", "svg")),
     "scan-fig1-omega": (
         ["scan", "--param", "omega", "--grid", "default_fig1"],
         ("csv", "svg")),
