@@ -127,7 +127,7 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         if self._min_eig is None:
-            w, _ = jacobi_eigh(self.matrix)
+            w = np.linalg.eigvalsh(self.matrix)
             object.__setattr__(self, "_min_eig", float(w[0]))
         return self._min_eig
 

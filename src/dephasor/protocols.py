@@ -18,7 +18,7 @@ documents the discrepancy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -180,14 +180,23 @@ def default_fig_grid() -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class HeatmapTable:
-    """Scan output: one row per cell, y-major order."""
+    """Scan output: the (ny, nx) ratio array, row j at y_values[j]."""
 
     parameter: str
     x_name: str
     y_name: str
     x_values: np.ndarray
     y_values: np.ndarray
-    rows: list = field(default_factory=list)
+    ratios: np.ndarray
+
+    @property
+    def rows(self) -> list:
+        """(x, y, ratio, region) per cell, y-major order."""
+        xs = self.x_values.tolist()
+        return [(x, y, ratio, _region(ratio))
+                for y, row in zip(self.y_values.tolist(),
+                                  self.ratios.tolist())
+                for x, ratio in zip(xs, row)]
 
     def to_csv(self) -> str:
         # Fixed header; the axis meaning travels in a comment line so the
@@ -196,13 +205,19 @@ class HeatmapTable:
             f"# parameter={self.parameter} x={self.x_name} y={self.y_name}",
             "x,y,ratio,region",
         ]
-        for x, y, ratio, region in self.rows:
-            lines.append(f"{x!r},{y!r},{ratio!r},{region}")
+        xs = [f"{x!r}," for x in self.x_values.tolist()]
+        for y, row in zip(self.y_values.tolist(), self.ratios):
+            y_col = f"{y!r},"
+            lines.extend(f"{x}{y_col}{ratio!r},{_region(ratio)}"
+                         for x, ratio in zip(xs, row.tolist()))
         return "\n".join(lines) + "\n"
 
     def ratio_grid(self) -> np.ndarray:
-        return np.array([row[2] for row in self.rows]).reshape(
-            len(self.y_values), len(self.x_values))
+        return self.ratios
+
+
+def _region(ratio: float) -> str:
+    return "enhanced" if ratio >= 1.0 else "hindered"
 
 
 def _rate_schedule(rate_key: str, value: float, t0: float) -> NoiseSchedule:
@@ -213,9 +228,8 @@ def _rate_schedule(rate_key: str, value: float, t0: float) -> NoiseSchedule:
 
 
 def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:
-    """Evaluate the advantage ratio over the grid.
+    """Evaluate the advantage ratio over the grid, one call per y row.
 
-    Rows are emitted y-outer, x-inner, so output order is deterministic.
     Cells at or above ratio 1 are classified 'enhanced', below it
     'hindered'.
     """
@@ -223,15 +237,14 @@ def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:
     xs = grid.x_values()
     ys = grid.y_values()
     ts = xs / grid.spec.omega if grid.x_name == "omega_t" else xs
-    rows = []
-    for y in ys.tolist():
-        ratios = advantage_ratio(
+    ratios = np.empty((len(ys), len(xs)))
+    for j, y in enumerate(ys.tolist()):
+        ratios[j] = advantage_ratio(
             grid.spec, _rate_schedule(grid.y_name, y, grid.t0), ts, parameter)
-        rows.extend((x, y, ratio, "enhanced" if ratio >= 1.0 else "hindered")
-                    for x, ratio in zip(xs.tolist(), ratios.tolist()))
+    ratios.flags.writeable = False
     return HeatmapTable(parameter=parameter, x_name=grid.x_name,
                         y_name=grid.y_name, x_values=xs, y_values=ys,
-                        rows=rows)
+                        ratios=ratios)
 
 
 @dataclass(frozen=True)

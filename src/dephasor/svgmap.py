@@ -4,7 +4,14 @@ Hand-rolled on purpose: byte-identical output for identical input is a
 contract, so no plotting library with embedded ids or timestamps is
 used.  The canvas is a fixed 800x600 viewport; color encodes
 log10(ratio) and the ratio = 1 boundary is drawn explicitly along cell
-edges where the sign of log10(ratio) flips.
+edges between cells on opposite sides of ratio 1 (the CSV region rule,
+ratio >= 1 is 'enhanced').
+
+The whole table is rendered as arrays: one numpy pass maps every cell
+to its color, each distinct color and each column and row coordinate is
+formatted once, and the boundary edges come from ``np.nonzero`` on the
+shifted region masks.  A ratio of +inf (the onset divergence of the
+time QFI) takes the ceiling color; a ratio of 0 the floor color.
 """
 
 from __future__ import annotations
@@ -30,19 +37,37 @@ _POS_LO = (253, 219, 199)
 _POS_HI = (103, 0, 31)
 
 
-def _lerp(a, b, u: float) -> tuple[int, int, int]:
-    return tuple(round(a[i] + (b[i] - a[i]) * u) for i in range(3))
+def _color_codes(logs: np.ndarray) -> np.ndarray:
+    """0xRRGGBB per log10(ratio), clipped to [LOG_FLOOR, LOG_CEIL].
+
+    Each channel is round(lo + (hi - lo) u), rounding half to even, on
+    the gray ramp below 0 and the warm ramp from 0 up."""
+    v = np.clip(logs, LOG_FLOOR, LOG_CEIL)
+    neg = v < 0.0
+    u = np.where(neg, 1.0 - v / LOG_FLOOR, v / LOG_CEIL)
+    codes = np.zeros(v.shape, dtype=np.int64)
+    for neg_lo, neg_hi, pos_lo, pos_hi in zip(_NEG_LO, _NEG_HI, _POS_LO,
+                                              _POS_HI):
+        lo = np.where(neg, neg_lo, pos_lo)
+        channel = np.round(lo + (np.where(neg, neg_hi, pos_hi) - lo) * u)
+        codes = (codes << 8) | channel.astype(np.int64)
+    return codes
+
+
+def _hex(code: int) -> str:
+    return f"#{code:06x}"
 
 
 def _color(log_ratio: float) -> str:
-    if math.isinf(log_ratio):
-        log_ratio = LOG_CEIL if log_ratio > 0 else LOG_FLOOR
-    v = min(max(log_ratio, LOG_FLOOR), LOG_CEIL)
-    if v < 0.0:
-        r, g, b = _lerp(_NEG_LO, _NEG_HI, 1.0 - v / LOG_FLOOR)
-    else:
-        r, g, b = _lerp(_POS_LO, _POS_HI, v / LOG_CEIL)
-    return f"#{r:02x}{g:02x}{b:02x}"
+    return _hex(int(_color_codes(np.asarray(float(log_ratio)))))
+
+
+def _log_ratios(grid: np.ndarray) -> np.ndarray:
+    """log10 of each ratio; LOG_FLOOR where the ratio is not positive."""
+    logs = np.full(grid.shape, LOG_FLOOR)
+    positive = grid > 0.0
+    logs[positive] = np.log10(grid[positive])
+    return logs
 
 
 def _fmt(v: float) -> str:
@@ -87,35 +112,37 @@ def render_heatmap_svg(table, title: str = "") -> str:
             f'<text x="{WIDTH / 2:.0f}" y="28" font-family="monospace" '
             f'font-size="16" text-anchor="middle">{title}</text>')
 
-    with_log = np.where(grid > 0.0, grid, np.nan)
-    logs = np.full_like(grid, LOG_FLOOR)
-    mask = np.isfinite(with_log)
-    logs[mask] = np.log10(with_log[mask])
+    codes = _color_codes(_log_ratios(grid))
+    distinct, which = np.unique(codes, return_inverse=True)
+    fills = [_hex(code) for code in distinct.tolist()]
+    which = which.reshape(ny, nx)
 
-    for j in range(ny):
-        for i in range(nx):
-            parts.append(
-                f'<rect x="{_fmt(cx(i))}" y="{_fmt(cy(j))}" '
-                f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}" '
-                f'fill="{_color(float(logs[j, i]))}"/>')
+    x_left = [_fmt(cx(i)) for i in range(nx)]
+    x_right = [_fmt(cx(i) + cell_w) for i in range(nx)]
+    y_top = [_fmt(cy(j)) for j in range(ny)]
+    y_bottom = [_fmt(cy(j) + cell_h) for j in range(ny)]
 
-    # ratio = 1 boundary: draw shared edges of adjacent cells whose
-    # log-ratio signs differ
-    segs = []
-    for j in range(ny):
-        for i in range(nx - 1):
-            if (logs[j, i] >= 0.0) != (logs[j, i + 1] >= 0.0):
-                x = cx(i + 1)
-                segs.append((x, cy(j), x, cy(j) + cell_h))
-    for j in range(ny - 1):
-        for i in range(nx):
-            if (logs[j, i] >= 0.0) != (logs[j + 1, i] >= 0.0):
-                y = cy(j)
-                segs.append((cx(i), y, cx(i) + cell_w, y))
+    size = (f'" width="{_fmt(cell_w + 0.5)}" '
+            f'height="{_fmt(cell_h + 0.5)}" fill="')
+    cell_x = [f'<rect x="{x}" y="' for x in x_left]
+    for y, row in zip(y_top, which):
+        y_size = y + size
+        parts.extend(f'{x}{y_size}{fills[k]}"/>'
+                     for x, k in zip(cell_x, row.tolist()))
+
+    # ratio = 1 boundary: draw shared edges of adjacent cells on opposite
+    # sides of ratio 1, vertical edges row-major, then horizontal ones
+    enhanced = grid >= 1.0
+    js, is_ = np.nonzero(enhanced[:, 1:] != enhanced[:, :-1])
+    segs = [(x_left[i + 1], y_top[j], x_left[i + 1], y_bottom[j])
+            for j, i in zip(js.tolist(), is_.tolist())]
+    js, is_ = np.nonzero(enhanced[1:] != enhanced[:-1])
+    segs += [(x_left[i], y_top[j], x_right[i], y_top[j])
+             for j, i in zip(js.tolist(), is_.tolist())]
     for x1, y1, x2, y2 in segs:
         parts.append(
-            f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="#000000" stroke-width="1.2"/>')
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+            f'y2="{y2}" stroke="#000000" stroke-width="1.2"/>')
 
     parts.append(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '

@@ -365,6 +365,32 @@ def test_scan_default_grid_spans_both_regions(capsys, tmp_path):
     assert float(ratio) == expect
 
 
+def test_scan_paints_onset_divergence_at_the_ceiling(capsys, tmp_path):
+    # x starts on the onset t0, where the time ratio is +inf
+    csv_p, svg_p = str(tmp_path / "a.csv"), str(tmp_path / "a.svg")
+    code, _, _ = run_cli(
+        capsys, "scan", "--param", "time", "--grid",
+        "x=t:0.5:2:4;y=gamma:1:10:3;scale=linear;t0=0.5",
+        "--out", csv_p, "--svg", svg_p)
+    assert code == 0
+    lines = pathlib.Path(csv_p).read_text().splitlines()
+    assert lines[2] == "0.5,1.0,inf,enhanced"
+    enhanced = np.array([ln.endswith(",enhanced") for ln in lines[2:]])
+    assert enhanced.reshape(3, 4)[:, 0].all()
+    assert not enhanced.reshape(3, 4)[:, 1:].any()
+
+    root = ET.parse(svg_p).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    fills = [r.get("fill") for r in root.findall(f"{ns}rect")[1:-1]]
+    ceiling = "#67001f"
+    assert [f == ceiling for f in fills] == enhanced.tolist()
+    strokes = [ln for ln in root.findall(f"{ns}line")
+               if ln.get("stroke-width") == "1.2"]
+    # one vertical edge per row between the onset column and the next
+    assert len(strokes) == 3
+    assert {ln.get("x1") for ln in strokes} == {"252.50"}
+
+
 def test_scan_rejects_bad_grid(capsys, tmp_path):
     out = str(tmp_path / "x.csv")
     code, _, err = run_cli(capsys, "scan", "--param", "time",

@@ -7,11 +7,18 @@ dose, and that the time QFI sits above its commutator lower bound.
 
 Random commuting models (H and L both diagonal in one Haar-random frame)
 check the RK4 integrator: it matches a dense-matmul RK4 reference, keeps
-trace and positivity along trajectories, and its state fed through
-``drho_dt`` and the SLD reproduces the closed-form time QFI.
+trace and positivity along trajectories, its state fed through
+``drho_dt`` or ``drho_domega`` and the SLD reproduces the closed-form
+time or frequency QFI, and that numeric QFI sits above its commutator
+bound.
+
+Random log-ratios and region grids check the array scan renderer: every
+cell color follows the scalar color law, and the ratio = 1 boundary is
+the one a double loop over neighbouring cells finds.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,8 +31,14 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, NoiseSchedule,
                       observable_expectation, saturation_ratio,
                       sld_and_qfi, trajectory)
 from dephasor.estimators import signal_statistics
-from dephasor.fisher import (law_at, qfi_closed, qfi_freq_cat, qfi_law,
-                             qfi_time_cat, qfi_time_lower_bound)
+from dephasor.fisher import (drho_domega, law_at, qfi_closed, qfi_freq_cat,
+                             qfi_freq_lower_bound, qfi_law, qfi_time_cat,
+                             qfi_time_lower_bound)
+from dephasor.protocols import HeatmapTable
+from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
+                             _POS_LO, HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT,
+                             MARGIN_RIGHT, MARGIN_TOP, WIDTH, _color,
+                             _color_codes, render_heatmap_svg)
 
 pytest.importorskip("hypothesis")
 from hypothesis import (assume, given, settings,  # noqa: E402
@@ -147,11 +160,12 @@ def test_time_qfi_above_commutator_bound(spec, sch, t):
 # ------------------------------------------------ random commuting models
 
 @st.composite
-def commuting_models(draw):
+def commuting_models(draw, energy=None):
     """Custom model whose H and L are diagonal in one Haar-random frame.
 
     Levels are drawn from a mix of floats and a few fixed values, so
-    degenerate spectra of H, of L, or of both come up too."""
+    degenerate spectra of H, of L, or of both come up too.  ``energy``
+    forces energy dephasing (L = H) on or off."""
     dim = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -166,8 +180,9 @@ def commuting_models(draw):
         mat = (q * diag) @ q.conj().T
         return Operator(0.5 * (mat + mat.conj().T), hermitian=True)
 
-    lindblad = "energy" if draw(st.booleans()) else dense(np.array(
-        draw(levels)))
+    if energy is None:
+        energy = draw(st.booleans())
+    lindblad = "energy" if energy else dense(np.array(draw(levels)))
     return build_sensor_model("custom", dim, draw(st.floats(0.5, 2.0)),
                               lindblad, h=dense(eps))
 
@@ -248,3 +263,129 @@ def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
     _, report = sld_and_qfi(rho_t, drho_dt(model, sch, rho_t, t), "time")
     want = qfi_time_cat(cat_spec_for(model), sch, t).value
     assert math.isclose(report.value, want, rel_tol=1e-6)
+
+
+@settings(max_examples=40)
+@given(commuting_models(energy=True), schedules(rate=st.floats(0.0, 2.0)),
+       st.floats(0.1, 1.5))
+def test_numeric_sld_route_matches_closed_freq_qfi(model, sch, t):
+    rho_t = evolve_lindblad_numeric(
+        EvolutionSpec(model=model, schedule=sch, t_final=t),
+        cat_initial_state(model))
+    _, report = sld_and_qfi(rho_t, drho_domega(model, sch, rho_t, t),
+                            "omega")
+    want = qfi_freq_cat(cat_spec_for(model), sch, t).value
+    assert math.isclose(report.value, want, rel_tol=1e-6)
+
+
+@settings(max_examples=40)
+@given(st.data(), st.sampled_from(PARAMS),
+       schedules(rate=st.floats(0.0, 2.0)), st.floats(0.1, 1.5))
+def test_numeric_qfi_above_commutator_bound(data, parameter, sch, t):
+    # the SLD QFI is at least tr[(d rho)^2], which the bound equals
+    # for a commuting model
+    model = data.draw(commuting_models(
+        energy=True if parameter == "omega" else None))
+    rho_t = evolve_lindblad_numeric(
+        EvolutionSpec(model=model, schedule=sch, t_final=t),
+        cat_initial_state(model))
+    if parameter == "time":
+        drho = drho_dt(model, sch, rho_t, t)
+        bound = qfi_time_lower_bound(model, sch, rho_t, t).value
+    else:
+        drho = drho_domega(model, sch, rho_t, t)
+        bound = qfi_freq_lower_bound(model, sch, rho_t, t).value
+    _, report = sld_and_qfi(rho_t, drho, parameter)
+    assert report.value >= bound * (1.0 - 1e-9)
+
+
+# ----------------------------------------------------- scan SVG rendering
+
+def reference_color(log_ratio):
+    """The color law cell by cell, in Python floats and ``round``."""
+    if math.isinf(log_ratio):
+        log_ratio = LOG_CEIL if log_ratio > 0 else LOG_FLOOR
+    v = min(max(log_ratio, LOG_FLOOR), LOG_CEIL)
+    if v < 0.0:
+        lo, hi, u = _NEG_LO, _NEG_HI, 1.0 - v / LOG_FLOOR
+    else:
+        lo, hi, u = _POS_LO, _POS_HI, v / LOG_CEIL
+    return "#" + "".join(f"{round(a + (b - a) * u):02x}"
+                         for a, b in zip(lo, hi))
+
+
+def lands_on_tie(log_ratio):
+    v = min(max(log_ratio, LOG_FLOOR), LOG_CEIL)
+    lo, hi, u = ((_NEG_LO, _NEG_HI, 1.0 - v / LOG_FLOOR) if v < 0.0
+                 else (_POS_LO, _POS_HI, v / LOG_CEIL))
+    return any((a + (b - a) * u) % 1.0 == 0.5 for a, b in zip(lo, hi))
+
+
+# quarter steps where some channel's lerp is exactly k + 1/2
+TIES = [k / 4 for k in range(-12, 17) if lands_on_tie(k / 4)]
+EDGES = (math.inf, -math.inf, 0.0, -0.0, LOG_FLOOR, LOG_CEIL,
+         LOG_FLOOR - 1e-9, LOG_CEIL + 1e-9, -1e300, 1e300)
+log_ratios = (st.floats(-6.0, 7.0) | st.sampled_from(EDGES)
+              | st.sampled_from(TIES))
+
+
+@given(st.lists(log_ratios, min_size=1, max_size=48))
+def test_array_colors_follow_the_scalar_law(values):
+    assert len(TIES) >= 4
+    want = [reference_color(v) for v in values]
+    codes = _color_codes(np.array(values)).tolist()
+    assert [f"#{c:06x}" for c in codes] == want
+    assert [_color(v) for v in values] == want
+
+
+# ratios on either side of 1, including both sides' extremes and 1 itself
+CELL_RATIOS = (0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0, 3.0, 1e300,
+               math.inf)
+shapes = (st.tuples(st.integers(2, 9), st.integers(2, 9))
+          | st.tuples(st.just(2), st.integers(2, 14))
+          | st.tuples(st.integers(2, 14), st.just(2)))
+LINE = re.compile(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" '
+                  r'y2="([^"]+)" stroke="#000000" stroke-width="1.2"/>')
+FILL = re.compile(r'<rect x="[^"]+" y="[^"]+" width="[^"]+" '
+                  r'height="[^"]+" fill="(#[0-9a-f]{6})"/>')
+
+
+def brute_force_boundary(enhanced):
+    """Edges between neighbouring cells in different regions, by loops."""
+    ny, nx = enhanced.shape
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    cell_w, cell_h = plot_w / nx, plot_h / ny
+
+    def cx(i):
+        return MARGIN_LEFT + i * cell_w
+
+    def cy(j):
+        return MARGIN_TOP + plot_h - (j + 1) * cell_h
+
+    segs = []
+    for j in range(ny):
+        for i in range(nx - 1):
+            if enhanced[j, i] != enhanced[j, i + 1]:
+                segs.append((cx(i + 1), cy(j), cx(i + 1), cy(j) + cell_h))
+    for j in range(ny - 1):
+        for i in range(nx):
+            if enhanced[j, i] != enhanced[j + 1, i]:
+                segs.append((cx(i), cy(j), cx(i) + cell_w, cy(j)))
+    return [tuple(f"{v:.2f}" for v in seg) for seg in segs]
+
+
+@given(st.data(), shapes)
+def test_svg_boundary_and_fills_match_cell_loops(data, shape):
+    ny, nx = shape
+    cells = data.draw(st.lists(st.sampled_from(CELL_RATIOS),
+                               min_size=ny * nx, max_size=ny * nx))
+    ratios = np.array(cells).reshape(ny, nx)
+    table = HeatmapTable(parameter="time", x_name="t", y_name="gamma",
+                         x_values=np.linspace(0.1, 1.0, nx),
+                         y_values=np.geomspace(0.1, 10.0, ny),
+                         ratios=ratios)
+    svg = render_heatmap_svg(table)
+    assert LINE.findall(svg) == brute_force_boundary(ratios >= 1.0)
+    logs = [math.log10(r) if r > 0.0 else LOG_FLOOR for r in cells]
+    assert FILL.findall(svg) == [reference_color(v) for v in logs]
