@@ -266,9 +266,19 @@ def qfi_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
 @_quiet
 def ratio_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
     """QFI / noiseless baseline: exactly 1 at zero dose, inf at the onset
-    divergence of the time QFI.  Needs dE > 0."""
-    qfi, zero, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
-    ratio = qfi / baseline_law(spec, parameter, t)
+    divergence of the time QFI.  Needs dE > 0.
+
+    The omega ratio is e^{-x} (1 + 4 dE^2 (Gamma/t)^2 / (1 - e^{-x})),
+    written without t^2 and Gamma^2, which underflow at small t."""
+    if parameter == "time":
+        qfi, zero, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
+        ratio = qfi / baseline_law(spec, parameter, t)
+    else:
+        x = decay_exponent(spec, dose)
+        per_t = np.asarray(dose, dtype=float) / t
+        ratio = np.exp(-x) * (1.0 + 4.0 * spec.delta_e ** 2 * per_t * per_t
+                              / (-np.expm1(-x)))
+        zero, onset = x == 0.0, False
     if zero.any():
         ratio = np.where(zero & ~np.asarray(onset), 1.0, ratio)
     return require_finite(ratio, onset)

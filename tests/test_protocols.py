@@ -62,12 +62,24 @@ def test_ratio_overflow_raises_not_nan():
     with pytest.raises(NumericalContractError, match="non-finite"):
         advantage_ratio(spec, NoiseSchedule.constant(1e308), 1.0, "time")
     with pytest.raises(NumericalContractError):
-        advantage_ratio(spec, NoiseSchedule.constant(1.0), 1e300, "omega")
+        advantage_ratio(spec, NoiseSchedule.constant(1e200), 1.0, "omega")
+    # e^{-8e300} * 17 underflows to an exact 0; no t^2 overflows on the way
+    assert advantage_ratio(spec, NoiseSchedule.constant(1.0), 1e300,
+                           "omega") == 0.0
     grid = GridSpec(x_name="t", x_min=1.0, x_max=10.0, x_steps=3,
                     y_name="gamma", y_min=1e300, y_max=1e307, y_steps=3,
                     scale="log", spec=spec)
     with pytest.raises(NumericalContractError):
         heatmap_scan(grid, "time")
+
+
+@pytest.mark.parametrize("t", [1e-100, 1e-200, 1e-300])
+def test_omega_ratio_at_tiny_time_does_not_underflow(t):
+    # Gamma = t, x = 8t: the ratio is e^{-x} (1 + 16 / (1 - e^{-x})),
+    # 2/t to leading order; t^2 and Gamma^2 would underflow to 0/0
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    ratio = advantage_ratio(spec, NoiseSchedule.constant(1.0), t, "omega")
+    assert ratio == pytest.approx(2.0 / t, rel=1e-14)
 
 
 def test_ratio_validation():
