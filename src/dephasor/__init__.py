@@ -20,7 +20,7 @@ from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
                       build_sensor_model, cat_initial_state, cat_spec_for,
                       commutator_norms, load_model, model_from_json,
                       model_to_json, operator_expectation)
-from .linalg import jacobi_eigh, joint_eigenbasis
+from .linalg import joint_eigenbasis
 from .protocols import (GridSpec, HeatmapTable, OptimumReport, RampWindow,
                         SensingTime, advantage_ratio, constant_rate_gain,
                         default_fig_grid, golden_section_max, heatmap_scan,
@@ -40,7 +40,7 @@ __all__ = [
     "cat_state_analytic", "commutator_norms", "constant_rate_gain",
     "default_fig_grid", "default_step", "drho_domega", "drho_dt",
     "estimator_variance", "evolve_closed", "evolve_lindblad_numeric",
-    "golden_section_max", "heatmap_scan", "jacobi_eigh", "joint_eigenbasis",
+    "golden_section_max", "heatmap_scan", "joint_eigenbasis",
     "load_model", "maximize_ratio", "model_from_json", "model_to_json",
     "observable_expectation", "operator_expectation",
     "optimal_observable", "optimal_time_constant", "optimal_window_ramp",

@@ -12,8 +12,13 @@ exp(-(l_j - l_k)^2 * Gamma) with Gamma the integrated rate.  The closed
 form is used wherever possible; the fixed-step RK4 integrator exists to
 cross-check it and to handle states off the analytic path.  It runs in
 the same eigenbasis, where one RK4 step multiplies each element by a
-scalar gain; the state is rotated in once per call, and rotated back
-and re-symmetrized once at the end.
+scalar gain that depends only on the element's pair
+(|omega (e_j - e_k)|, (l_j - l_k)^2).  Each call builds the table of
+distinct pairs once, computes the product of the step gains per pair,
+and multiplies the rotated state once; element (k, j) takes the
+conjugate gain of (j, k), and the diagonal keeps gain 1.  The state is
+rotated in once per call, and rotated back and re-symmetrized once per
+returned state.
 """
 
 from __future__ import annotations
@@ -245,16 +250,29 @@ def evolve_closed(model: SensorModel, rho0: DensityMatrix,
     return DensityMatrix(out)
 
 
+def _pair_table(model: SensorModel):
+    """Distinct (|w|, d) = (|omega (e_j - e_k)|, (l_j - l_k)^2) over the
+    strict upper triangle; the (j, k) indices of that triangle, the
+    index of each element's pair, and where w < 0 (the gain of (-w, d)
+    is the conjugate of the gain of (w, d), exactly)."""
+    eps, lam = model.spectrum, model.lindblad_spectrum
+    upper = np.triu_indices(model.dim, 1)
+    j, k = upper
+    w = model.omega * (eps[j] - eps[k])
+    table = np.stack([np.abs(w), (lam[j] - lam[k]) ** 2])
+    (w_abs, d), inverse = np.unique(table, axis=1, return_inverse=True)
+    return w_abs, d, upper, inverse.ravel(), w < 0.0
+
+
 def _rk4_segment(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
-                 rho: np.ndarray, t_start: float, t_end: float,
+                 t_start: float, t_end: float,
                  dt_target: float) -> np.ndarray:
-    """RK4 over one smooth segment, on an eigenbasis array.
+    """Product of the RK4 step gains over one smooth segment, per pair.
 
     Element (j, k) obeys d rho_jk/dt = m_jk(g) rho_jk with
     m(g) = -i w - g d, so one RK4 step multiplies it by a scalar gain.
-    The gains of a block of steps are multiplied into rho together;
-    blocks hold about ``GAIN_BLOCK`` elements, so memory does not grow
-    with the steps.
+    Gains are formed a block of steps at a time; blocks hold about
+    ``GAIN_BLOCK`` elements, so memory does not grow with the steps.
     """
     span = t_end - t_start
     n = max(1, int(math.ceil(span / dt_target - 1e-12)))
@@ -267,36 +285,54 @@ def _rk4_segment(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     # segment there is the left limit, not the value after the jump.
     rates[2, -1] = schedule.rate(t_end)
     phase = -1j * w
-    block = max(1, GAIN_BLOCK // rho.size)
+    total = np.ones(w.shape, dtype=complex)
+    block = max(1, GAIN_BLOCK // w.size)
     for s in range(0, n, block):
-        step, g1, gm, g2 = (a[s:s + block, None, None]
-                            for a in (tb - ta, *rates))
+        step, g1, gm, g2 = (a[s:s + block, None] for a in (tb - ta, *rates))
         k1 = phase - g1 * d
         mid = phase - gm * d
         k2 = mid * (1.0 + 0.5 * step * k1)
         k3 = mid * (1.0 + 0.5 * step * k2)
         k4 = (phase - g2 * d) * (1.0 + step * k3)
         gain = 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        rho = rho * np.prod(gain, axis=0)
-    return rho
+        total = total * np.prod(gain, axis=0)
+    return total
 
 
 @np.errstate(all="ignore")  # a blown-up step fails the finite check
-def _integrate(model: SensorModel, schedule: NoiseSchedule,
-               rho: np.ndarray, t_start: float, t_end: float,
-               dt_target: float) -> np.ndarray:
-    v = model.basis
-    eps = model.spectrum
-    lam = model.lindblad_spectrum
-    w = model.omega * (eps[:, None] - eps[None, :])
-    d = (lam[:, None] - lam[None, :]) ** 2
-    rho = v.conj().T @ rho @ v
-    cuts = [p for p in schedule.breakpoints(t_end) if p > t_start]
+def _propagate(pairs, schedule: NoiseSchedule, rho: np.ndarray,
+               t_start: float, t_end: float, dt_target: float) -> np.ndarray:
+    """An eigenbasis array carried from t_start to t_end.
+
+    The segments between schedule breakpoints multiply into one gain
+    per pair, and the state is multiplied once: the upper triangle by
+    its pair's gain (conjugated where w < 0), the lower by the
+    conjugate of that.  The diagonal (w = d = 0) keeps gain 1.
+    """
+    w, d, (j, k), inverse, negative = pairs
+    gain = np.ones(w.shape, dtype=complex)
     lo = t_start
-    for cut in cuts + [t_end]:
+    for cut in [p for p in schedule.breakpoints(t_end) if p > t_start] \
+            + [t_end]:
         if cut > lo:
-            rho = _rk4_segment(w, d, schedule, rho, lo, cut, dt_target)
+            gain = gain * _rk4_segment(w, d, schedule, lo, cut, dt_target)
             lo = cut
+    gain = gain[inverse]
+    gain[negative] = gain[negative].conj()
+    out = rho.copy()
+    out[j, k] *= gain
+    out[k, j] *= gain.conj()
+    return out
+
+
+def _to_eigenbasis(model: SensorModel, rho: np.ndarray) -> np.ndarray:
+    v = model.basis
+    return v.conj().T @ np.asarray(rho, dtype=complex) @ v
+
+
+def _from_eigenbasis(model: SensorModel, rho: np.ndarray) -> np.ndarray:
+    """Rotated back and re-symmetrized."""
+    v = model.basis
     rho = v @ rho @ v.conj().T
     return 0.5 * (rho + rho.conj().T)
 
@@ -322,8 +358,10 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
     dt = spec.dt if spec.dt is not None else default_step(
         model, schedule, spec.t_final)
 
-    rho = np.array(rho0.matrix, dtype=complex)
-    rho = _integrate(model, schedule, rho, 0.0, spec.t_final, dt)
+    pairs = _pair_table(model)
+    rho_e = _to_eigenbasis(model, rho0.matrix)
+    rho = _from_eigenbasis(model, _propagate(pairs, schedule, rho_e, 0.0,
+                                             spec.t_final, dt))
 
     drift = abs(complex(np.trace(rho)) - 1.0)
     if drift > TRACE_DRIFT_TOL:
@@ -332,8 +370,8 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
             f"retry with a smaller dt (current {dt:.3e})")
 
     if verify_convergence:
-        fine = np.array(rho0.matrix, dtype=complex)
-        fine = _integrate(model, schedule, fine, 0.0, spec.t_final, dt / 2.0)
+        fine = _from_eigenbasis(model, _propagate(
+            pairs, schedule, rho_e, 0.0, spec.t_final, dt / 2.0))
         gap = float(np.max(np.abs(fine - rho)))
         if gap > CONVERGENCE_TOL:
             raise NumericalContractError(
@@ -372,10 +410,12 @@ def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
         model, schedule, spec.t_final)
     times = np.linspace(0.0, spec.t_final, samples)
     out = [(0.0, rho0)]
-    rho = np.array(rho0.matrix, dtype=complex)
+    pairs = _pair_table(model)
+    rho_e = _to_eigenbasis(model, rho0.matrix)
     for ta, tb in zip(times, times[1:]):
-        rho = _integrate(model, schedule, rho, float(ta), float(tb), dt)
-        out.append((float(tb), _contract_state(rho.copy(), dt)))
+        rho_e = _propagate(pairs, schedule, rho_e, float(ta), float(tb), dt)
+        out.append((float(tb),
+                    _contract_state(_from_eigenbasis(model, rho_e), dt)))
     return out
 
 

@@ -23,7 +23,6 @@ from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
                       Operator, SensorModel, ValidationError, commutator,
                       commutator_norms, hermiticity_defect,
                       operator_expectation)
-from .linalg import jacobi_eigh
 
 SLD_PAIR_CUTOFF = 1e-10
 DRHO_HERMITICITY_TOL = 1e-8
@@ -90,7 +89,7 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     if abs(tr) > DRHO_TRACE_TOL * scale:
         raise ValidationError(f"drho must be traceless (got tr {tr!r})")
 
-    w, v = jacobi_eigh(rho.matrix)
+    w, v = np.linalg.eigh(rho.matrix)
     dd = v.conj().T @ dm @ v
     sums = w[:, None] + w[None, :]
     keep = sums >= SLD_PAIR_CUTOFF

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import jacobi_eigh, joint_eigenbasis
+from .linalg import joint_eigenbasis
 
 DIM_CAP = 4096
 QUBIT_CAP = 12
@@ -328,7 +328,7 @@ def _diag_or_eigh(h_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     off = h_mat - np.diag(np.diag(h_mat))
     offmax = float(np.max(np.abs(off))) if off.size else 0.0
     if offmax > 1e-14 * max(1.0, float(np.max(np.abs(h_mat)))):
-        return jacobi_eigh(h_mat)
+        return np.linalg.eigh(h_mat)
     return np.diag(h_mat).real.copy(), np.eye(h_mat.shape[0], dtype=complex)
 
 

@@ -1,88 +1,19 @@
-"""Dense Hermitian eigendecomposition by cyclic Jacobi rotations.
+"""Simultaneous eigenbasis of two commuting Hermitian matrices.
 
-Self-contained eigensolver for the small matrices this package works
-with (two-level branch spaces up to a few thousand dimensions).  The
-cyclic sweep converges very quickly on the nearly diagonal matrices
-produced by commuting dephasing, where most off-diagonal pairs are
-already zero and get skipped.
+Eigensolves go through LAPACK (``numpy.linalg.eigh``); this module only
+adds the step LAPACK does not do: rotating the second matrix diagonal
+inside each degenerate eigenspace of the first.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-OFFDIAG_TOL = 1e-13
-MAX_SWEEPS = 100
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
-
-
-def jacobi_eigh(a: np.ndarray, tol: float = OFFDIAG_TOL,
-                max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian matrix.
-
-    Cyclic-by-row complex Jacobi.  Each sweep visits every off-diagonal
-    pair (p, q) and applies the unitary plane rotation that annihilates
-    A[p, q].  Iteration stops once the off-diagonal Frobenius norm drops
-    below ``tol`` times the Frobenius norm of the input, or after
-    ``max_sweeps`` sweeps.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and the matching
-    eigenvectors in the columns of ``v``, the numpy.linalg.eigh layout.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("jacobi_eigh expects a square matrix")
-    v = np.eye(n, dtype=complex)
-    scale = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    if scale == 0.0 or n == 1:
-        return np.diag(a).real.copy(), v
-
-    # Rotations on entries below this threshold cannot push the
-    # off-diagonal norm above tol*scale, so they are skipped.
-    skip = tol * scale / n
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= tol * scale:
-            break
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                m = abs(apq)
-                if m <= skip:
-                    continue
-                rotated = True
-                app = a[p, p].real
-                aqq = a[q, q].real
-                u = apq / m
-                tau = (app - aqq) / (2.0 * m)
-                if tau >= 0.0:
-                    t = -1.0 / (tau + np.sqrt(tau * tau + 1.0))
-                else:
-                    t = 1.0 / (-tau + np.sqrt(tau * tau + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                j2 = np.array([[c, s * u], [-s * np.conj(u), c]], dtype=complex)
-                a[:, [p, q]] = a[:, [p, q]] @ j2
-                a[[p, q], :] = j2.conj().T @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ j2
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        if not rotated:
-            break
-
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
 
 def _is_diagonal(a: np.ndarray, tol: float) -> bool:
-    return _offdiag_norm(a) <= tol * max(1.0, float(np.max(np.abs(a))))
+    off = a - np.diag(np.diag(a))
+    return float(np.sqrt(np.sum(np.abs(off) ** 2))) <= \
+        tol * max(1.0, float(np.max(np.abs(a))))
 
 
 def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
@@ -104,7 +35,7 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
         eps = np.diag(h).real.copy()
         v = np.eye(n, dtype=complex)
     else:
-        eps, v = jacobi_eigh(h)
+        eps, v = np.linalg.eigh(h)
 
     lmat = v.conj().T @ l @ v
     lam = np.zeros(n)
@@ -128,7 +59,7 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
         if _is_diagonal(sub, 1e-14):
             lam[idx] = np.diag(sub).real
             continue
-        wl, ul = jacobi_eigh(sub)
+        wl, ul = np.linalg.eigh(sub)
         v[:, idx] = v[:, idx] @ ul
         lam[idx] = wl
     return eps, lam, v

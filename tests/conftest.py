@@ -1,10 +1,9 @@
 """Shared fixtures and oracle helpers.
 
 The oracles here are deliberately independent of the shipping code
-paths: numpy's eigensolver instead of the Jacobi sweep, dense quadrature
-instead of closed-form integrals, finite differences instead of analytic
-derivatives.  Frozen constants in the test modules were produced by
-these oracles.
+paths: dense quadrature instead of closed-form integrals, finite
+differences instead of analytic derivatives.  Frozen constants in the
+test modules were produced by these oracles.
 """
 
 import math

@@ -1,54 +1,85 @@
-"""Jacobi eigensolver against numpy's LAPACK wrapper."""
+"""Eigenbasis contracts of joint_eigenbasis and custom-model builds.
+
+The oracle is a known spectrum: h = U diag(levels) U^dag in a
+Haar-random frame U, so eigenvalues, degeneracies and a commuting L are
+fixed by construction and no second eigensolver is needed.  Each check
+is a residual: h V = V diag(eps), V unitary, eps ascending, L diagonal
+in V.
+"""
 
 import numpy as np
 import pytest
 
-from dephasor.linalg import jacobi_eigh, joint_eigenbasis
+from dephasor import Operator, build_sensor_model
+from dephasor.linalg import joint_eigenbasis
 
 from conftest import random_hermitian
 
-
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
-def test_jacobi_matches_lapack_eigenvalues(n, rng):
-    for _ in range(20):
-        h = random_hermitian(rng, n)
-        w, v = jacobi_eigh(h)
-        w_ref = np.linalg.eigvalsh(h)
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(w_ref))))
-        assert np.allclose(w, w_ref, rtol=0.0, atol=tol)
-        # ascending order is part of the contract
-        assert np.all(np.diff(w) >= -1e-14)
+DIMS = [2, 3, 4, 5, 6, 7, 8]
 
 
-@pytest.mark.parametrize("n", [2, 4, 7])
-def test_jacobi_reconstructs_matrix(n, rng):
-    for _ in range(10):
-        h = random_hermitian(rng, n)
-        w, v = jacobi_eigh(h)
-        rebuilt = (v * w) @ v.conj().T
-        assert np.max(np.abs(rebuilt - h)) < 1e-12 * max(1.0, np.max(np.abs(h)))
-        gram = v.conj().T @ v
-        assert np.max(np.abs(gram - np.eye(n))) < 1e-13
+def haar_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_jacobi_diagonal_input_is_fixed_point():
-    h = np.diag([3.0, -1.0, 0.5]).astype(complex)
-    w, v = jacobi_eigh(h)
-    assert np.allclose(w, [-1.0, 0.5, 3.0])
-    # no rotations happen: v is the sort permutation of the identity
-    perm = np.abs(v)
-    assert np.allclose(perm @ perm.T, np.eye(3))
-    assert np.allclose((v * w) @ v.conj().T, h)
+def framed(u, levels):
+    mat = (u * levels) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
 
 
-def test_jacobi_degenerate_spectrum(rng):
-    # repeated eigenvalues must still give an orthonormal basis
-    d = np.diag([1.0, 1.0, 2.0]).astype(complex)
-    u, _ = np.linalg.qr(random_hermitian(rng, 3))
-    h = u @ d @ u.conj().T
-    w, v = jacobi_eigh(h)
-    assert np.allclose(np.sort(w), [1.0, 1.0, 2.0], atol=1e-12)
-    assert np.max(np.abs(v.conj().T @ v - np.eye(3))) < 1e-12
+def commuting_pairs(rng, n):
+    """(h, l, sorted levels of h): a generic spectrum, a degenerate one
+    whose degeneracy l lifts, and a random Hermitian h with l a
+    polynomial in it (levels unknown: None)."""
+    u = haar_unitary(rng, n)
+    generic = rng.normal(size=n)
+    yield framed(u, generic), framed(u, rng.normal(size=n)), np.sort(generic)
+    degenerate = rng.choice([-1.0, 0.5, 2.0], size=n)
+    degenerate[:2] = (-1.0, 2.0)
+    yield (framed(u, degenerate), framed(u, rng.normal(size=n)),
+           np.sort(degenerate))
+    h = random_hermitian(rng, n)
+    yield h, h @ h - 0.5 * h, None
+
+
+def assert_eigen_contract(h, l, eps, lam, v):
+    n = h.shape[0]
+    scale = max(1.0, float(np.max(np.abs(eps))))
+    assert np.linalg.norm(h @ v - v * eps) <= 1e-12 * scale
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-13
+    lscale = max(1.0, float(np.max(np.abs(lam))))
+    assert np.linalg.norm(v.conj().T @ l @ v - np.diag(lam)) \
+        <= 1e-12 * lscale
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_joint_eigenbasis_meets_residual_contract(n, rng):
+    for _ in range(5):
+        for h, l, levels in commuting_pairs(rng, n):
+            eps, lam, v = joint_eigenbasis(h, l)
+            assert_eigen_contract(h, l, eps, lam, v)
+            assert np.all(np.diff(eps) >= 0.0)
+            if levels is not None:
+                scale = max(1.0, float(np.max(np.abs(levels))))
+                assert np.max(np.abs(eps - levels)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_custom_model_basis_meets_residual_contract(n, rng):
+    omega = 1.3
+    for _ in range(5):
+        for h, l, _levels in commuting_pairs(rng, n):
+            hop = Operator(h, hermitian=True)
+            energy = build_sensor_model("custom", n, omega, "energy", h=hop)
+            assert_eigen_contract(h, omega * h, energy.spectrum,
+                                  energy.lindblad_spectrum, energy.basis)
+            assert np.all(np.diff(energy.spectrum) >= 0.0)
+            explicit = build_sensor_model(
+                "custom", n, omega, Operator(l, hermitian=True), h=hop)
+            assert_eigen_contract(h, l, explicit.spectrum,
+                                  explicit.lindblad_spectrum, explicit.basis)
 
 
 def test_joint_eigenbasis_commuting_pair(rng):
