@@ -103,6 +103,18 @@ def random_hermitian(rng, n, scale=1.0):
     return scale * (a + a.conj().T)
 
 
+def haar_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def framed(u, levels):
+    """The Hermitian matrix with eigenvalues ``levels`` in the frame u."""
+    mat = (u * levels) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
 def kpi_window_schedule(spec, gamma_dot, k=1):
     """Linear ramp whose half-decay window lands on a parity extremum.
 

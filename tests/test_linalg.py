@@ -13,20 +13,9 @@ import pytest
 from dephasor import Operator, build_sensor_model
 from dephasor.linalg import joint_eigenbasis
 
-from conftest import random_hermitian
+from conftest import framed, haar_unitary, random_hermitian
 
 DIMS = [2, 3, 4, 5, 6, 7, 8]
-
-
-def haar_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def framed(u, levels):
-    mat = (u * levels) @ u.conj().T
-    return 0.5 * (mat + mat.conj().T)
 
 
 def commuting_pairs(rng, n):

@@ -41,6 +41,8 @@ from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
                              MARGIN_RIGHT, MARGIN_TOP, WIDTH, _color,
                              _color_codes, render_heatmap_svg)
 
+from conftest import framed, haar_unitary
+
 pytest.importorskip("hypothesis")
 from hypothesis import (assume, given, settings,  # noqa: E402
                         strategies as st)
@@ -168,18 +170,15 @@ def commuting_models(draw, energy=None):
     degenerate spectra of H, of L, or of both come up too.  ``energy``
     forces energy dephasing (L = H) on or off."""
     dim = draw(st.integers(2, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    q = haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                     dim)
     level = st.floats(-1.0, 1.0) | st.sampled_from((-1.0, 0.0, 1.0))
     levels = st.lists(level, min_size=dim, max_size=dim)
     eps = np.array(draw(levels))
     assume(np.ptp(eps) > 0.1)
 
     def dense(diag):
-        mat = (q * diag) @ q.conj().T
-        return Operator(0.5 * (mat + mat.conj().T), hermitian=True)
+        return Operator(framed(q, diag), hermitian=True)
 
     if energy is None:
         energy = draw(st.booleans())
@@ -256,20 +255,16 @@ def repeated_pair_models(draw):
         return build_sensor_model("qubit_network", draw(st.integers(2, 5)),
                                   omega)
     dim = draw(st.integers(3, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(z)
+    q = haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                     dim)
     eps = np.array(draw(st.lists(st.integers(-8, 8), min_size=dim,
                                  max_size=dim))) / 8.0
     assume(np.ptp(eps) > 0.1)
     lam = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)),
                                  min_size=dim, max_size=dim)))
-
-    def dense(diag):
-        mat = (q * diag) @ q.conj().T
-        return Operator(0.5 * (mat + mat.conj().T), hermitian=True)
-
-    return build_sensor_model("custom", dim, omega, dense(lam), h=dense(eps))
+    return build_sensor_model(
+        "custom", dim, omega, Operator(framed(q, lam), hermitian=True),
+        h=Operator(framed(q, eps), hermitian=True))
 
 
 @st.composite
@@ -381,13 +376,10 @@ def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
     "O(1) populations of the state in a Haar frame, so the numeric SLD "
     "QFI is off by about 1e-2 relative, silently"))
 def test_numeric_time_qfi_in_the_deep_tail():
-    rng = np.random.default_rng(3)
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    q, _ = np.linalg.qr(z)
     levels = np.array([-1.0, 1.0, 0.0, 0.5, -0.5, 0.25, 0.0, -0.25])
-    mat = (q * levels) @ q.conj().T
-    model = build_sensor_model("custom", 8, 2.0, "energy", h=Operator(
-        0.5 * (mat + mat.conj().T), hermitian=True))
+    h = framed(haar_unitary(np.random.default_rng(3), 8), levels)
+    model = build_sensor_model("custom", 8, 2.0, "energy",
+                               h=Operator(h, hermitian=True))
     sch, t = NoiseSchedule.constant(2.0), 1.0  # dE = dL = 4, x = 64
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
