@@ -10,7 +10,11 @@ check the RK4 integrator: it matches a dense-matmul RK4 reference, keeps
 trace and positivity along trajectories, its state fed through
 ``drho_dt`` or ``drho_domega`` and the SLD reproduces the closed-form
 time or frequency QFI, and that numeric QFI sits above its commutator
-bound.
+bound.  Models whose (w, d) pairs repeat many times (energy-dephased
+qubit networks, custom models with a degenerate L) check the
+distinct-pair RK4 against the same reference, at every trajectory
+sample too, and that a two-sample trajectory ends on the evolved state
+bit for bit.
 
 Random log-ratios and region grids check the array scan renderer: every
 cell color follows the scalar color law, and the ratio = 1 boundary is
