@@ -29,6 +29,7 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
     Returns ``(eps, lam, v)``: eigenvalues of ``h``, eigenvalues of
     ``l`` in the matching order, and the common eigenvector columns.
     """
+    h = np.asarray(h, dtype=complex)  # a complex rotation fits into v
     n = h.shape[0]
     scale = max(1.0, float(np.max(np.abs(h))))
     if _is_diagonal(h, 1e-14):

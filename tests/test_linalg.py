@@ -7,6 +7,8 @@ is a residual: h V = V diag(eps), V unitary, eps ascending, L diagonal
 in V.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ def test_joint_eigenbasis_commuting_pair(rng):
     eps, lam, v = joint_eigenbasis(a, b)
     assert np.max(np.abs(v.conj().T @ a @ v - np.diag(eps))) < 1e-11
     assert np.max(np.abs(v.conj().T @ b @ v - np.diag(lam))) < 1e-11
+
+
+def test_joint_eigenbasis_real_h_complex_l(rng):
+    # a real h with a degenerate eigenspace that a complex l lifts: the
+    # rotation inside that eigenspace is complex and must not be cut to
+    # its real part
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    h = q @ np.diag([1.0, 1.0, 2.0]) @ q.T
+    inner = np.array([[0.0, 1j, 0.0], [-1j, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    l = q @ inner @ q.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's ComplexWarning included
+        eps, lam, v = joint_eigenbasis(h, l)
+    assert_eigen_contract(h, l, eps, lam, v)
+    assert np.allclose(np.sort(lam), [-1.0, 1.0, 3.0])
 
 
 def test_joint_eigenbasis_keeps_diagonal_ordering():
