@@ -228,16 +228,24 @@ def baseline_law(spec: CatSpec, parameter: str, t):
     return spec.delta_e * spec.delta_e / (spec.omega ** 2) * (t * t)
 
 
+def _omega_ratio(spec: CatSpec, x, dose, t):
+    """Omega QFI over its baseline, e^{-x} (1 + 4 dE^2 (Gamma/t)^2 /
+    (1 - e^{-x})), written without t^2 and Gamma^2, which underflow at
+    small t.  NaN at zero dose, where the caller puts the limit 1."""
+    per_t = np.asarray(dose, dtype=float) / t
+    return np.exp(-x) * (1.0 + 4.0 * spec.delta_e ** 2 * per_t * per_t
+                         / (-np.expm1(-x)))
+
+
 def _qfi(spec, parameter, rate, dose, t, onset_rate):
     """(QFI with inf at the onset, zero-dose mask, onset mask)."""
     x = decay_exponent(spec, dose)
-    de = spec.delta_e
     if parameter == "time":
         noise = rate * rate * spec.delta_l ** 4 / (-np.expm1(-x))
-        value = np.exp(-x) * (de ** 2 + noise)
+        value = np.exp(-x) * (spec.delta_e ** 2 + noise)
     else:
-        noise = 4.0 * de * de * dose * dose / (-np.expm1(-x))
-        value = de * de / (spec.omega ** 2) * np.exp(-x) * (noise + t * t)
+        value = baseline_law(spec, parameter, t) * _omega_ratio(
+            spec, x, dose, t)
     zero, onset = x == 0.0, False
     if zero.any():
         value = np.where(zero, baseline_law(spec, parameter, t), value)
@@ -265,18 +273,14 @@ def qfi_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
 @_quiet
 def ratio_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
     """QFI / noiseless baseline: exactly 1 at zero dose, inf at the onset
-    divergence of the time QFI.  Needs dE > 0.
-
-    The omega ratio is e^{-x} (1 + 4 dE^2 (Gamma/t)^2 / (1 - e^{-x})),
-    written without t^2 and Gamma^2, which underflow at small t."""
+    divergence of the time QFI.  Needs dE > 0.  The omega ratio is
+    formed directly, not as QFI / baseline (see ``_omega_ratio``)."""
     if parameter == "time":
         qfi, zero, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
         ratio = qfi / baseline_law(spec, parameter, t)
     else:
         x = decay_exponent(spec, dose)
-        per_t = np.asarray(dose, dtype=float) / t
-        ratio = np.exp(-x) * (1.0 + 4.0 * spec.delta_e ** 2 * per_t * per_t
-                              / (-np.expm1(-x)))
+        ratio = _omega_ratio(spec, x, dose, t)
         zero, onset = x == 0.0, False
     if zero.any():
         ratio = np.where(zero & ~np.asarray(onset), 1.0, ratio)
