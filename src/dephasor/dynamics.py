@@ -17,8 +17,9 @@ scalar gain that depends only on the element's pair
 distinct pairs once, computes the product of the step gains per pair,
 and multiplies the rotated state once; element (k, j) takes the
 conjugate gain of (j, k), and the diagonal keeps gain 1.  The state is
-rotated in once per call, and rotated back and re-symmetrized once per
-returned state.
+rotated in once per call (not at all if it carries its eigenbasis form,
+``DensityMatrix.frame``), and rotated back and re-symmetrized once per
+returned state, which keeps its eigenbasis form as its frame.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from .hilbert import (DensityMatrix, NumericalContractError, SensorModel,
                       CatSpec, ValidationError)
 
-TRACE_DRIFT_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-7
 CONVERGENCE_TOL = 1e-8
 MAX_STEPS_DEFAULT = 10_000
@@ -238,16 +238,11 @@ def evolve_closed(model: SensorModel, rho0: DensityMatrix,
     """Noiseless evolution, exact in the eigenbasis of H."""
     if t < 0.0 or not math.isfinite(t):
         raise ValidationError("t must be nonnegative and finite")
-    if rho0.dim != model.dim:
-        raise ValidationError("state dimension does not match the model")
-    v = model.basis
     eps = model.spectrum
-    rt = v.conj().T @ rho0.matrix @ v
     freq = model.omega * (eps[:, None] - eps[None, :])
-    rt = rt * np.exp(-1j * freq * t)
-    out = v @ rt @ v.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out)
+    rt = model.to_eigenbasis(rho0) * np.exp(-1j * freq * t)
+    out = model.from_eigenbasis(rt)
+    return DensityMatrix(0.5 * (out + out.conj().T), frame=(model.basis, rt))
 
 
 def _pair_table(model: SensorModel):
@@ -325,18 +320,6 @@ def _propagate(pairs, schedule: NoiseSchedule, rho: np.ndarray,
     return out
 
 
-def _to_eigenbasis(model: SensorModel, rho: np.ndarray) -> np.ndarray:
-    v = model.basis
-    return v.conj().T @ np.asarray(rho, dtype=complex) @ v
-
-
-def _from_eigenbasis(model: SensorModel, rho: np.ndarray) -> np.ndarray:
-    """Rotated back and re-symmetrized."""
-    v = model.basis
-    rho = v @ rho @ v.conj().T
-    return 0.5 * (rho + rho.conj().T)
-
-
 def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
                             verify_convergence: bool = False) -> DensityMatrix:
     """Fixed-step RK4 integration of the dephasing master equation.
@@ -351,47 +334,37 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
     the step and any entry disagreeing by more than 1e-8 is an error.
     """
     model, schedule = spec.model, spec.schedule
-    if rho0.dim != model.dim:
-        raise ValidationError("state dimension does not match the model")
+    rho_e = model.to_eigenbasis(rho0)
     if spec.t_final == 0.0:
         return rho0
     dt = spec.dt if spec.dt is not None else default_step(
         model, schedule, spec.t_final)
 
     pairs = _pair_table(model)
-    rho_e = _to_eigenbasis(model, rho0.matrix)
-    rho = _from_eigenbasis(model, _propagate(pairs, schedule, rho_e, 0.0,
-                                             spec.t_final, dt))
-
-    drift = abs(complex(np.trace(rho)) - 1.0)
-    if drift > TRACE_DRIFT_TOL:
-        raise NumericalContractError(
-            f"trace drifted by {drift:.3e} > {TRACE_DRIFT_TOL}; "
-            f"retry with a smaller dt (current {dt:.3e})")
-
+    out = _propagate(pairs, schedule, rho_e, 0.0, spec.t_final, dt)
     if verify_convergence:
-        fine = _from_eigenbasis(model, _propagate(
-            pairs, schedule, rho_e, 0.0, spec.t_final, dt / 2.0))
-        gap = float(np.max(np.abs(fine - rho)))
+        fine = _propagate(pairs, schedule, rho_e, 0.0, spec.t_final,
+                          dt / 2.0)
+        gap = float(np.max(np.abs(model.from_eigenbasis(fine - out))))
         if gap > CONVERGENCE_TOL:
             raise NumericalContractError(
                 f"halving dt moved entries by {gap:.3e} > {CONVERGENCE_TOL}; "
                 f"retry with a smaller dt (current {dt:.3e})")
-        rho = fine
+        out = fine
+    return _contract_state(model, out, dt)
 
-    return _contract_state(rho, dt)
 
-
-def _contract_state(rho: np.ndarray, dt: float) -> DensityMatrix:
-    """Wrap an integrated array, converting invariant breakage into a
-    numerical-contract failure (the inputs were valid; the step wasn't)."""
-    drift = abs(complex(np.trace(rho)) - 1.0)
-    if drift > TRACE_DRIFT_TOL:
-        raise NumericalContractError(
-            f"trace drifted by {drift:.3e} > {TRACE_DRIFT_TOL}; "
-            f"retry with a smaller dt (current {dt:.3e})")
+def _contract_state(model: SensorModel, rho_e: np.ndarray,
+                    dt: float) -> DensityMatrix:
+    """Wrap an integrated eigenbasis array as a state, rotated back and
+    re-symmetrized, with ``rho_e`` kept as its frame.  Invariant
+    breakage becomes a numerical-contract failure (the inputs were
+    valid; the step wasn't)."""
+    rho = model.from_eigenbasis(rho_e)
+    rho = 0.5 * (rho + rho.conj().T)
     try:
-        return DensityMatrix(rho, positivity_tol=-POSITIVITY_FLOOR)
+        return DensityMatrix(rho, positivity_tol=-POSITIVITY_FLOOR,
+                             frame=(model.basis, rho_e))
     except ValidationError as exc:
         raise NumericalContractError(
             f"integration broke a state invariant ({exc}); "
@@ -411,11 +384,10 @@ def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
     times = np.linspace(0.0, spec.t_final, samples)
     out = [(0.0, rho0)]
     pairs = _pair_table(model)
-    rho_e = _to_eigenbasis(model, rho0.matrix)
+    rho_e = model.to_eigenbasis(rho0)
     for ta, tb in zip(times, times[1:]):
         rho_e = _propagate(pairs, schedule, rho_e, float(ta), float(tb), dt)
-        out.append((float(tb),
-                    _contract_state(_from_eigenbasis(model, rho_e), dt)))
+        out.append((float(tb), _contract_state(model, rho_e, dt)))
     return out
 
 

@@ -20,9 +20,8 @@ import numpy as np
 
 from .dynamics import NoiseSchedule, scalar_or_array, schedule_eval, times
 from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
-                      Operator, SensorModel, ValidationError, commutator,
-                      commutator_norms, hermiticity_defect,
-                      operator_expectation)
+                      Operator, SensorModel, ValidationError,
+                      hermiticity_defect, hs_norm, operator_expectation)
 
 SLD_PAIR_CUTOFF = 1e-10
 DRHO_HERMITICITY_TOL = 1e-8
@@ -111,18 +110,28 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     return result, report
 
 
+def _commutators(model: SensorModel, rho: DensityMatrix):
+    """([H, rho], [L, [L, rho]]) in the model's eigenbasis, where H and
+    L are diagonal.  A state that carries its form there
+    (``DensityMatrix.frame``) keeps a coherence far below the
+    populations to relative accuracy; rotated in from a dense frame, it
+    has lost it to their round-off."""
+    r = model.to_eigenbasis(rho)
+    h, lm = model.omega * model.spectrum, model.lindblad_spectrum
+    c_h = h[:, None] * r - r * h[None, :]
+    c_l = lm[:, None] * r - r * lm[None, :]
+    return c_h, lm[:, None] * c_l - c_l * lm[None, :]
+
+
 def drho_dt(model: SensorModel, schedule: NoiseSchedule, rho: DensityMatrix,
             t: float) -> np.ndarray:
     """Equation-of-motion derivative -i[H, rho] - gamma_t [L, [L, rho]]."""
-    if rho.dim != model.dim:
-        raise ValidationError("state dimension does not match the model")
+    c_h, c_ll = _commutators(model, rho)
     rate, _ = schedule_eval(schedule, t)
-    h = model.hamiltonian()
-    out = -1j * commutator(h, rho.matrix)
+    out = -1j * c_h
     if rate != 0.0:
-        lm = model.lindblad.matrix
-        out = out - rate * commutator(lm, commutator(lm, rho.matrix))
-    return out
+        out = out - rate * c_ll
+    return model.from_eigenbasis(out)
 
 
 def drho_domega(model: SensorModel, schedule: NoiseSchedule,
@@ -136,15 +145,12 @@ def drho_domega(model: SensorModel, schedule: NoiseSchedule,
     if not model.energy_lindblad:
         raise ValidationError(
             "frequency derivatives require energy dephasing (L = H)")
-    if rho_t.dim != model.dim:
-        raise ValidationError("state dimension does not match the model")
+    c_h, c_hh = _commutators(model, rho_t)  # L = H
     _, integral = schedule_eval(schedule, t)
-    h = model.hamiltonian()
-    out = -1j * (t / model.omega) * commutator(h, rho_t.matrix)
+    out = -1j * (t / model.omega) * c_h
     if integral != 0.0:
-        out = out - (2.0 * integral / model.omega) * commutator(
-            h, commutator(h, rho_t.matrix))
-    return out
+        out = out - (2.0 * integral / model.omega) * c_hh
+    return model.from_eigenbasis(out)
 
 
 def qfi_quadratic_bound(rho: DensityMatrix, drho) -> QfiReport:
@@ -165,9 +171,9 @@ def qfi_quadratic_bound(rho: DensityMatrix, drho) -> QfiReport:
 def qfi_time_lower_bound(model: SensorModel, schedule: NoiseSchedule,
                          rho: DensityMatrix, t: float) -> QfiReport:
     """||[H, rho]||_2^2 + gamma_t^2 ||[L, [L, rho]]||_2^2."""
+    c_h, c_ll = _commutators(model, rho)
     rate, integral = schedule_eval(schedule, t)
-    hop = Operator(model.hamiltonian(), hermitian=True)
-    n_h, n_ll = commutator_norms(hop, model.lindblad, rho)
+    n_h, n_ll = hs_norm(c_h) ** 2, hs_norm(c_ll) ** 2
     value = n_h + rate * rate * n_ll
     return QfiReport(value=value, method="lower_bound", parameter="time",
                      diagnostics={"rate": rate, "integral": integral,
@@ -180,10 +186,10 @@ def qfi_freq_lower_bound(model: SensorModel, schedule: NoiseSchedule,
     if not model.energy_lindblad:
         raise ValidationError(
             "the frequency bound requires energy dephasing (L = H)")
+    c_h, c_hh = _commutators(model, rho)  # L = H
     _, integral = schedule_eval(schedule, t)
     w = model.omega
-    hop = Operator(model.hamiltonian(), hermitian=True)
-    n_h, n_hh = commutator_norms(hop, hop, rho)
+    n_h, n_hh = hs_norm(c_h) ** 2, hs_norm(c_hh) ** 2
     value = (t * t / (w * w)) * n_h + \
         (4.0 * integral * integral / (w * w)) * n_hh
     return QfiReport(value=value, method="lower_bound", parameter="omega",

@@ -91,10 +91,18 @@ class DensityMatrix:
     Construction hard-fails on violations instead of repairing them.
     ``positivity_tol`` exists because the numeric integrator admits a
     slightly looser bound (1e-7) than fresh states (1e-9).
+
+    ``frame``, when set, is ``(v, m)``: the same state written in the
+    orthonormal columns of v, ``matrix`` = v m v^dag up to round-off.
+    Cat states on a model's branches and integrated states carry it in
+    the model's eigenbasis, where a coherence far below the populations
+    keeps its relative accuracy; in a dense frame the round-off of the
+    populations (about 1e-16) swamps it.
     """
 
     matrix: np.ndarray
     positivity_tol: float = POSITIVITY_TOL
+    frame: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
@@ -111,6 +119,13 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_min_eig", None)
+        if self.frame is not None:
+            v, mf = self.frame
+            if v.shape != m.shape or mf.shape != m.shape:
+                raise ValidationError("frame dimension does not match")
+            mf = mf.view()
+            mf.flags.writeable = False
+            object.__setattr__(self, "frame", (v, mf))
         low = self._gershgorin_lower()
         if low < -self.positivity_tol:
             low = self.min_eigenvalue()
@@ -206,6 +221,19 @@ class SensorModel:
         i, j = self.branch_indices
         return abs(float(self.lindblad_spectrum[j]
                          - self.lindblad_spectrum[i]))
+
+    def to_eigenbasis(self, rho: DensityMatrix) -> np.ndarray:
+        """A state in this model's eigenbasis: the form it carries there
+        (``DensityMatrix.frame``), or its matrix rotated in."""
+        if rho.dim != self.dim:
+            raise ValidationError("state dimension does not match the model")
+        if rho.frame is not None and rho.frame[0] is self.basis:
+            return rho.frame[1]
+        return self.basis.conj().T @ rho.matrix @ self.basis
+
+    def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
+        """An eigenbasis array rotated out to the model's frame."""
+        return self.basis @ m @ self.basis.conj().T
 
 
 def _qubit_diagonal(n: int) -> np.ndarray:
@@ -384,10 +412,14 @@ def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
     model = model_or_spec
     if not isinstance(model, SensorModel):
         raise ValidationError("expected a CatSpec or SensorModel")
+    frame = None
     if branch_vectors is None:
         i, j = model.branch_indices
         v0 = model.basis[:, i]
         v1 = model.basis[:, j]
+        branches = np.zeros((model.dim, model.dim), dtype=complex)
+        branches[np.ix_((i, j), (i, j))] = 0.5
+        frame = (model.basis, branches)
     else:
         v0 = np.asarray(branch_vectors[0], dtype=complex).reshape(-1)
         v1 = np.asarray(branch_vectors[1], dtype=complex).reshape(-1)
@@ -413,7 +445,7 @@ def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
     # entry; squaring 1/sqrt(2) would leave rounding dust on the trace.
     rho = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v0, v1.conj())
                  + np.outer(v1, v0.conj()) + np.outer(v1, v1.conj()))
-    return DensityMatrix(rho)
+    return DensityMatrix(rho, frame=frame)
 
 
 def operator_expectation(op: Operator, rho: DensityMatrix) -> tuple[float, float]:

@@ -62,6 +62,23 @@ def test_density_matrix_tolerates_tiny_negative_eigenvalue():
     assert rho.min_eigenvalue() == pytest.approx(-eps, abs=1e-15)
 
 
+def test_density_matrix_frame_is_checked_and_kept_read_only():
+    model = build_sensor_model("photonic_two_mode", 1, omega=1.0)
+    m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    rho = DensityMatrix(m, frame=(model.basis, m))
+    assert model.to_eigenbasis(rho) is rho.frame[1]
+    # a frame in another basis object is not used
+    other = DensityMatrix(m, frame=(model.basis.copy(), 0 * m))
+    assert np.array_equal(model.to_eigenbasis(other), m)
+    with pytest.raises(ValueError):
+        rho.frame[1][0, 0] = 1.0
+    assert m.flags.writeable  # the caller's array is left alone
+    with pytest.raises(ValidationError, match="frame"):
+        DensityMatrix(m, frame=(np.eye(3, dtype=complex), m))
+    with pytest.raises(ValidationError, match="dimension"):
+        build_sensor_model("qubit_network", 2, 1.0).to_eigenbasis(rho)
+
+
 def test_min_eigenvalue_matches_lapack(rng):
     for _ in range(10):
         w = rng.uniform(0.05, 1.0, size=4)
@@ -183,12 +200,30 @@ def test_cat_state_on_network_is_pure_branch_pair(n):
     assert np.max(np.abs(rho.matrix[mask])) == 0.0
 
 
+def test_cat_state_carries_its_eigenbasis_form(rng):
+    # in a model's own frame the branch pair is exact: 1/2 on four
+    # entries, zero elsewhere
+    q, _ = np.linalg.qr(random_hermitian(rng, 5))
+    h = q @ np.diag([-1.0, 0.0, 0.5, 1.0, 2.0]) @ q.conj().T
+    model = build_sensor_model("custom", 5, 1.0, "energy",
+                               h=Operator(0.5 * (h + h.conj().T)))
+    rho = cat_initial_state(model)
+    m = model.to_eigenbasis(rho)
+    i, j = model.branch_indices
+    want = np.zeros((5, 5), dtype=complex)
+    want[np.ix_([i, j], [i, j])] = 0.5
+    assert np.array_equal(m, want)
+    v = model.basis
+    assert np.max(np.abs(v @ m @ v.conj().T - rho.matrix)) <= 1e-15
+
+
 def test_cat_state_with_explicit_vectors():
     model = build_sensor_model("qubit_network", 2, omega=1.0)
     v0 = model.basis[:, 1]
     v1 = model.basis[:, 2]
     rho = cat_initial_state(model, branch_vectors=(v0, v1))
     assert rho.matrix[1, 2] == pytest.approx(0.5)
+    assert rho.frame is None
 
 
 def test_cat_state_rejects_nonorthonormal_vectors():

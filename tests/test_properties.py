@@ -9,12 +9,15 @@ Random commuting models (H and L both diagonal in one Haar-random frame)
 check the RK4 integrator: it matches a dense-matmul RK4 reference, keeps
 trace and positivity along trajectories, its state fed through
 ``drho_dt`` or ``drho_domega`` and the SLD reproduces the closed-form
-time or frequency QFI, and that numeric QFI sits above its commutator
-bound.  Models whose (w, d) pairs repeat many times (energy-dephased
-qubit networks, custom models with a degenerate L) check the
-distinct-pair RK4 against the same reference, at every trajectory
-sample too, and that a two-sample trajectory ends on the evolved state
-bit for bit.
+time or frequency QFI (also deep in the tail, where the branch coherence
+is far below the populations' round-off), and that numeric QFI sits
+above its commutator bound.  The derivatives and bounds, formed in the
+model's eigenbasis, match dense commutators of H and L along
+trajectories, with and without the state's eigenbasis form.  Models
+whose (w, d) pairs repeat many times (energy-dephased qubit networks,
+custom models with a degenerate L) check the distinct-pair RK4 against
+the same reference, at every trajectory sample too, and that a
+two-sample trajectory ends on the evolved state bit for bit.
 
 Random log-ratios and region grids check the array scan renderer: every
 cell color follows the scalar color law, and the ratio = 1 boundary is
@@ -30,15 +33,15 @@ import pytest
 from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, NoiseSchedule,
                       NumericalContractError, Operator, advantage_ratio,
                       branch_model, build_sensor_model, cat_initial_state,
-                      cat_spec_for, cat_state_analytic, drho_dt,
-                      estimator_variance, evolve_lindblad_numeric,
+                      cat_spec_for, cat_state_analytic, commutator_norms,
+                      drho_dt, estimator_variance, evolve_lindblad_numeric,
                       observable_expectation, saturation_ratio,
                       sld_and_qfi, trajectory)
 from dephasor.dynamics import _pair_table
 from dephasor.estimators import signal_statistics
-from dephasor.fisher import (decay_exponent, drho_domega, law_at, qfi_closed,
-                             qfi_freq_cat, qfi_freq_lower_bound, qfi_law,
-                             qfi_time_cat, qfi_time_lower_bound)
+from dephasor.fisher import (drho_domega, law_at, qfi_closed, qfi_freq_cat,
+                             qfi_freq_lower_bound, qfi_law, qfi_time_cat,
+                             qfi_time_lower_bound)
 from dephasor.protocols import HeatmapTable
 from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
                              _POS_LO, HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT,
@@ -363,10 +366,6 @@ def test_trajectory_keeps_trace_and_positivity(model, sch, t, samples):
        st.floats(0.1, 1.5))
 def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
     assume(abs(t - sch.t0) > 1e-3)  # the time QFI diverges at the onset
-    # Past x = 32 the branch coherence e^{-x/2} < 1e-7 sits next to O(1)
-    # populations in the model's frame, and their round-off swamps a
-    # 1e-6 comparison: see test_numeric_time_qfi_in_the_deep_tail.
-    assume(decay_exponent(cat_spec_for(model), sch.integral(t)) <= 32.0)
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
         cat_initial_state(model))
@@ -375,22 +374,75 @@ def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "x = 64: the coherence e^-32 ~ 1e-14 is below the round-off of the "
-    "O(1) populations of the state in a Haar frame, so the numeric SLD "
-    "QFI is off by about 1e-2 relative, silently"))
-def test_numeric_time_qfi_in_the_deep_tail():
+@pytest.mark.parametrize("rate", [2.0, 5.0])
+def test_numeric_time_qfi_in_the_deep_tail(rate):
+    # x = 64 and 160: the coherence e^{-x/2} sits far below the
+    # round-off of the O(1) populations in the model's Haar frame.  The
+    # state carries its eigenbasis form, so the derivative keeps it.
     levels = np.array([-1.0, 1.0, 0.0, 0.5, -0.5, 0.25, 0.0, -0.25])
     h = framed(haar_unitary(np.random.default_rng(3), 8), levels)
     model = build_sensor_model("custom", 8, 2.0, "energy",
                                h=Operator(h, hermitian=True))
-    sch, t = NoiseSchedule.constant(2.0), 1.0  # dE = dL = 4, x = 64
+    sch, t = NoiseSchedule.constant(rate), 1.0  # dE = dL = 4, x = 32 rate
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
         cat_initial_state(model))
     _, report = sld_and_qfi(rho_t, drho_dt(model, sch, rho_t, t), "time")
     want = qfi_time_cat(cat_spec_for(model), sch, t).value
     assert math.isclose(report.value, want, rel_tol=1e-6)
+
+
+def frame_residual(model):
+    """Largest entry by which H and L miss their diagonals in the
+    model's computed eigenbasis (about 1e-16 over the smallest gap)."""
+    v = model.basis
+    return max(float(np.max(np.abs(v.conj().T @ op @ v - np.diag(d))))
+               for op, d in ((model.hamiltonian(),
+                              model.omega * model.spectrum),
+                             (model.lindblad.matrix,
+                              model.lindblad_spectrum)))
+
+
+@settings(max_examples=30)
+@given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
+       st.floats(0.1, 1.5), st.integers(2, 4))
+def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
+                                                        samples):
+    # drho and the bounds are formed in the model's eigenbasis; the
+    # reference is the dense commutators of H and L, which differ by how
+    # far H and L are from diagonal in the computed basis.  Each
+    # trajectory state carries its eigenbasis form, which rotates out to
+    # its matrix; the same state without the form is rotated in.
+    run = EvolutionSpec(model=model, schedule=sch, t_final=t)
+    h, l, v = model.hamiltonian(), model.lindblad.matrix, model.basis
+    tol = 1e-12 + 1e3 * frame_residual(model)
+    rate, dose = sch.rate(t), sch.integral(t)
+    for _, rho in trajectory(run, cat_initial_state(model), samples)[1:]:
+        assert rho.frame[0] is v
+        form = model.to_eigenbasis(rho)
+        assert np.max(np.abs(v @ form @ v.conj().T - rho.matrix)) <= 1e-14
+        m = rho.matrix
+        n_h, n_ll = commutator_norms(h, l, rho)
+        for state in (rho, DensityMatrix(m, positivity_tol=1e-7)):
+            np.testing.assert_allclose(drho_dt(model, sch, state, t),
+                                       _dense_rhs(h, l, rate, m),
+                                       rtol=0.0, atol=tol)
+            assert math.isclose(
+                qfi_time_lower_bound(model, sch, state, t).value,
+                n_h + rate * rate * n_ll, rel_tol=1e-9, abs_tol=tol)
+            if not model.energy_lindblad:
+                continue
+            w = model.omega
+            k = h @ m - m @ h
+            np.testing.assert_allclose(
+                drho_domega(model, sch, state, t),
+                -1j * (t / w) * k - (2.0 * dose / w) * (h @ k - k @ h),
+                rtol=0.0, atol=tol)
+            _, n_hh = commutator_norms(h, h, rho)  # L = H
+            assert math.isclose(
+                qfi_freq_lower_bound(model, sch, state, t).value,
+                (t * t * n_h + 4.0 * dose * dose * n_hh) / (w * w),
+                rel_tol=1e-9, abs_tol=tol)
 
 
 @settings(max_examples=40)
