@@ -18,9 +18,17 @@ from dephasor.fisher import qfi_time_cat
 from dephasor.protocols import GridSpec
 from dephasor.svgmap import render_heatmap_svg
 
-MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MODELS = ROOT / "models"
 GHZ2 = str(MODELS / "ghz2.json")
 NOON2 = str(MODELS / "noon2.json")
+
+
+def child_env():
+    """This environment with the package source first on PYTHONPATH, so a
+    child interpreter imports the same package as the tests."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def run_cli(capsys, *argv):
@@ -163,7 +171,8 @@ def test_evolve_overflow_prints_one_stderr_line():
     proc = subprocess.run(
         [sys.executable, "-m", "dephasor.cli", "evolve", "--model", NOON2,
          "--schedule", "const:80", "--t", "400", "--dt", "0.5",
-         "--samples", "2"], capture_output=True, text=True)
+         "--samples", "2"],
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -501,6 +510,6 @@ def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "dephasor.cli", "validate", "--model", GHZ2],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
