@@ -361,14 +361,20 @@ def _diag_or_eigh(h_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_spectrum(model: SensorModel):
-    # basis^dag h basis must reproduce the stored spectrum
-    ht = model.basis.conj().T @ model.h.matrix @ model.basis
-    resid = np.max(np.abs(ht - np.diag(model.spectrum)))
-    scale = max(1.0, float(np.max(np.abs(model.spectrum))))
-    if resid > 1e-10 * scale:
-        raise ValidationError(
-            f"spectrum does not match h in the stored basis "
-            f"(residual {resid:.3e})")
+    # basis^dag h basis must reproduce the stored spectrum, and so must
+    # basis^dag L basis the lindblad spectrum unless L = omega h
+    checks = [("spectrum", "h", model.h, model.spectrum)]
+    if not model.energy_lindblad:
+        checks.append(("lindblad spectrum", "L", model.lindblad,
+                       model.lindblad_spectrum))
+    for name, symbol, op, levels in checks:
+        mt = model.basis.conj().T @ op.matrix @ model.basis
+        resid = np.max(np.abs(mt - np.diag(levels)))
+        scale = max(1.0, float(np.max(np.abs(levels))))
+        if resid > 1e-10 * scale:
+            raise ValidationError(
+                f"{name} does not match {symbol} in the stored basis "
+                f"(residual {resid:.3e})")
 
 
 def cat_spec_for(model: SensorModel) -> CatSpec:

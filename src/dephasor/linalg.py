@@ -2,7 +2,7 @@
 
 Eigensolves go through LAPACK (``numpy.linalg.eigh``); this module only
 adds the step LAPACK does not do: rotating the second matrix diagonal
-inside each degenerate eigenspace of the first.
+inside each degenerate or nearly degenerate eigenspace of the first.
 """
 
 from __future__ import annotations
@@ -16,15 +16,36 @@ def _is_diagonal(a: np.ndarray, tol: float) -> bool:
         tol * max(1.0, float(np.max(np.abs(a))))
 
 
+def _clusters(levels: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Indices of levels within ``tol`` of their cluster's first one."""
+    groups: list[list[int]] = []
+    for j, e in enumerate(levels):
+        for g in groups:
+            if abs(e - levels[g[0]]) <= tol:
+                g.append(j)
+                break
+        else:
+            groups.append([j])
+    return [np.array(g) for g in groups]
+
+
 def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
-                     degeneracy_tol: float = 1e-10
+                     degeneracy_tol: float = 1e-10,
+                     cluster_tol: float = 1e-4
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simultaneous eigenbasis of two commuting Hermitian matrices.
 
-    Diagonalizes ``h`` first, then rotates inside each degenerate
-    eigenspace of ``h`` to diagonalize ``l`` there as well.  When ``h``
-    is already diagonal its basis ordering is kept, so distinguished
-    basis states (network branch states) stay at their positions.
+    Diagonalizes ``h`` first, then rotates inside each cluster of ``h``
+    levels closer than ``cluster_tol`` (relative) to diagonalize ``l``
+    there as well: LAPACK mixes the eigenvectors of levels a gap g apart
+    by about 1e-16 / g, which leaves ``l`` off-diagonal unless they are
+    rotated too.  Inside a cluster, levels of ``l`` closer than
+    ``degeneracy_tol`` are split by ``h``, each vector returns to a
+    position of its own ``h`` level (levels closer than
+    ``degeneracy_tol`` count as one), and the vectors of one level go
+    in ascending ``l``.  When ``h`` is already diagonal its basis
+    ordering is kept, so distinguished basis states (network branch
+    states) stay at their positions.
 
     Returns ``(eps, lam, v)``: eigenvalues of ``h``, eigenvalues of
     ``l`` in the matching order, and the common eigenvector columns.
@@ -39,28 +60,28 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
         eps, v = np.linalg.eigh(h)
 
     lmat = v.conj().T @ l @ v
-    lam = np.zeros(n)
-    # Group indices sharing an h eigenvalue; rotate l inside each group.
-    groups: list[list[int]] = []
-    for j in range(n):
-        placed = False
-        for g in groups:
-            if abs(eps[j] - eps[g[0]]) <= degeneracy_tol * scale:
-                g.append(j)
-                placed = True
-                break
-        if not placed:
-            groups.append([j])
-    for g in groups:
-        if len(g) == 1:
-            lam[g[0]] = lmat[g[0], g[0]].real
-            continue
-        idx = np.array(g)
+    lam = np.diag(lmat).real.copy()
+    level = np.empty(n, dtype=int)
+    for k, g in enumerate(_clusters(eps, degeneracy_tol * scale)):
+        level[g] = k
+    lscale = max(1.0, float(np.max(np.abs(lam))))
+    for idx in _clusters(eps, cluster_tol * scale):
         sub = lmat[np.ix_(idx, idx)]
-        if _is_diagonal(sub, 1e-14):
-            lam[idx] = np.diag(sub).real
+        if len(idx) == 1 or _is_diagonal(sub, 1e-14):
             continue
-        wl, ul = np.linalg.eigh(sub)
-        v[:, idx] = v[:, idx] @ ul
-        lam[idx] = wl
+        e = eps[idx]
+        wl, u = np.linalg.eigh(sub)
+        hs = (u.conj().T * e) @ u
+        for g in _clusters(wl, degeneracy_tol * lscale):
+            block = hs[np.ix_(g, g)]
+            if len(g) > 1 and not _is_diagonal(block, 1e-14):
+                u[:, g] = u[:, g] @ np.linalg.eigh(block)[1]
+                wl[g] = np.einsum("ij,ik,kj->j", u[:, g].conj(), sub,
+                                  u[:, g]).real
+        e_new = np.einsum("ij,i,ij->j", u.conj(), e, u).real
+        own = level[idx][np.argmin(np.abs(e_new[:, None] - e), axis=1)]
+        perm = np.empty(len(idx), dtype=int)
+        perm[np.lexsort((idx, level[idx]))] = np.lexsort((wl, own))
+        v[:, idx] = v[:, idx] @ u[:, perm]
+        lam[idx] = wl[perm]
     return eps, lam, v

@@ -1,5 +1,6 @@
 """States, operators, sensor models, and their JSON form."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -11,6 +12,7 @@ from dephasor import (CatSpec, DensityMatrix, Operator, ValidationError,
                       branch_model, build_sensor_model, cat_initial_state,
                       cat_spec_for, commutator_norms, load_model,
                       model_from_json, model_to_json, operator_expectation)
+from dephasor.hilbert import _check_spectrum
 
 from conftest import random_hermitian
 
@@ -161,6 +163,18 @@ def test_custom_model_accepts_commuting_nonenergy_lindblad():
     model = build_sensor_model("custom", 2, omega=1.0, lindblad=l, h=h)
     assert not model.energy_lindblad
     assert model.lindblad_branch_gap() == pytest.approx(1.0)
+
+
+def test_spectrum_check_covers_an_explicit_lindblad():
+    h = Operator(np.diag([0.5, -0.5]).astype(complex), hermitian=True)
+    l = Operator(np.diag([2.0, 1.0]).astype(complex), hermitian=True)
+    model = build_sensor_model("custom", 2, omega=1.0, lindblad=l, h=h)
+    off = dataclasses.replace(model, lindblad_spectrum=np.array([2.0, 0.9]))
+    with pytest.raises(ValidationError, match="lindblad spectrum"):
+        _check_spectrum(off)
+    with pytest.raises(ValidationError, match="spectrum does not match h"):
+        _check_spectrum(dataclasses.replace(
+            model, spectrum=np.array([0.5, -0.4])))
 
 
 def test_unknown_kind_rejected():

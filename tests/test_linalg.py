@@ -98,6 +98,22 @@ def test_joint_eigenbasis_real_h_complex_l(rng):
     assert np.allclose(np.sort(lam), [-1.0, 1.0, 3.0])
 
 
+@pytest.mark.parametrize("gap", [1e-9, 1e-7, 1e-5, 1e-3])
+def test_near_degenerate_h_leaves_l_diagonal(gap, rng):
+    # eigh mixes the vectors of levels a gap g apart by about 1e-16 / g;
+    # rotating inside the cluster must undo that for l, whichever order
+    # l puts the close levels in, or whether l tells them apart at all
+    levels = np.array([0.0, gap, 1.0])
+    for lam in ([1.0, -1.0, 0.0], [-1.0, 1.0, 0.5], [0.3, 0.3, -1.0]):
+        for _ in range(5):
+            u = haar_unitary(rng, 3)
+            h, l = framed(u, levels), framed(u, np.array(lam))
+            eps, lam_got, v = joint_eigenbasis(h, l)
+            assert_eigen_contract(h, l, eps, lam_got, v)
+            assert np.max(np.abs(eps - levels)) <= 1e-14
+            np.testing.assert_allclose(lam_got, lam, rtol=0.0, atol=1e-12)
+
+
 def test_joint_eigenbasis_keeps_diagonal_ordering():
     # degenerate diagonal h: basis positions must survive so that
     # distinguished branch indices keep their meaning
