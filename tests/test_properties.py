@@ -51,7 +51,7 @@ from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
 from conftest import framed, haar_unitary
 
 pytest.importorskip("hypothesis")
-from hypothesis import (assume, given, settings,  # noqa: E402
+from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
 PARAMS = ("time", "omega")
@@ -99,6 +99,42 @@ def outcome(fn):
         return bits(fn())
     except NumericalContractError:
         return "overflow"
+
+
+# Inputs that broke a property once, pinned with @example.  Derandomized
+# draws mix in the numeric literals of the code base, so adding or
+# deleting a constant anywhere can move the random examples off them.
+
+def haar_model(eps, lam=None, omega=2.0, seed=3):
+    """Custom model with H, and L unless it is H, diagonal in a seeded
+    Haar-random frame."""
+    q = haar_unitary(np.random.default_rng(seed), len(eps))
+    lindblad = "energy" if lam is None else Operator(
+        framed(q, np.array(lam)), hermitian=True)
+    return build_sensor_model("custom", len(eps), omega, lindblad,
+                              h=Operator(framed(q, np.array(eps)),
+                                         hermitian=True))
+
+
+# dE = dL = 4, so a constant rate g gives x = 32 g at t = 1: the branch
+# coherence e^{-x/2} sits far below the populations' round-off
+DEEP_TAIL = haar_model([-1.0, 1.0, 0.0, 0.5, -0.5, 0.25, 0.0, -0.25])
+# h levels 1e-7 apart, which L tells apart
+NEAR_DEGENERATE = haar_model([0.0, 1e-7, 1.0], [1.0, -1.0, 0.5], omega=1.3)
+
+
+def complex_lift_model():
+    """A real h with a degenerate level that a complex L lifts."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    inner = np.array([[0.0, 1j, 0.0], [-1j, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    return build_sensor_model(
+        "custom", 3, 1.0, Operator(q @ inner @ q.T, hermitian=True),
+        h=Operator(q @ np.diag([1.0, 1.0, 2.0]) @ q.T, hermitian=True))
+
+
+COMPLEX_LIFT = complex_lift_model()
+KNOTS_INSIDE = NoiseSchedule.piecewise_linear(
+    [(0.1, 0.0), (0.35, 1.5), (0.8, 0.4)])
 
 
 @given(st.data(), st.sampled_from(PARAMS))
@@ -161,6 +197,8 @@ def test_ratio_tends_to_one_with_the_dose(data, parameter, span):
 
 
 @given(specs(), schedules(), st.floats(0.0, 3.0))
+@example(CatSpec(2.0, 2.0, 1.0), NoiseSchedule.constant(1.0, t0=0.5), 0.5)
+@example(CatSpec(2.0, 2.0, 1.0), NoiseSchedule.constant(20.0), 3.0)
 def test_time_qfi_above_commutator_bound(spec, sch, t):
     rho, _ = cat_state_analytic(spec, sch, t)
     bound = qfi_time_lower_bound(branch_model(spec), sch, rho, t).value
@@ -239,6 +277,11 @@ def dense_rk4(model, schedule, rho, t_final, dt_target, t_start=0.0):
 @settings(max_examples=40)
 @given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
        st.floats(0.1, 1.5), st.integers(200, 500), st.integers(0, 2 ** 16))
+@example(NEAR_DEGENERATE, NoiseSchedule.constant(1.5), 1.0, 300, 0)
+@example(COMPLEX_LIFT, NoiseSchedule.linear_ramp(1.5, t0=0.2), 1.0, 300, 1)
+@example(DEEP_TAIL, KNOTS_INSIDE, 1.0, 400, 2)
+@example(DEEP_TAIL, NoiseSchedule.constant(1.0, t0=0.5), 0.5, 200, 3)
+@example(DEEP_TAIL, NoiseSchedule.constant(1.0, t0=0.25), 1.0, 200, 4)
 def test_eigenbasis_rk4_matches_dense_reference(model, sch, t, steps, seed):
     rho0 = random_state(model, seed)
     dt = t / steps
@@ -367,6 +410,8 @@ def test_qubit_network_has_one_pair_per_energy_gap(n_qubits, omega):
 @settings(max_examples=40)
 @given(commuting_models(), schedules(rate=st.floats(0.0, 5.0)),
        st.floats(0.1, 1.5), st.integers(2, 6))
+@example(DEEP_TAIL, NoiseSchedule.constant(5.0, t0=0.5), 1.0, 3)
+@example(NEAR_DEGENERATE, KNOTS_INSIDE, 1.0, 5)
 def test_trajectory_keeps_trace_and_positivity(model, sch, t, samples):
     states = trajectory(EvolutionSpec(model=model, schedule=sch, t_final=t),
                         cat_initial_state(model), samples)
@@ -379,6 +424,8 @@ def test_trajectory_keeps_trace_and_positivity(model, sch, t, samples):
 @settings(max_examples=40)
 @given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
        st.floats(0.1, 1.5))
+@example(COMPLEX_LIFT, NoiseSchedule.linear_ramp(2.0, t0=0.5), 0.502)
+@example(NEAR_DEGENERATE, KNOTS_INSIDE, 1.0)
 def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
     assume(abs(t - sch.t0) > 1e-3)  # the time QFI diverges at the onset
     rho_t = evolve_lindblad_numeric(
@@ -389,16 +436,12 @@ def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
 
-@pytest.mark.parametrize("rate", [2.0, 5.0])
+@pytest.mark.parametrize("rate", [2.0, 5.0, 10.0])
 def test_numeric_time_qfi_in_the_deep_tail(rate):
-    # x = 64 and 160: the coherence e^{-x/2} sits far below the
+    # x = 64, 160 and 320: the coherence e^{-x/2} sits far below the
     # round-off of the O(1) populations in the model's Haar frame.  The
     # state carries its eigenbasis form, so the derivative keeps it.
-    levels = np.array([-1.0, 1.0, 0.0, 0.5, -0.5, 0.25, 0.0, -0.25])
-    h = framed(haar_unitary(np.random.default_rng(3), 8), levels)
-    model = build_sensor_model("custom", 8, 2.0, "energy",
-                               h=Operator(h, hermitian=True))
-    sch, t = NoiseSchedule.constant(rate), 1.0  # dE = dL = 4, x = 32 rate
+    model, sch, t = DEEP_TAIL, NoiseSchedule.constant(rate), 1.0
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
         cat_initial_state(model))
@@ -421,6 +464,8 @@ def frame_residual(model):
 @settings(max_examples=30)
 @given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
        st.floats(0.1, 1.5), st.integers(2, 4))
+@example(NEAR_DEGENERATE, KNOTS_INSIDE, 1.0, 3)
+@example(COMPLEX_LIFT, NoiseSchedule.constant(1.0, t0=0.5), 1.0, 3)
 def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
                                                         samples):
     # drho and the bounds are formed in the model's eigenbasis; the
@@ -463,6 +508,10 @@ def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
 @settings(max_examples=40)
 @given(commuting_models(energy=True), schedules(rate=st.floats(0.0, 2.0)),
        st.floats(0.1, 1.5))
+@example(DEEP_TAIL, NoiseSchedule.constant(2.0), 1.0)
+@example(DEEP_TAIL, NoiseSchedule.constant(5.0), 1.0)
+@example(DEEP_TAIL, NoiseSchedule.constant(10.0), 1.0)
+@example(DEEP_TAIL, NoiseSchedule.constant(1.0, t0=0.5), 0.502)
 def test_numeric_sld_route_matches_closed_freq_qfi(model, sch, t):
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
