@@ -61,15 +61,15 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
 
     lmat = v.conj().T @ l @ v
     lam = np.diag(lmat).real.copy()
-    level = np.empty(n, dtype=int)
-    for k, g in enumerate(_clusters(eps, degeneracy_tol * scale)):
-        level[g] = k
     lscale = max(1.0, float(np.max(np.abs(lam))))
     for idx in _clusters(eps, cluster_tol * scale):
         sub = lmat[np.ix_(idx, idx)]
         if len(idx) == 1 or _is_diagonal(sub, 1e-14):
             continue
         e = eps[idx]
+        level = np.empty(len(idx), dtype=int)
+        for k, g in enumerate(_clusters(e, degeneracy_tol * scale)):
+            level[g] = k
         wl, u = np.linalg.eigh(sub)
         hs = (u.conj().T * e) @ u
         for g in _clusters(wl, degeneracy_tol * lscale):
@@ -79,9 +79,9 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
                 wl[g] = np.einsum("ij,ik,kj->j", u[:, g].conj(), sub,
                                   u[:, g]).real
         e_new = np.einsum("ij,i,ij->j", u.conj(), e, u).real
-        own = level[idx][np.argmin(np.abs(e_new[:, None] - e), axis=1)]
+        own = level[np.argmin(np.abs(e_new[:, None] - e), axis=1)]
         perm = np.empty(len(idx), dtype=int)
-        perm[np.lexsort((idx, level[idx]))] = np.lexsort((wl, own))
+        perm[np.argsort(level, kind="stable")] = np.lexsort((wl, own))
         v[:, idx] = v[:, idx] @ u[:, perm]
         lam[idx] = wl[perm]
     return eps, lam, v
