@@ -6,9 +6,9 @@ dephasing channel raises the quantum Fisher information for time and
 frequency estimation above the noiseless baseline.
 """
 
-from .dynamics import (CatDiagonalization, EvolutionSpec, NoiseSchedule,
-                       cat_state_analytic, default_step, evolve_closed,
-                       evolve_lindblad_numeric, schedule_eval, trajectory)
+from .dynamics import (EvolutionSpec, NoiseSchedule, default_step,
+                       evolve_exact, evolve_lindblad_numeric, schedule_eval,
+                       trajectory)
 from .estimators import (EstimateReport, ObservableSpec, estimator_variance,
                          observable_expectation, optimal_observable,
                          saturation_ratio)
@@ -31,21 +31,20 @@ from .svgmap import render_heatmap_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatDiagonalization", "CatSpec", "DensityMatrix", "EstimateReport",
-    "EvolutionSpec", "GridSpec", "HeatmapTable", "NoiseSchedule",
-    "NumericalContractError", "ObservableSpec", "Operator", "OptimumReport",
-    "QfiReport", "RampWindow", "SensingTime", "SensorModel", "SldResult",
-    "ValidationError", "advantage_ratio", "branch_model",
-    "build_sensor_model", "cat_initial_state", "cat_spec_for",
-    "cat_state_analytic", "commutator_norms", "constant_rate_gain",
-    "default_fig_grid", "default_step", "drho_domega", "drho_dt",
-    "estimator_variance", "evolve_closed", "evolve_lindblad_numeric",
-    "golden_section_max", "heatmap_scan", "joint_eigenbasis",
-    "load_model", "maximize_ratio", "model_from_json", "model_to_json",
-    "observable_expectation", "operator_expectation",
-    "optimal_observable", "optimal_time_constant", "optimal_window_ramp",
-    "qfi_closed", "qfi_freq_cat", "qfi_freq_lower_bound",
-    "qfi_quadratic_bound", "qfi_time_cat", "qfi_time_lower_bound",
-    "ramp_window_gain", "render_heatmap_svg", "saturation_ratio",
-    "schedule_eval", "sld_and_qfi", "trajectory",
+    "CatSpec", "DensityMatrix", "EstimateReport", "EvolutionSpec", "GridSpec",
+    "HeatmapTable", "NoiseSchedule", "NumericalContractError",
+    "ObservableSpec", "Operator", "OptimumReport", "QfiReport", "RampWindow",
+    "SensingTime", "SensorModel", "SldResult", "ValidationError",
+    "advantage_ratio", "branch_model", "build_sensor_model",
+    "cat_initial_state", "cat_spec_for", "commutator_norms",
+    "constant_rate_gain", "default_fig_grid", "default_step", "drho_domega",
+    "drho_dt", "estimator_variance", "evolve_exact", "evolve_lindblad_numeric",
+    "golden_section_max", "heatmap_scan", "joint_eigenbasis", "load_model",
+    "maximize_ratio", "model_from_json", "model_to_json",
+    "observable_expectation", "operator_expectation", "optimal_observable",
+    "optimal_time_constant", "optimal_window_ramp", "qfi_closed",
+    "qfi_freq_cat", "qfi_freq_lower_bound", "qfi_quadratic_bound",
+    "qfi_time_cat", "qfi_time_lower_bound", "ramp_window_gain",
+    "render_heatmap_svg", "saturation_ratio", "schedule_eval", "sld_and_qfi",
+    "trajectory",
 ]

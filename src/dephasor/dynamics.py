@@ -7,16 +7,16 @@ The equation of motion is
 with Hermitian L commuting with H and a nonnegative, possibly
 time-dependent rate gamma_t that switches on at an onset time t0.
 Because H and L commute, every matrix element in their joint eigenbasis
-evolves independently: a phase exp(-i(E_j - E_k)t) and a decay
-exp(-(l_j - l_k)^2 * Gamma) with Gamma the integrated rate.  The closed
-form is used wherever possible; the fixed-step RK4 integrator exists to
-cross-check it and to handle states off the analytic path.  It runs in
-the same eigenbasis, where one RK4 step multiplies each element by a
-scalar gain that depends only on the element's pair
-(|omega (e_j - e_k)|, (l_j - l_k)^2).  Each call builds the table of
-distinct pairs once, computes the product of the step gains per pair,
-and multiplies the rotated state once; element (k, j) takes the
-conjugate gain of (j, k), and the diagonal keeps gain 1.  The state is
+evolves independently: element (j, k) is multiplied by a gain that
+depends only on its pair (w, d) = (omega (e_j - e_k), (l_j - l_k)^2).
+One propagator serves two gain rules.  Each call builds the table of
+distinct pairs once (folding the sign of w: the gain of (-w, d) is the
+conjugate of the gain of (w, d)) and multiplies the state once: element
+(j, k) by its pair's gain, element (k, j) by the conjugate, the
+diagonal by 1.  ``evolve_exact`` takes the exact gain
+exp(-i w t - d Gamma(t)), Gamma the integrated rate; the fixed-step
+RK4 (``evolve_lindblad_numeric``, ``trajectory``) takes the product of
+its step gains, an independent check of the exact one.  The state is
 rotated in once per call (not at all if it carries its eigenbasis form,
 ``DensityMatrix.frame``), and rotated back and re-symmetrized once per
 returned state, which keeps its eigenbasis form as its frame.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (DensityMatrix, NumericalContractError, SensorModel,
-                      CatSpec, ValidationError)
+                      ValidationError)
 
 POSITIVITY_FLOOR = -1e-7
 CONVERGENCE_TOL = 1e-8
@@ -198,22 +198,6 @@ class EvolutionSpec:
             raise ValidationError("dt must be positive and finite")
 
 
-@dataclass(frozen=True)
-class CatDiagonalization:
-    """Spectral data of the analytically evolved two-branch state."""
-
-    p: float
-    p_star: float
-    phase: float
-    decay: float
-
-    def __post_init__(self):
-        if not math.isclose(self.p + self.p_star, 1.0, abs_tol=1e-12):
-            raise ValidationError("branch eigenvalues must sum to 1")
-        if self.p_star < -1e-12 or self.p > 1.0 + 1e-12:
-            raise ValidationError("branch eigenvalues out of [0, 1]")
-
-
 def default_step(model: SensorModel, schedule: NoiseSchedule,
                  t_final: float) -> float:
     """Step size rule: resolve the fastest phase, the fastest decay, and
@@ -231,18 +215,6 @@ def default_step(model: SensorModel, schedule: NoiseSchedule,
     if gmax * lgap * lgap > 0.0:
         candidates.append(0.1 / (gmax * lgap * lgap))
     return min(candidates)
-
-
-def evolve_closed(model: SensorModel, rho0: DensityMatrix,
-                  t: float) -> DensityMatrix:
-    """Noiseless evolution, exact in the eigenbasis of H."""
-    if t < 0.0 or not math.isfinite(t):
-        raise ValidationError("t must be nonnegative and finite")
-    eps = model.spectrum
-    freq = model.omega * (eps[:, None] - eps[None, :])
-    rt = model.to_eigenbasis(rho0) * np.exp(-1j * freq * t)
-    out = model.from_eigenbasis(rt)
-    return DensityMatrix(0.5 * (out + out.conj().T), frame=(model.basis, rt))
 
 
 def _pair_table(model: SensorModel):
@@ -299,12 +271,10 @@ def _propagate(pairs, schedule: NoiseSchedule, rho: np.ndarray,
                t_start: float, t_end: float, dt_target: float) -> np.ndarray:
     """An eigenbasis array carried from t_start to t_end.
 
-    The segments between schedule breakpoints multiply into one gain
-    per pair, and the state is multiplied once: the upper triangle by
-    its pair's gain (conjugated where w < 0), the lower by the
-    conjugate of that.  The diagonal (w = d = 0) keeps gain 1.
+    The RK4 step gains of the segments between schedule breakpoints
+    multiply into one gain per pair, applied to the state once.
     """
-    w, d, (j, k), inverse, negative = pairs
+    w, d = pairs[:2]
     gain = np.ones(w.shape, dtype=complex)
     lo = t_start
     for cut in [p for p in schedule.breakpoints(t_end) if p > t_start] \
@@ -312,12 +282,33 @@ def _propagate(pairs, schedule: NoiseSchedule, rho: np.ndarray,
         if cut > lo:
             gain = gain * _rk4_segment(w, d, schedule, lo, cut, dt_target)
             lo = cut
+    return _apply_gains(pairs, gain, rho)
+
+
+def _apply_gains(pairs, gain: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """An eigenbasis array with each element multiplied by its pair's
+    gain: the upper triangle by the gain (conjugated where w < 0), the
+    lower by the conjugate of that.  The diagonal (w = d = 0) keeps
+    gain 1."""
+    _, _, (j, k), inverse, negative = pairs
     gain = gain[inverse]
     gain[negative] = gain[negative].conj()
     out = rho.copy()
     out[j, k] *= gain
     out[k, j] *= gain.conj()
     return out
+
+
+def evolve_exact(spec: EvolutionSpec, rho0: DensityMatrix) -> DensityMatrix:
+    """The exact state at t_final: each pair's gain is
+    exp(-i w t - d Gamma(t)), with Gamma the integrated rate.  Takes the
+    same inputs as ``evolve_lindblad_numeric``; ``spec.dt`` is unused."""
+    model, t = spec.model, spec.t_final
+    rho_e = model.to_eigenbasis(rho0)
+    pairs = _pair_table(model)
+    w, d = pairs[:2]
+    gain = np.exp(-1j * w * t - d * spec.schedule.integral(t))
+    return _contract_state(model, _apply_gains(pairs, gain, rho_e))
 
 
 def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
@@ -355,20 +346,22 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
 
 
 def _contract_state(model: SensorModel, rho_e: np.ndarray,
-                    dt: float) -> DensityMatrix:
-    """Wrap an integrated eigenbasis array as a state, rotated back and
+                    dt: float | None = None) -> DensityMatrix:
+    """Wrap an evolved eigenbasis array as a state, rotated back and
     re-symmetrized, with ``rho_e`` kept as its frame.  Invariant
     breakage becomes a numerical-contract failure (the inputs were
-    valid; the step wasn't)."""
+    valid; the propagation wasn't), with a smaller-dt hint when the
+    state was integrated with a step dt."""
     rho = model.from_eigenbasis(rho_e)
     rho = 0.5 * (rho + rho.conj().T)
     try:
         return DensityMatrix(rho, positivity_tol=-POSITIVITY_FLOOR,
                              frame=(model.basis, rho_e))
     except ValidationError as exc:
+        hint = "" if dt is None else \
+            f"; retry with a smaller dt (current {dt:.3e})"
         raise NumericalContractError(
-            f"integration broke a state invariant ({exc}); "
-            f"retry with a smaller dt (current {dt:.3e})") from exc
+            f"integration broke a state invariant ({exc}){hint}") from exc
 
 
 def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
@@ -389,23 +382,3 @@ def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
         rho_e = _propagate(pairs, schedule, rho_e, float(ta), float(tb), dt)
         out.append((float(tb), _contract_state(model, rho_e, dt)))
     return out
-
-
-def cat_state_analytic(spec: CatSpec, schedule: NoiseSchedule,
-                       t: float) -> tuple[DensityMatrix, CatDiagonalization]:
-    """Exact two-branch state at time t, plus its spectral data.
-
-    Populations stay at 1/2; the off-diagonal element is
-    (1/2) exp(i dE t) exp(-dL^2 Gamma), so the eigenvalues are
-    (1 +- exp(-dL^2 Gamma)) / 2.
-    """
-    _, integral = schedule_eval(schedule, t)
-    decay = spec.delta_l ** 2 * integral
-    phase = spec.delta_e * t
-    coher = math.exp(-decay)
-    off = 0.5 * coher * complex(math.cos(phase), math.sin(phase))
-    rho = np.array([[0.5, off], [np.conj(off), 0.5]], dtype=complex)
-    diag = CatDiagonalization(p=0.5 * (1.0 + coher),
-                              p_star=0.5 * (1.0 - coher), phase=phase,
-                              decay=decay)
-    return DensityMatrix(rho), diag

@@ -23,7 +23,7 @@ else:
     settings.load_profile("tier1")
 
 from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, branch_model,
-                      cat_initial_state, evolve_lindblad_numeric)
+                      cat_initial_state, evolve_exact, evolve_lindblad_numeric)
 from dephasor.fisher import sld_and_qfi
 
 
@@ -51,6 +51,21 @@ def dense_schedule_integral(schedule, t, n=64):
         vals.append(schedule.rate(float(ts[-1])))
         total += float(np.trapezoid(vals, ts))
     return total
+
+
+def cat_reference(spec, schedule, t):
+    """The two-branch cat state as a 2x2 array, from its closed form
+    0.5 [[1, c e^{i phi}], [c e^{-i phi}, 1]] with c = exp(-dL^2 Gamma),
+    phi = dE t, and Gamma by quadrature of the rate."""
+    c = math.exp(-spec.delta_l ** 2 * dense_schedule_integral(schedule, t))
+    off = c * np.exp(1j * spec.delta_e * t)
+    return 0.5 * np.array([[1.0, off], [np.conj(off), 1.0]])
+
+
+def exact_cat_state(model, schedule, t):
+    """The model's cat state evolved to t by ``evolve_exact``."""
+    run = EvolutionSpec(model=model, schedule=schedule, t_final=t)
+    return evolve_exact(run, cat_initial_state(model))
 
 
 def evolved_branch_state(spec, schedule, t, dt=2.5e-4):

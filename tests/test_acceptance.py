@@ -28,17 +28,18 @@ import pytest
 
 from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, advantage_ratio,
                       build_sensor_model, cat_initial_state,
-                      default_fig_grid, evolve_closed,
-                      evolve_lindblad_numeric, heatmap_scan, load_model,
-                      operator_expectation, optimal_time_constant,
-                      optimal_window_ramp, trajectory)
+                      default_fig_grid, evolve_lindblad_numeric,
+                      heatmap_scan, load_model, operator_expectation,
+                      optimal_time_constant, optimal_window_ramp,
+                      trajectory)
 from dephasor.estimators import (estimator_variance, optimal_observable,
                                  saturation_ratio)
 from dephasor.fisher import (drho_dt, qfi_closed, qfi_freq_cat,
                              qfi_freq_lower_bound, qfi_time_cat,
                              qfi_time_lower_bound, sld_and_qfi)
 
-from conftest import evolved_branch_state, kpi_window_schedule, numeric_qfi
+from conftest import (evolved_branch_state, exact_cat_state,
+                      kpi_window_schedule, numeric_qfi)
 
 import pathlib
 
@@ -124,7 +125,7 @@ def test_criterion_2_closed_baselines():
     worst = 0.0
     for n in (2, 3):
         model = build_sensor_model("qubit_network", n, omega=1.0)
-        rho = evolve_closed(model, cat_initial_state(model), 0.6)
+        rho = exact_cat_state(model, quiet, 0.6)
         drho = drho_dt(model, quiet, rho, 0.6)
         _, report = sld_and_qfi(rho, drho, parameter="time")
         worst = max(worst, abs(report.value - n * n) / (n * n))

@@ -1,4 +1,4 @@
-"""Schedules, closed evolution, RK4 integration, analytic cat dynamics."""
+"""Schedules, exact evolution, RK4 integration, cat-state dynamics."""
 
 import math
 
@@ -7,12 +7,14 @@ import pytest
 
 from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule,
                       NumericalContractError, ValidationError, branch_model,
-                      build_sensor_model, cat_initial_state,
-                      cat_state_analytic, evolve_closed,
+                      build_sensor_model, cat_initial_state, evolve_exact,
                       evolve_lindblad_numeric, schedule_eval, trajectory)
 from dephasor.dynamics import default_step
 
-from conftest import dense_schedule_integral, evolved_branch_state
+from conftest import (cat_reference, dense_schedule_integral,
+                      evolved_branch_state, exact_cat_state)
+
+QUIET = NoiseSchedule.constant(0.0)
 
 
 def make_schedules():
@@ -116,14 +118,12 @@ def test_schedule_eval_validates_time():
         schedule_eval(sch, math.inf)
 
 
-# --------------------------------------------------------- closed evolution
+# ------------------------------------------ closed (noiseless) evolution
 
 def test_evolve_closed_phase_only():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
-    model = branch_model(spec)
-    rho0 = cat_initial_state(model)
     t = 0.7
-    rho = evolve_closed(model, rho0, t)
+    rho = exact_cat_state(branch_model(spec), QUIET, t)
     # populations untouched, coherence rotates at the branch gap
     assert rho.matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
     expected = 0.5 * np.exp(1j * spec.delta_e * t)
@@ -134,52 +134,59 @@ def test_evolve_closed_phase_only():
 def test_evolve_closed_matches_analytic_zero_noise():
     spec = CatSpec(delta_e=3.0, delta_l=1.0, omega=1.5)
     model = branch_model(spec)
-    rho0 = cat_initial_state(model)
-    quiet = NoiseSchedule.constant(0.0)
     for t in (0.3, 1.1):
-        direct = evolve_closed(model, rho0, t)
-        exact, _ = cat_state_analytic(spec, quiet, t)
-        assert np.max(np.abs(direct.matrix - exact.matrix)) < 1e-13
+        rho = exact_cat_state(model, QUIET, t)
+        assert np.max(np.abs(rho.matrix - cat_reference(spec, QUIET, t))) \
+            < 1e-13
 
 
 def test_evolve_closed_rejects_bad_args():
     model = branch_model(CatSpec(delta_e=1.0, delta_l=1.0, omega=1.0))
-    rho0 = cat_initial_state(model)
     with pytest.raises(ValidationError):
-        evolve_closed(model, rho0, -0.1)
+        evolve_exact(EvolutionSpec(model=model, schedule=QUIET,
+                                   t_final=-0.1), cat_initial_state(model))
     other = cat_initial_state(build_sensor_model("qubit_network", 2,
                                                  omega=1.0))
     with pytest.raises(ValidationError):
-        evolve_closed(model, other, 0.1)
+        evolve_exact(EvolutionSpec(model=model, schedule=QUIET, t_final=0.1),
+                     other)
 
 
-# -------------------------------------------------------- analytic cat state
+# --------------------------------------------------- exact noisy cat state
+
+@pytest.mark.parametrize("sch", make_schedules())
+@pytest.mark.parametrize("t", [0.0, 0.15, 1.0, 3.0])
+def test_evolve_exact_matches_cat_reference(sch, t):
+    spec = CatSpec(delta_e=3.0, delta_l=1.0, omega=1.5)
+    rho = exact_cat_state(branch_model(spec), sch, t)
+    assert np.max(np.abs(rho.matrix - cat_reference(spec, sch, t))) < 1e-13
+
 
 def test_cat_analytic_structure():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.constant(0.25)
     t = 0.8
-    rho, diag = cat_state_analytic(spec, sch, t)
-    gam = sch.integral(t)
-    decay = spec.delta_l ** 2 * gam
-    assert diag.decay == pytest.approx(decay, abs=1e-15)
-    assert diag.phase == pytest.approx(spec.delta_e * t, abs=1e-15)
-    assert diag.p == pytest.approx(0.5 * (1.0 + math.exp(-decay)))
-    assert diag.p + diag.p_star == pytest.approx(1.0, abs=1e-15)
-    assert abs(rho.matrix[0, 1]) == pytest.approx(0.5 * math.exp(-decay))
-    # spectral data consistent with the matrix itself
-    assert rho.min_eigenvalue() == pytest.approx(diag.p_star, abs=1e-12)
+    rho = exact_cat_state(branch_model(spec), sch, t)
+    coher = math.exp(-spec.delta_l ** 2 * sch.integral(t))
+    assert abs(rho.matrix[0, 1]) == pytest.approx(0.5 * coher)
+    assert np.angle(rho.matrix[0, 1]) == pytest.approx(spec.delta_e * t)
+    # eigenvalues (1 +- coherence) / 2
+    assert np.linalg.eigvalsh(rho.matrix) == pytest.approx(
+        [0.5 * (1.0 - coher), 0.5 * (1.0 + coher)], abs=1e-12)
+    assert rho.min_eigenvalue() == pytest.approx(0.5 * (1.0 - coher),
+                                                 abs=1e-12)
 
 
 def test_cat_analytic_purity_decays():
     spec = CatSpec(delta_e=1.0, delta_l=2.0, omega=1.0)
+    model = branch_model(spec)
     sch = NoiseSchedule.linear_ramp(1.0)
-    purities = [cat_state_analytic(spec, sch, t)[0].purity()
+    purities = [exact_cat_state(model, sch, t).purity()
                 for t in (0.0, 0.4, 0.8, 1.6)]
     assert purities[0] == 1.0
     assert all(a > b for a, b in zip(purities, purities[1:]))
     # fully dephased limit: purity -> 1/2
-    assert cat_state_analytic(spec, sch, 50.0)[0].purity() == pytest.approx(
+    assert exact_cat_state(model, sch, 50.0).purity() == pytest.approx(
         0.5, abs=1e-12)
 
 
@@ -190,8 +197,7 @@ def test_rk4_matches_analytic_cat(sch):
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     t = 1.0
     _, rho = evolved_branch_state(spec, sch, t, dt=1e-3)
-    exact, _ = cat_state_analytic(spec, sch, t)
-    assert np.max(np.abs(rho.matrix - exact.matrix)) < 5e-12
+    assert np.max(np.abs(rho.matrix - cat_reference(spec, sch, t))) < 5e-12
 
 
 def test_rk4_fourth_order_convergence():
@@ -200,11 +206,11 @@ def test_rk4_fourth_order_convergence():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.linear_ramp(2.0, t0=0.1)
     t = 1.0
-    exact, _ = cat_state_analytic(spec, sch, t)
+    exact = cat_reference(spec, sch, t)
 
     def err(dt):
         _, rho = evolved_branch_state(spec, sch, t, dt=dt)
-        return np.max(np.abs(rho.matrix - exact.matrix))
+        return np.max(np.abs(rho.matrix - exact))
 
     e1, e2 = err(0.04), err(0.02)
     assert e1 / e2 > 10.0
@@ -221,10 +227,9 @@ def test_rk4_on_network_matches_branch_closed_form():
     run = EvolutionSpec(model=model, schedule=sch, t_final=t, dt=5e-4)
     rho = evolve_lindblad_numeric(run, rho0)
     spec = CatSpec(delta_e=3.0, delta_l=3.0, omega=1.0)
-    exact, _ = cat_state_analytic(spec, sch, t)
     i, j = model.branch_indices
     sub = rho.matrix[np.ix_([i, j], [i, j])]
-    assert np.max(np.abs(sub - exact.matrix)) < 1e-11
+    assert np.max(np.abs(sub - cat_reference(spec, sch, t))) < 1e-11
 
 
 def test_rk4_zero_time_returns_input():
@@ -278,8 +283,8 @@ def test_trajectory_consistent_with_single_shot():
     assert np.max(np.abs(samples[-1][1].matrix - direct.matrix)) < 1e-10
     # every intermediate state matches the closed form too
     for t, rho in samples[1:]:
-        exact, _ = cat_state_analytic(spec, sch, t)
-        assert np.max(np.abs(rho.matrix - exact.matrix)) < 1e-10
+        assert np.max(np.abs(rho.matrix - cat_reference(spec, sch, t))) \
+            < 1e-10
 
 
 def test_trajectory_needs_two_samples():

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from dephasor import (CatSpec, NoiseSchedule, Operator, ValidationError,
-                      branch_model, build_sensor_model, cat_initial_state,
-                      cat_state_analytic, evolve_closed)
+                      branch_model, build_sensor_model, cat_initial_state)
 from dephasor.fisher import (drho_domega, drho_dt, qfi_closed, qfi_freq_cat,
                              qfi_freq_lower_bound, qfi_quadratic_bound,
                              qfi_time_cat, qfi_time_lower_bound, sld_and_qfi)
 
-from conftest import (evolved_branch_state, fd_qfi_time, numeric_qfi, rel)
+from conftest import (evolved_branch_state, exact_cat_state, fd_qfi_time,
+                      numeric_qfi, rel)
 
 SCHEDULES = [
     NoiseSchedule.constant(0.1),
@@ -59,7 +59,7 @@ def test_sld_truncation_counts_dark_levels():
     model = build_sensor_model("custom", 3, omega=1.0, h=h,
                                branches=(0, 2))
     sch = NoiseSchedule.constant(0.0)
-    rho = evolve_closed(model, cat_initial_state(model), 0.4)
+    rho = exact_cat_state(model, sch, 0.4)
     drho = drho_dt(model, sch, rho, 0.4)
     sld, report = sld_and_qfi(rho, drho, parameter="time")
     assert report.diagnostics["truncated_rank"] == 2
@@ -166,7 +166,7 @@ def test_quadratic_bound_doubles_into_pure_equality():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     model = branch_model(spec)
     sch = NoiseSchedule.constant(0.0)
-    rho = evolve_closed(model, cat_initial_state(model), 0.5)
+    rho = exact_cat_state(model, sch, 0.5)
     drho = drho_dt(model, sch, rho, 0.5)
     bound = qfi_quadratic_bound(rho, drho)
     assert bound.diagnostics["pure_state_equality"]
@@ -234,7 +234,7 @@ def test_closed_baseline_on_network_state():
 def test_closed_baseline_rejects_mixed_state():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     model = branch_model(spec)
-    rho, _ = cat_state_analytic(spec, NoiseSchedule.constant(0.5), 1.0)
+    rho = exact_cat_state(model, NoiseSchedule.constant(0.5), 1.0)
     with pytest.raises(ValidationError, match="pure"):
         qfi_closed(model, rho, parameter="time")
 
@@ -247,7 +247,7 @@ def test_drho_dt_matches_trajectory_difference():
     t, h = 0.7, 1e-5
     model, rho = evolved_branch_state(spec, sch, t, dt=2e-4)
     ana = drho_dt(model, sch, rho, t)
-    plus, _ = cat_state_analytic(spec, sch, t + h)
-    minus, _ = cat_state_analytic(spec, sch, t - h)
+    plus = exact_cat_state(model, sch, t + h)
+    minus = exact_cat_state(model, sch, t - h)
     fd = (plus.matrix - minus.matrix) / (2.0 * h)
     assert np.max(np.abs(ana - fd)) < 1e-8

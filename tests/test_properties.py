@@ -33,8 +33,9 @@ import pytest
 from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, NoiseSchedule,
                       NumericalContractError, Operator, advantage_ratio,
                       branch_model, build_sensor_model, cat_initial_state,
-                      cat_spec_for, cat_state_analytic, commutator_norms,
-                      drho_dt, estimator_variance, evolve_lindblad_numeric,
+                      cat_spec_for, commutator_norms, drho_dt,
+                      estimator_variance, evolve_exact,
+                      evolve_lindblad_numeric,
                       observable_expectation, saturation_ratio,
                       sld_and_qfi, trajectory)
 from dephasor.dynamics import _pair_table
@@ -48,7 +49,7 @@ from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
                              MARGIN_RIGHT, MARGIN_TOP, WIDTH, _color,
                              _color_codes, render_heatmap_svg)
 
-from conftest import framed, haar_unitary
+from conftest import exact_cat_state, framed, haar_unitary
 
 pytest.importorskip("hypothesis")
 from hypothesis import (assume, example, given, settings,  # noqa: E402
@@ -200,8 +201,9 @@ def test_ratio_tends_to_one_with_the_dose(data, parameter, span):
 @example(CatSpec(2.0, 2.0, 1.0), NoiseSchedule.constant(1.0, t0=0.5), 0.5)
 @example(CatSpec(2.0, 2.0, 1.0), NoiseSchedule.constant(20.0), 3.0)
 def test_time_qfi_above_commutator_bound(spec, sch, t):
-    rho, _ = cat_state_analytic(spec, sch, t)
-    bound = qfi_time_lower_bound(branch_model(spec), sch, rho, t).value
+    model = branch_model(spec)
+    rho = exact_cat_state(model, sch, t)
+    bound = qfi_time_lower_bound(model, sch, rho, t).value
     assert qfi_time_cat(spec, sch, t).value >= bound
 
 
@@ -289,6 +291,44 @@ def test_eigenbasis_rk4_matches_dense_reference(model, sch, t, steps, seed):
         EvolutionSpec(model=model, schedule=sch, t_final=t, dt=dt), rho0)
     want = dense_rk4(model, sch, np.array(rho0.matrix), t, dt)
     assert np.max(np.abs(got.matrix - want)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(commuting_models(), schedules(rate=st.floats(0.0, 5.0)),
+       st.floats(0.1, 1.5), st.integers(0, 2 ** 16))
+@example(DEEP_TAIL, NoiseSchedule.constant(5.0), 1.0, 0)
+@example(NEAR_DEGENERATE, KNOTS_INSIDE, 1.0, 1)
+def test_default_step_rk4_matches_exact_evolution(model, sch, t, seed):
+    # the two gain rules of one propagator: RK4 at its default step
+    # differs from the exact gain by its truncation error only
+    run = EvolutionSpec(model=model, schedule=sch, t_final=t)
+    rho0 = random_state(model, seed)
+    got = evolve_lindblad_numeric(run, rho0)
+    want = evolve_exact(run, rho0)
+    assert want.frame[0] is got.frame[0] is model.basis
+    assert np.max(np.abs(got.frame[1] - want.frame[1])) <= 1e-12
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
+       st.floats(0.1, 1.5), st.integers(0, 2 ** 16))
+@example(COMPLEX_LIFT, KNOTS_INSIDE, 0.6, 0)
+def test_exact_evolution_solves_the_equation_of_motion(model, sch, t, seed):
+    # a central difference of the exact flow against the dense
+    # right-hand side, away from where the rate is not smooth
+    h = 1e-5
+    assume(all(abs(t - p) > 2 * h for p in sch.breakpoints(t + 1.0)))
+    rho0 = random_state(model, seed)
+
+    def state(tt):
+        run = EvolutionSpec(model=model, schedule=sch, t_final=tt)
+        return evolve_exact(run, rho0).matrix
+
+    fd = (state(t + h) - state(t - h)) / (2.0 * h)
+    rhs = _dense_rhs(model.hamiltonian(), model.lindblad.matrix,
+                     sch.rate(t), state(t))
+    assert np.max(np.abs(fd - rhs)) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", range(4))
