@@ -16,7 +16,7 @@ def _is_diagonal(a: np.ndarray, tol: float) -> bool:
         tol * max(1.0, float(np.max(np.abs(a))))
 
 
-def _clusters(levels: np.ndarray, tol: float) -> list[np.ndarray]:
+def _clusters(levels: np.ndarray, tol: float) -> list[list[int]]:
     """Indices of levels within ``tol`` of their cluster's first one."""
     groups: list[list[int]] = []
     for j, e in enumerate(levels):
@@ -26,20 +26,19 @@ def _clusters(levels: np.ndarray, tol: float) -> list[np.ndarray]:
                 break
         else:
             groups.append([j])
-    return [np.array(g) for g in groups]
+    return groups
 
 
 def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
-                     degeneracy_tol: float = 1e-10,
-                     cluster_tol: float = 1e-4
+                     degeneracy_tol: float = 1e-10
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simultaneous eigenbasis of two commuting Hermitian matrices.
 
     Diagonalizes ``h`` first, then rotates inside each cluster of ``h``
-    levels closer than ``cluster_tol`` (relative) to diagonalize ``l``
-    there as well: LAPACK mixes the eigenvectors of levels a gap g apart
-    by about 1e-16 / g, which leaves ``l`` off-diagonal unless they are
-    rotated too.  Inside a cluster, levels of ``l`` closer than
+    levels closer than 1e-4 (relative) to diagonalize ``l`` there as
+    well: LAPACK mixes the eigenvectors of levels a gap g apart by about
+    1e-16 / g, which leaves ``l`` off-diagonal unless they are rotated
+    too.  Inside a cluster, levels of ``l`` closer than
     ``degeneracy_tol`` are split by ``h``, each vector returns to a
     position of its own ``h`` level (levels closer than
     ``degeneracy_tol`` count as one), and the vectors of one level go
@@ -62,9 +61,9 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
     lmat = v.conj().T @ l @ v
     lam = np.diag(lmat).real.copy()
     lscale = max(1.0, float(np.max(np.abs(lam))))
-    for idx in _clusters(eps, cluster_tol * scale):
+    for idx in [g for g in _clusters(eps, 1e-4 * scale) if len(g) > 1]:
         sub = lmat[np.ix_(idx, idx)]
-        if len(idx) == 1 or _is_diagonal(sub, 1e-14):
+        if _is_diagonal(sub, 1e-14):
             continue
         e = eps[idx]
         level = np.empty(len(idx), dtype=int)
