@@ -17,7 +17,11 @@ trajectories, with and without the state's eigenbasis form.  Models
 whose (w, d) pairs repeat many times (energy-dephased qubit networks,
 custom models with a degenerate L) check the distinct-pair RK4 against
 the same reference, at every trajectory sample too, and that a
-two-sample trajectory ends on the evolved state bit for bit.
+two-sample trajectory ends on the evolved state bit for bit.  The same
+models check the exact propagator: RK4 at its default step matches
+``evolve_exact`` to 1e-12, and a central difference of ``evolve_exact``
+over t matches the dense right-hand side of the equation of motion.
+Inputs that broke a property once are pinned as explicit examples.
 
 Random log-ratios and region grids check the array scan renderer: every
 cell color follows the scalar color law, and the ratio = 1 boundary is
@@ -335,11 +339,8 @@ def test_exact_evolution_solves_the_equation_of_motion(model, sch, t, seed):
 def test_near_degenerate_levels_rk4_matches_dense_reference(seed):
     # h levels 1e-7 apart: unless the basis is rotated inside that
     # cluster, L keeps an off-diagonal part the eigenbasis RK4 drops
-    q = haar_unitary(np.random.default_rng(seed), 3)
-    model = build_sensor_model(
-        "custom", 3, 1.3,
-        Operator(framed(q, np.array([1.0, -1.0, 0.5])), hermitian=True),
-        h=Operator(framed(q, np.array([0.0, 1e-7, 1.0])), hermitian=True))
+    model = haar_model([0.0, 1e-7, 1.0], [1.0, -1.0, 0.5], omega=1.3,
+                       seed=seed)
     sch, t, dt = NoiseSchedule.linear_ramp(1.5, t0=0.2), 1.0, 1.0 / 300
     rho0 = random_state(model, seed)
     got = evolve_lindblad_numeric(
