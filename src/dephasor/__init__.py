@@ -23,9 +23,9 @@ from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
 from .linalg import joint_eigenbasis
 from .protocols import (GridSpec, HeatmapTable, OptimumReport, RampWindow,
                         SensingTime, advantage_ratio, constant_rate_gain,
-                        default_fig_grid, golden_section_max, heatmap_scan,
-                        maximize_ratio, optimal_time_constant,
-                        optimal_window_ramp, ramp_window_gain)
+                        default_fig_grid, heatmap_scan, maximize_ratio,
+                        optimal_time_constant, optimal_window_ramp,
+                        ramp_window_gain)
 from .svgmap import render_heatmap_svg
 
 __version__ = "0.1.0"
@@ -39,8 +39,8 @@ __all__ = [
     "cat_initial_state", "cat_spec_for", "commutator_norms",
     "constant_rate_gain", "default_fig_grid", "default_step", "drho_domega",
     "drho_dt", "estimator_variance", "evolve_exact", "evolve_lindblad_numeric",
-    "golden_section_max", "heatmap_scan", "joint_eigenbasis", "load_model",
-    "maximize_ratio", "model_from_json", "model_to_json",
+    "heatmap_scan", "joint_eigenbasis", "load_model", "maximize_ratio",
+    "model_from_json", "model_to_json",
     "observable_expectation", "operator_expectation", "optimal_observable",
     "optimal_time_constant", "optimal_window_ramp", "qfi_closed",
     "qfi_freq_cat", "qfi_freq_lower_bound", "qfi_quadratic_bound",

@@ -17,16 +17,17 @@ def _is_diagonal(a: np.ndarray, tol: float) -> bool:
 
 
 def _clusters(levels: np.ndarray, tol: float) -> list[list[int]]:
-    """Indices of levels within ``tol`` of their cluster's first one."""
+    """Groups of level indices, ascending: one pass over the sorted levels
+    opens a group at each level more than ``tol`` above the group's first."""
     groups: list[list[int]] = []
-    for j, e in enumerate(levels):
-        for g in groups:
-            if abs(e - levels[g[0]]) <= tol:
-                g.append(j)
-                break
+    first = 0.0
+    for j in np.argsort(levels, kind="stable").tolist():
+        if groups and levels[j] - first <= tol:
+            groups[-1].append(j)
         else:
             groups.append([j])
-    return groups
+            first = levels[j]
+    return [sorted(g) for g in groups]
 
 
 def joint_eigenbasis(h: np.ndarray, l: np.ndarray,

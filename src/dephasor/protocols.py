@@ -23,12 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import NoiseSchedule, scalar_or_array, times
-from .fisher import check_parameter, law_at, ratio_law
+from .dynamics import NoiseSchedule, schedule_eval, times
+from .fisher import law_at, ratio_law, require_law
 from .hilbert import CatSpec, ValidationError
 
 LN2 = math.log(2.0)
-GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 X_AXES = ("t", "omega_t")
 Y_AXES = ("gamma", "gamma_dot")
@@ -212,9 +211,6 @@ class HeatmapTable:
                          for x, ratio in zip(xs, row.tolist()))
         return "\n".join(lines) + "\n"
 
-    def ratio_grid(self) -> np.ndarray:
-        return self.ratios
-
 
 def _region(ratio: float) -> str:
     return "enhanced" if ratio >= 1.0 else "hindered"
@@ -227,20 +223,37 @@ def _rate_schedule(rate_key: str, value: float, t0: float) -> NoiseSchedule:
     return NoiseSchedule.linear_ramp(value, t0=t0)
 
 
+def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
+                 ts, rates) -> np.ndarray:
+    """(len(rates), len(ts)) advantage ratios from one ``ratio_law`` call,
+    row j on ``_rate_schedule(rate_key, rates[j], t0)``.
+
+    A constant rate and a linear ramp are linear in their rate value g:
+    their rate, dose and right rate are g times those at g = 1.  So the
+    unit schedule is evaluated once and scaled by each row's g."""
+    if spec.delta_e <= 0.0:
+        raise ValidationError("the ratio needs a positive energy gap")
+    require_law(spec, parameter)
+    unit = _rate_schedule(rate_key, 1.0, t0)
+    g = np.asarray(rates, dtype=float)[:, None]
+    if not ((g >= 0.0) & (g < math.inf)).all():
+        raise ValidationError(f"{rate_key} must be nonnegative and finite")
+    ts = times(ts)
+    rate, dose = schedule_eval(unit, ts)
+    return ratio_law(spec, parameter, g * rate, g * dose, ts,
+                     g * unit.rate_right(ts))
+
+
 def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:
-    """Evaluate the advantage ratio over the grid, one call per y row.
+    """Evaluate the advantage ratio over the grid in one array call.
 
     Cells at or above ratio 1 are classified 'enhanced', below it
     'hindered'.
     """
-    check_parameter(parameter)
     xs = grid.x_values()
     ys = grid.y_values()
     ts = xs / grid.spec.omega if grid.x_name == "omega_t" else xs
-    ratios = np.empty((len(ys), len(xs)))
-    for j, y in enumerate(ys.tolist()):
-        ratios[j] = advantage_ratio(
-            grid.spec, _rate_schedule(grid.y_name, y, grid.t0), ts, parameter)
+    ratios = _ratio_table(grid.spec, parameter, grid.y_name, grid.t0, ts, ys)
     ratios.flags.writeable = False
     return HeatmapTable(parameter=parameter, x_name=grid.x_name,
                         y_name=grid.y_name, x_values=xs, y_values=ys,
@@ -268,62 +281,63 @@ class OptimumReport:
                 "iterations": self.iterations, "method": self.method}
 
 
-def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-6,
-                       max_iter: int = 200) -> tuple[float, float, int]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    if not lo < hi:
-        raise ValidationError("empty bracket")
-    a, b = lo, hi
-    c = b - GOLDEN_INV * (b - a)
-    d = a + GOLDEN_INV * (b - a)
-    fc, fd = f(c), f(d)
-    it = 2
-    while it < max_iter and (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_INV * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_INV * (b - a)
-            fd = f(d)
-        it += 1
-    x = c if fc >= fd else d
-    return x, max(fc, fd), it
-
-
 COARSE_POINTS = 64
+REL_TOL = 1e-6
+# A bracket pinned at t = 0 never meets REL_TOL; each round shrinks it
+# 63-fold, so the cap stops it near 63^-24 ~ 1e-43 of the box, well
+# before the ratio underflows.
+MAX_ROUNDS = 24
+
+
+def _next_brackets(axes: dict, cell: dict, brackets: dict,
+                   box: dict) -> dict:
+    """The brackets for the next round, around the best cell.
+
+    A best cell on an edge of a bracket inside the box means the ratio
+    still rises past it: every bracket centres on the best cell, that one
+    at twice its width (a ratio on a geometric axis), within the box.
+    Else each narrows to the best cell's neighbours, until within REL_TOL.
+    """
+    edge = {k: (cell[k] == 0 and lo > box[k][0])
+            or (cell[k] == COARSE_POINTS - 1 and hi < box[k][1])
+            for k, (lo, hi) in brackets.items()}
+    out = {}
+    for k, (lo, hi) in brackets.items():
+        i, x, (box_lo, box_hi) = cell[k], float(axes[k][cell[k]]), box[k]
+        if any(edge.values()) and box_lo > 0.0:
+            r = (hi / lo) ** (1.0 if edge[k] else 0.5)
+            out[k] = max(x / r, box_lo), min(x * r, box_hi)
+        elif any(edge.values()):
+            w = (hi - lo) * (1.0 if edge[k] else 0.5)
+            out[k] = max(x - w, box_lo), min(x + w, box_hi)
+        elif hi - lo > REL_TOL * hi:
+            out[k] = (float(axes[k][max(i - 1, 0)]),
+                      float(axes[k][min(i + 1, COARSE_POINTS - 1)]))
+        else:
+            out[k] = lo, hi
+    return out
 
 
 def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
-                   schedule_kind: str = "constant", t0: float = 0.0,
-                   coarse: int = COARSE_POINTS,
-                   rel_tol: float = 1e-6) -> OptimumReport:
+                   schedule_kind: str = "constant",
+                   t0: float = 0.0) -> OptimumReport:
     """Maximize the advantage ratio over a box of (t, rate) values.
 
     ``box`` maps axis names ('t' plus 'gamma' or 'gamma_dot') to a fixed
-    float or a (low, high) range.  A coarse grid of at least ``coarse``
-    points per ranged axis locates the basin, then golden-section
-    refinement polishes each ranged axis in turn.  The result never
-    falls below any coarse grid evaluation.
+    float or a (low, high) range.  Each round is one ``_ratio_table``
+    call on COARSE_POINTS per ranged axis, geometric when the range
+    starts above 0, else linear; then ``_next_brackets`` narrows or
+    moves each axis.  Round 0 spans the box.  The rounds stop when every
+    bracket is within REL_TOL, or after MAX_ROUNDS.  The result is the
+    best cell of all rounds, never below any cell of round 0.
     """
-    check_parameter(parameter)
     if schedule_kind not in ("constant", "linear_ramp"):
         raise ValidationError(f"unknown schedule kind {schedule_kind!r}")
     rate_key = "gamma" if schedule_kind == "constant" else "gamma_dot"
     if set(box) != {"t", rate_key}:
-        raise ValidationError(
-            f"box must name exactly 't' and {rate_key!r}")
-    if coarse < 64:
-        raise ValidationError("coarse grid needs at least 64 points per axis")
+        raise ValidationError(f"box must name exactly 't' and {rate_key!r}")
 
-    def evaluate(t, rate_value: float):
-        r = advantage_ratio(spec, _rate_schedule(rate_key, rate_value, t0),
-                            times(t), parameter)
-        return scalar_or_array(t, np.where(np.isinf(r), -math.inf, r))
-
-    ranged: dict[str, tuple[float, float]] = {}
-    fixed: dict[str, float] = {}
+    ranged, fixed = {}, {}
     for key, val in box.items():
         if isinstance(val, (tuple, list)):
             lo, hi = float(val[0]), float(val[1])
@@ -336,52 +350,36 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
     if not ranged:
         raise ValidationError("at least one axis must be a range")
 
-    axes = {key: np.geomspace(lo, hi, coarse) if lo > 0.0
-            else np.linspace(lo, hi, coarse)
-            for key, (lo, hi) in ranged.items()}
-
-    # One ratio call per rate value; argmax keeps the first maximum.
-    keys = sorted(ranged)
-    t_axis = axes.get("t", np.array([fixed.get("t")]))
-    rate_axis = axes.get(rate_key, [fixed.get(rate_key)])
-    evaluations = len(t_axis) * len(rate_axis)
-    best_val = -math.inf
-    best_at: dict[str, float] = {}
-    for g in rate_axis:
-        vals = evaluate(t_axis, float(g))
-        i = int(np.argmax(vals))
-        if vals[i] > best_val:
-            cell = {"t": float(t_axis[i]), rate_key: float(g)}
-            best_val = float(vals[i])
-            best_at = {k: cell[k] for k in keys}
-    if not best_at:  # only the onset divergence maps a cell to -inf
-        raise ValidationError(
-            f"every coarse cell sits on the onset divergence at t = t0 = "
-            f"{t0!r}; the ratio is infinite there, so move t off the onset")
-    coarse_best = best_val
-
-    # Golden-section polish along each ranged axis, twice around.
-    for _ in range(2):
-        for k in keys:
-            arr = axes[k]
-            i = int(np.searchsorted(arr, best_at[k]))
-            i = min(max(i, 1), len(arr) - 2)
-            lo = min(float(arr[i - 1]), best_at[k])
-            hi = max(float(arr[i + 1]), best_at[k])
-
-            def slice_f(v: float, axis=k) -> float:
-                cell = {**fixed, **best_at, axis: v}
-                return evaluate(float(cell["t"]), float(cell[rate_key]))
-
-            x, fx, used = golden_section_max(slice_f, lo, hi,
-                                             rel_tol=rel_tol)
-            evaluations += used
-            if fx > best_val:
-                best_val = fx
-                best_at = dict(best_at, **{k: x})
+    brackets, best_val, best_at, evaluations = ranged, -math.inf, {}, 0
+    for round_ in range(MAX_ROUNDS):
+        axes = {key: np.array([val]) for key, val in fixed.items()}
+        for k, (lo, hi) in brackets.items():
+            axes[k] = _axis(lo, hi, COARSE_POINTS,
+                            "log" if ranged[k][0] > 0.0 else "linear")
+        table = _ratio_table(spec, parameter, rate_key, t0, axes["t"],
+                             axes[rate_key])
+        evaluations += table.size
+        # only the onset divergence is infinite; argmax keeps the first
+        # maximum in rate-major order
+        table = np.where(np.isinf(table), -math.inf, table)
+        j, i = np.unravel_index(np.argmax(table), table.shape)
+        cell = {rate_key: j, "t": i}
+        if table[j, i] > best_val:
+            best_val = float(table[j, i])
+            best_at = {k: float(axes[k][cell[k]]) for k in sorted(ranged)}
+        if round_ == 0:
+            if not best_at:
+                raise ValidationError(
+                    f"every coarse cell sits on the onset divergence at "
+                    f"t = t0 = {t0!r}; the ratio is infinite there, so move "
+                    f"t off the onset")
+            coarse_best = best_val
+        brackets = _next_brackets(axes, cell, brackets, ranged)
+        if all(hi - lo <= REL_TOL * hi for lo, hi in brackets.values()):
+            break
 
     if best_val < coarse_best:
         raise AssertionError("refinement lost the coarse optimum")
     return OptimumReport(best_params={**fixed, **best_at},
                          best_ratio=best_val, iterations=evaluations,
-                         method="golden_section")
+                         method="grid_refine")

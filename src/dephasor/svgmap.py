@@ -87,7 +87,7 @@ def render_heatmap_svg(table, title: str = "") -> str:
     """SVG text for a HeatmapTable produced by the scan."""
     xs = np.asarray(table.x_values, dtype=float)
     ys = np.asarray(table.y_values, dtype=float)
-    grid = table.ratio_grid()
+    grid = table.ratios
     ny, nx = grid.shape
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT

@@ -421,7 +421,7 @@ def test_optimize_reports_known_optimum(capsys):
     assert doc["best_ratio"] == pytest.approx(6476.305573607762, rel=1e-9)
     assert doc["best_params"]["gamma"] == pytest.approx(39.84, rel=5e-3)
     assert doc["advantage"] is True
-    assert doc["method"] == "golden_section"
+    assert doc["method"] == "grid_refine"
 
 
 def test_optimize_hindered_box(capsys):

@@ -137,14 +137,21 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def describe_move(old: bytes, new: bytes) -> str:
-    """How the numbers of ``new`` differ from those of ``old``."""
-    if NUMBER.split(old) != NUMBER.split(new):
+    """How the numbers of ``new`` differ from those of ``old``, after the
+    text between them that changed, if any."""
+    old_text, new_text = NUMBER.split(old), NUMBER.split(new)
+    if len(old_text) != len(new_text):
         return "text outside the numbers changed"
+    parts = [f"text {a.decode()!r} -> {b.decode()!r}"
+             for a, b in zip(old_text, new_text) if a != b]
     pairs = [(float(a), float(b)) for a, b in
              zip(NUMBER.findall(old), NUMBER.findall(new)) if a != b]
-    worst = max(abs(a - b) / (max(abs(a), abs(b)) or 1.0)
-                for a, b in pairs)
-    return f"{len(pairs)} numbers moved, largest relative change {worst:.2g}"
+    if pairs:
+        worst = max(abs(a - b) / (max(abs(a), abs(b)) or 1.0)
+                    for a, b in pairs)
+        parts.append(f"{len(pairs)} numbers moved, largest relative change "
+                     f"{worst:.2g}")
+    return "; ".join(parts)
 
 
 def print_diff():
@@ -168,7 +175,11 @@ def test_describe_move_counts_numbers_and_largest_change():
     new = b"t,x\n0.5,1.5\n1e-3,-2.5\n"
     assert describe_move(old, new) == \
         "2 numbers moved, largest relative change 0.33"
-    assert describe_move(old, b"t,y" + old[3:]) == \
+    assert describe_move(old, b"t,y" + old[3:]) == "text 't,x\\n' -> 't,y\\n'"
+    assert describe_move(old, b"t,y" + new[3:]) == \
+        "text 't,x\\n' -> 't,y\\n'; 2 numbers moved, largest relative " \
+        "change 0.33"
+    assert describe_move(old, old + b"4.0\n") == \
         "text outside the numbers changed"
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dephasor import Operator, build_sensor_model
-from dephasor.linalg import joint_eigenbasis
+from dephasor.linalg import _clusters, joint_eigenbasis
 
 from conftest import framed, haar_unitary, random_hermitian
 
@@ -123,3 +123,31 @@ def test_joint_eigenbasis_keeps_diagonal_ordering():
     assert np.allclose(eps, [2.0, -2.0, 2.0])
     assert np.allclose(lam, [1.0, 0.0, 3.0])
     assert np.max(np.abs(v - np.eye(3))) < 1e-15
+
+
+def double_loop_clusters(levels, tol):
+    """The O(n^2) grouping _clusters replaced: each level joins the first
+    group, in order of creation, whose first level is within tol."""
+    groups = []
+    for j, e in enumerate(levels):
+        for g in groups:
+            if abs(e - levels[g[0]]) <= tol:
+                g.append(j)
+                break
+        else:
+            groups.append([j])
+    return groups
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 64])
+def test_clusters_match_the_double_loop(n, rng):
+    # the inputs the callers pass: sorted levels (eigh), and levels whose
+    # distinct values lie more than tol apart in any order (diagonal h)
+    tol = 1e-4
+    for _ in range(20):
+        spread = rng.normal(size=n) * rng.choice([1e-5, 1e-4, 1e-3])
+        distinct = rng.permutation(n) * 3 * tol
+        for levels in (np.sort(spread), rng.choice(distinct, size=n)):
+            groups = _clusters(levels, tol)
+            assert all(g == sorted(g) for g in groups)
+            assert sorted(groups) == sorted(double_loop_clusters(levels, tol))

@@ -4,6 +4,9 @@ Random gaps, schedules and time grids check that the array kernel and
 the scalar wrappers agree bit for bit, that the advantage ratio is the
 QFI over its noiseless baseline, that the ratio tends to 1 with the
 dose, and that the time QFI sits above its commutator lower bound.
+Random boxes check that the optimizer's result lies in the box,
+reproduces the scalar ratio, beats the coarse grid and is stationary,
+and random scan grids check the table rows against per-row ratios.
 
 Random commuting models (H and L both diagonal in one Haar-random frame)
 check the RK4 integrator: it matches a dense-matmul RK4 reference, keeps
@@ -34,20 +37,20 @@ import re
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, NoiseSchedule,
-                      NumericalContractError, Operator, advantage_ratio,
-                      branch_model, build_sensor_model, cat_initial_state,
-                      cat_spec_for, commutator_norms, drho_dt,
-                      estimator_variance, evolve_exact,
-                      evolve_lindblad_numeric,
-                      observable_expectation, saturation_ratio,
-                      sld_and_qfi, trajectory)
+from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
+                      NoiseSchedule, NumericalContractError, Operator,
+                      ValidationError, advantage_ratio, branch_model,
+                      build_sensor_model, cat_initial_state, cat_spec_for,
+                      commutator_norms, drho_dt, estimator_variance,
+                      evolve_exact, evolve_lindblad_numeric, heatmap_scan,
+                      maximize_ratio, observable_expectation,
+                      saturation_ratio, sld_and_qfi, trajectory)
 from dephasor.dynamics import _pair_table
 from dephasor.estimators import signal_statistics
-from dephasor.fisher import (drho_domega, law_at, qfi_closed, qfi_freq_cat,
-                             qfi_freq_lower_bound, qfi_law, qfi_time_cat,
-                             qfi_time_lower_bound)
-from dephasor.protocols import HeatmapTable
+from dephasor.fisher import (decay_exponent, drho_domega, law_at, qfi_closed,
+                             qfi_freq_cat, qfi_freq_lower_bound, qfi_law,
+                             qfi_time_cat, qfi_time_lower_bound)
+from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, X_AXES, HeatmapTable
 from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
                              _POS_LO, HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT,
                              MARGIN_RIGHT, MARGIN_TOP, WIDTH, _color,
@@ -209,6 +212,173 @@ def test_time_qfi_above_commutator_bound(spec, sch, t):
     rho = exact_cat_state(model, sch, t)
     bound = qfi_time_lower_bound(model, sch, rho, t).value
     assert qfi_time_cat(spec, sch, t).value >= bound
+
+
+# ------------------------------------ ratio tables: scan and optimizer
+
+KINDS = {"constant": "gamma", "linear_ramp": "gamma_dot"}
+GHZ3 = cat_spec_for(build_sensor_model("qubit_network", 3, 1.0, "energy"))
+
+
+@st.composite
+def optimize_problems(draw):
+    """(spec, parameter, schedule kind, t0, box), one or both axes ranged;
+    a fixed t may sit on the onset."""
+    parameter = draw(st.sampled_from(PARAMS))
+    spec = draw(specs(energy=True if parameter == "omega" else None))
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    t0 = draw(st.floats(0.0, 1.0))
+    t_lo = draw(st.floats(0.0, 2.0))
+    rate_lo = draw(st.floats(0.01, 10.0))
+    ranges = {"t": (t_lo, t_lo + draw(st.floats(0.01, 3.0))),
+              KINDS[kind]: (rate_lo, rate_lo * draw(st.floats(1.01, 100.0)))}
+    fixed = {"t": draw(st.one_of(st.just(t0), st.floats(0.0, 3.0))),
+             KINDS[kind]: draw(st.floats(0.0, 20.0))}
+    pin = draw(st.sampled_from((None, "t", KINDS[kind])))
+    box = {key: fixed[key] if key == pin else val
+           for key, val in ranges.items()}
+    return spec, parameter, kind, t0, box
+
+
+def ramp_rtol(spec, schedule, t, base):
+    """Relative tolerance between a ramp ratio of the scan or optimizer
+    table, whose dose is g (dt^2/2), and the scalar one, (g dt/2) dt: the
+    doses differ in their last bits, which e^{-x} amplifies x-fold.
+    Below the smallest normal dose both keep only the bits that survive
+    underflow, and any tolerance is inf."""
+    dose = schedule.integral(t)
+    return np.where(dose < np.finfo(float).tiny, np.inf,
+                    base + 1e-15 * decay_exponent(spec, dose))
+
+
+def coarse_axis(val):
+    """The optimizer's first grid along one box axis, as the benchmark
+    oracle builds it."""
+    if not isinstance(val, tuple):
+        return np.array([val])
+    lo, hi = val
+    return np.geomspace(lo, hi, 64) if lo > 0.0 else np.linspace(lo, hi, 64)
+
+
+@settings(max_examples=60)
+@given(optimize_problems())
+@example((CatSpec(2.0, 2.0, 1.0), "time", "constant", 0.0,
+          {"t": (0.0, 5.0), "gamma": 0.0}))
+@example((GHZ3, "time", "linear_ramp", 0.02,
+          {"t": (0.05, 2.0), "gamma_dot": (0.1, 20.0)}))
+@example((CatSpec(1.0, 1.0, 1.0), "time", "linear_ramp", 0.0,
+          {"t": (1.0, 2.0), "gamma_dot": 5e-324}))
+def test_maximize_ratio_is_a_reproducible_stationary_optimum(problem):
+    spec, parameter, kind, t0, box = problem
+    rate_key = KINDS[kind]
+    make = getattr(NoiseSchedule, kind)
+
+    def ratio(rate, t):
+        return advantage_ratio(spec, make(rate, t0=t0), t, parameter)
+
+    def close(value, rate, t):
+        """``value`` is the scalar ratio at (rate, t): exactly for a
+        constant rate, to ``ramp_rtol`` for a ramp."""
+        want = ratio(rate, t)
+        if kind == "constant":
+            return value == want
+        return math.isclose(value, want, abs_tol=1e-300, rel_tol=ramp_rtol(
+            spec, make(rate, t0=t0), t, 1e-14))
+
+    # the coarse grid row by row; the onset divergence counts as -inf
+    ts, rates = coarse_axis(box["t"]), coarse_axis(box[rate_key])
+    try:
+        rows = np.array([ratio(float(g), ts) for g in rates])
+    except NumericalContractError:
+        with pytest.raises(NumericalContractError):
+            maximize_ratio(spec, parameter, box, schedule_kind=kind, t0=t0)
+        return
+    rows = np.where(np.isinf(rows), -np.inf, rows)
+    j, i = np.unravel_index(np.argmax(rows), rows.shape)
+    if rows[j, i] == -np.inf:
+        if box["t"] == t0:
+            with pytest.raises(ValidationError, match="onset divergence"):
+                maximize_ratio(spec, parameter, box, schedule_kind=kind,
+                               t0=t0)
+        # else every dose underflowed to 0 after the onset, which the
+        # scalar law takes for the onset divergence; the table's ramp
+        # dose underflows at other cells, so nothing compares
+        return
+    try:
+        report = maximize_ratio(spec, parameter, box, schedule_kind=kind,
+                                t0=t0)
+    except NumericalContractError:
+        # the ratio leaves the float range only within about 1e-300 of
+        # the onset or of t = 0, which the refinement reaches from a
+        # start that close
+        assert 0.0 < t0 < 1e-290 or 0.0 < ts[0] < 1e-290
+        return
+    best = report.best_params
+    ranged = sorted(k for k, val in box.items() if isinstance(val, tuple))
+    assert list(best) == [k for k in box if k not in ranged] + ranged
+    for key, val in box.items():
+        if key in ranged:
+            assert val[0] <= best[key] <= val[1]
+        else:
+            assert best[key] == val
+    assert close(report.best_ratio, best[rate_key], best["t"])
+    assert report.best_ratio >= rows[j, i] or close(
+        report.best_ratio, float(rates[j]), float(ts[i]))
+    if report.iterations == MAX_ROUNDS * COARSE_POINTS ** len(ranged) \
+            and "t" in ranged and box["t"][0] == 0.0:
+        # the round cap ended the refinement, as it must for a t bracket
+        # pinned at t = 0 (it never meets REL_TOL), and the ratio may
+        # still rise toward t = 0+
+        return
+    if kind == "constant" and "t" in ranged and (
+            box["t"][0] <= t0 < box["t"][1]) and (
+            parameter == "time" or t0 == 0.0):
+        # a constant rate switched on inside the t range: the ratio rises
+        # without bound as t -> t0+ (for omega only from t0 = 0), so it
+        # has no maximum and no stationary point
+        return
+    for key in ranged:
+        for shift in (-1e-4, 1e-4):
+            moved = dict(best, **{key: best[key] * (1.0 + shift)})
+            if box[key][0] <= moved[key] <= box[key][1]:
+                assert ratio(moved[rate_key], moved["t"]) <= \
+                    report.best_ratio * (1.0 + 1e-6)
+
+
+@given(st.data(), st.sampled_from(PARAMS), st.sampled_from(sorted(KINDS)))
+def test_scan_rows_match_per_row_ratios(data, parameter, kind):
+    spec = data.draw(specs(energy=True if parameter == "omega" else None))
+    scale = data.draw(st.sampled_from(("linear", "log")))
+    floor = 0.0 if scale == "linear" else 0.01
+    x_min, y_min = data.draw(st.floats(floor, 2.0)), data.draw(
+        st.floats(floor, 10.0))
+    grid = GridSpec(
+        x_name=data.draw(st.sampled_from(X_AXES)), x_min=x_min,
+        x_max=x_min + data.draw(st.floats(0.01, 3.0)),
+        x_steps=data.draw(st.integers(2, 9)), y_name=KINDS[kind],
+        y_min=y_min, y_max=y_min + data.draw(st.floats(0.01, 10.0)),
+        y_steps=data.draw(st.integers(2, 9)), scale=scale, spec=spec,
+        t0=data.draw(st.floats(0.0, 1.0)))
+    ts = grid.x_values()
+    if grid.x_name == "omega_t":
+        ts = ts / spec.omega
+    make = getattr(NoiseSchedule, kind)
+    try:
+        rows = [advantage_ratio(spec, make(y, t0=grid.t0), ts, parameter)
+                for y in grid.y_values().tolist()]
+    except NumericalContractError:
+        with pytest.raises(NumericalContractError):
+            heatmap_scan(grid, parameter)
+        return
+    table = heatmap_scan(grid, parameter)
+    for y, row, want in zip(grid.y_values().tolist(), table.ratios, rows):
+        if kind == "constant":
+            assert bits(row) == bits(want)
+        else:
+            rtol = ramp_rtol(spec, make(y, t0=grid.t0), ts, 1e-13)
+            kept = np.isfinite(rtol)
+            assert np.isclose(row[kept], want[kept], rtol=rtol[kept],
+                              atol=1e-300).all()
 
 
 # ------------------------------------------------ random commuting models

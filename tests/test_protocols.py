@@ -11,7 +11,7 @@ from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
                       optimal_time_constant, optimal_window_ramp,
                       ramp_window_gain)
 from dephasor.fisher import qfi_closed, qfi_freq_cat, qfi_time_cat
-from dephasor.protocols import GridSpec, golden_section_max
+from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, GridSpec
 
 LN2 = math.log(2.0)
 
@@ -245,8 +245,8 @@ def test_heatmap_rows_are_y_major_and_classified():
         expect = advantage_ratio(spec, NoiseSchedule.constant(y), x, "time")
         assert ratio == pytest.approx(expect, rel=1e-14)
         assert region == ("enhanced" if ratio >= 1.0 else "hindered")
-    assert table.ratio_grid().shape == (3, 4)
-    assert table.ratio_grid()[2, 3] == table.rows[-1][2]
+    assert table.ratios.shape == (3, 4)
+    assert table.ratios[2, 3] == table.rows[-1][2]
 
 
 def test_heatmap_ramp_axis_uses_ramp_schedules():
@@ -305,15 +305,6 @@ def test_heatmap_spot_value_three_orders():
 
 # ------------------------------------------------------------ optimization
 
-def test_golden_section_on_parabola():
-    x, fx, it = golden_section_max(lambda v: -(v - 1.3) ** 2, 0.0, 3.0)
-    assert x == pytest.approx(1.3, abs=1e-5)
-    assert fx == pytest.approx(0.0, abs=1e-10)
-    assert it <= 200
-    with pytest.raises(ValidationError):
-        golden_section_max(lambda v: v, 1.0, 1.0)
-
-
 def test_maximize_matches_dense_grid():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     box = {"t": 0.005, "gamma": (1.0, 200.0)}
@@ -327,7 +318,7 @@ def test_maximize_matches_dense_grid():
     assert report.best_params["gamma"] == pytest.approx(39.84, rel=5e-3)
     assert report.best_params["t"] == 0.005
     assert report.advantage
-    assert report.method == "golden_section"
+    assert report.method == "grid_refine"
 
 
 def test_maximize_is_stationary():
@@ -371,3 +362,42 @@ def test_maximize_box_validation():
     with pytest.raises(ValidationError, match="schedule kind"):
         maximize_ratio(spec, "time", {"t": 0.1, "gamma": (1.0, 2.0)},
                        schedule_kind="quench")
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_maximize_rejects_bad_fixed_values(bad):
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    with pytest.raises(ValidationError, match="nonnegative and finite"):
+        maximize_ratio(spec, "time", {"t": bad, "gamma": (1.0, 2.0)})
+    with pytest.raises(ValidationError, match="nonnegative and finite"):
+        maximize_ratio(spec, "time", {"t": (0.1, 1.0), "gamma": bad})
+    with pytest.raises(ValidationError, match="nonnegative and finite"):
+        maximize_ratio(spec, "time", {"t": (0.1, 1.0), "gamma": 1.0},
+                       t0=bad)
+
+
+def test_maximize_stops_a_bracket_pinned_at_zero_after_the_round_cap():
+    # gamma = 0: the ratio is 1 everywhere, the first cell t = 0 wins
+    # every round, and [0, t1] never gets within REL_TOL
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    report = maximize_ratio(spec, "time", {"t": (0.0, 5.0), "gamma": 0.0})
+    assert report.best_ratio == 1.0
+    assert report.best_params == {"gamma": 0.0, "t": 0.0}
+    assert report.iterations == MAX_ROUNDS * COARSE_POINTS
+
+
+def test_maximize_rejects_an_all_onset_grid():
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    with pytest.raises(ValidationError, match="onset divergence"):
+        maximize_ratio(spec, "time", {"t": 0.5, "gamma": (1.0, 10.0)},
+                       t0=0.5)
+
+
+def test_scan_rejects_a_negative_rate_row():
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    for y_name in ("gamma", "gamma_dot"):
+        grid = GridSpec(x_name="t", x_min=0.1, x_max=1.0, x_steps=3,
+                        y_name=y_name, y_min=-1.0, y_max=1.0, y_steps=3,
+                        scale="linear", spec=spec)
+        with pytest.raises(ValidationError, match="nonnegative and finite"):
+            heatmap_scan(grid, "time")
