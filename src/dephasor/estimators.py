@@ -64,7 +64,7 @@ def optimal_observable(model: SensorModel) -> ObservableSpec:
 
     Qubit networks measure the product of single-qubit sigma_x, which on
     the computational basis is the bit-complement exchange matrix.  Any
-    two-level model measures the branch swap.
+    two-level model measures the branch swap, sigma_x in its eigenbasis.
     """
     if model.kind == "qubit_network":
         dim = model.dim
@@ -74,7 +74,7 @@ def optimal_observable(model: SensorModel) -> ObservableSpec:
         return ObservableSpec(kind="parity",
                               operator=Operator(op, hermitian=True))
     if model.dim == 2:
-        op = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        op = model.from_eigenbasis(np.array([[0.0, 1.0], [1.0, 0.0]]))
         return ObservableSpec(kind="branch_swap",
                               operator=Operator(op, hermitian=True))
     raise ValidationError(

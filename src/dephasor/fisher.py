@@ -269,8 +269,10 @@ def qfi_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
     omega:  F = (dE/w)^2 e^{-x} (4 dE^2 Gamma^2 / (1 - e^{-x}) + t^2)
 
     with x = 2 dL^2 Gamma.  At x = 0 the noise terms take their limit 0,
-    but the time QFI is an explicit inf where the rate just after t,
-    ``onset_rate``, has already switched on (a constant rate at onset).
+    but the time QFI is an explicit inf where the rate jumps at t:
+    ``onset_rate``, the rate just after t minus the rate at t, is
+    positive only at the onset of a constant rate.  A dose that merely
+    underflowed to 0 after the onset takes the limit.
     """
     value, _, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
     return require_finite(value, onset)
@@ -279,8 +281,9 @@ def qfi_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
 @_quiet
 def ratio_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
     """QFI / noiseless baseline: exactly 1 at zero dose, inf at the onset
-    divergence of the time QFI.  Needs dE > 0.  The omega ratio is
-    formed directly, not as QFI / baseline (see ``_omega_ratio``)."""
+    divergence of the time QFI (a jump ``onset_rate`` > 0, as in
+    ``qfi_law``).  Needs dE > 0.  The omega ratio is formed directly,
+    not as QFI / baseline (see ``_omega_ratio``)."""
     if parameter == "time":
         qfi, zero, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
         ratio = qfi / baseline_law(spec, parameter, t)
@@ -318,12 +321,13 @@ def signal_derivative_law(spec: CatSpec, parameter: str, rate, dose, t):
 @_quiet
 def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
     """``qfi_law`` or ``ratio_law`` on a schedule, at a time or an array
-    of times; a scalar time gives a float."""
+    of times, with the rate's jump at t as ``onset_rate``; a scalar time
+    gives a float."""
     require_law(spec, parameter)
     ts = times(t)
     rate, dose = schedule_eval(schedule, ts)
     return scalar_or_array(t, law(spec, parameter, rate, dose, ts,
-                                  schedule.rate_right(ts)))
+                                  schedule.rate_right(ts) - rate))
 
 
 @_quiet

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import joint_eigenbasis
+from .linalg import eigenbasis, joint_eigenbasis
 
 DIM_CAP = 4096
 QUBIT_CAP = 12
@@ -242,33 +242,31 @@ def _qubit_diagonal(n: int) -> np.ndarray:
     return 0.5 * (n - 2 * k)
 
 
-def _resolve_lindblad(h_mat: np.ndarray, omega: float, lindblad,
-                      basis: np.ndarray, spectrum: np.ndarray):
-    """Returns (L operator, lindblad eigenvalues, basis, energy flag)."""
+def _resolve_lindblad(h: Operator, omega: float, lindblad) -> Operator | None:
+    """An explicit L checked against H = omega h, or None for 'energy'."""
     if isinstance(lindblad, str):
         if lindblad != "energy":
             raise ValidationError(
                 f"unknown lindblad choice {lindblad!r}; expected 'energy' "
                 "or an explicit Operator")
-        lmat = omega * h_mat
-        op = Operator(lmat, hermitian=True)
-        return op, omega * spectrum, basis, True
+        return None
     if not isinstance(lindblad, Operator):
         raise ValidationError("lindblad must be 'energy' or an Operator")
     lmat = lindblad.matrix
-    if lmat.shape != h_mat.shape:
+    if lmat.shape != h.matrix.shape:
         raise ValidationError("lindblad dimension does not match h")
-    if hermiticity_defect(lmat) > HERMITICITY_TOL:
-        raise ValidationError("lindblad operator must be Hermitian")
-    hmat = omega * h_mat
+    if not lindblad.hermitian:
+        if hermiticity_defect(lmat) > HERMITICITY_TOL:
+            raise ValidationError("lindblad operator must be Hermitian")
+        lindblad = Operator(lmat, hermitian=True)
+    hmat = omega * h.matrix
     comm = hs_norm(commutator(hmat, lmat))
     bound = COMMUTATOR_TOL * hs_norm(hmat) * hs_norm(lmat)
     if comm > bound:
         raise ValidationError(
             f"lindblad does not commute with H: ||[H, L]||_2 = {comm:.6e} "
             f"exceeds {COMMUTATOR_TOL} * ||H||_2 * ||L||_2 = {bound:.6e}")
-    eps, lam, v = joint_eigenbasis(h_mat, lmat)
-    return Operator(lmat, hermitian=True), lam, v, False
+    return lindblad
 
 
 def build_sensor_model(kind: str, size: int, omega: float,
@@ -285,8 +283,14 @@ def build_sensor_model(kind: str, size: int, omega: float,
     subspace.  The branch energy gap defaults to size*omega and can be
     overridden with ``branch_gap``.
 
-    kind 'custom': explicit Hermitian generator ``h``; branches default
-    to the extreme eigenvalues of h.
+    kind 'custom': explicit Hermitian generator ``h`` (checked unless
+    flagged Hermitian); branches default to the extreme eigenvalues of h.
+
+    Each kind builds only its h and branch pair; the rest is one path.
+    ``lindblad`` is 'energy' (L = omega h) or an explicit L, which must
+    be Hermitian and commute with H.  One eigensolve gives the basis:
+    ``linalg.eigenbasis`` for energy dephasing, ``joint_eigenbasis`` for
+    an explicit L, whose spectrum is then diag(basis^dag h basis).
     """
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
@@ -298,11 +302,8 @@ def build_sensor_model(kind: str, size: int, omega: float,
             raise ValidationError(
                 f"qubit_network size must be in 1..{QUBIT_CAP} "
                 f"(dimension cap {DIM_CAP})")
-        eps = _qubit_diagonal(size)
-        h_mat = np.diag(eps).astype(complex)
-        basis = np.eye(2 ** size, dtype=complex)
-        lop, lam, basis, energy = _resolve_lindblad(
-            h_mat, omega, lindblad, basis, eps)
+        h = Operator(np.diag(_qubit_diagonal(size)).astype(complex),
+                     hermitian=True)
         # all-excited state has the lower collective energy
         branches = (2 ** size - 1, 0)
     elif kind == "photonic_two_mode":
@@ -312,52 +313,39 @@ def build_sensor_model(kind: str, size: int, omega: float,
         if not (gap > 0.0) or not math.isfinite(gap):
             raise ValidationError("branch gap must be positive and finite")
         deps = gap / omega
-        eps = np.array([-0.5 * deps, 0.5 * deps])
-        h_mat = np.diag(eps).astype(complex)
-        basis = np.eye(2, dtype=complex)
-        lop, lam, basis, energy = _resolve_lindblad(
-            h_mat, omega, lindblad, basis, eps)
+        h = Operator(np.diag([-0.5 * deps, 0.5 * deps]).astype(complex),
+                     hermitian=True)
         branches = (0, 1)
     else:
         if h is None:
             raise ValidationError("custom models require an explicit h")
-        if not h.hermitian and hermiticity_defect(h.matrix) > HERMITICITY_TOL:
-            raise ValidationError("custom h must be Hermitian")
-        h_mat = h.matrix
-        if isinstance(lindblad, str):
-            eps, basis = _diag_or_eigh(h_mat)
-            lop, lam, basis, energy = _resolve_lindblad(
-                h_mat, omega, lindblad, basis, eps)
-        else:
-            lop, lam, basis, energy = _resolve_lindblad(
-                h_mat, omega, lindblad, np.eye(h.dim, dtype=complex),
-                np.zeros(h.dim))
-            eps = np.diag(basis.conj().T @ h_mat @ basis).real.copy()
+        if not h.hermitian:
+            if hermiticity_defect(h.matrix) > HERMITICITY_TOL:
+                raise ValidationError("custom h must be Hermitian")
+            h = Operator(h.matrix, hermitian=True)
         size = h.dim
-        if branches is None:  # a 1x1 or flat h leaves no distinct pair
-            branches = (int(np.argmin(eps)), int(np.argmax(eps)))
-        b0, b1 = int(branches[0]), int(branches[1])
-        if not (0 <= b0 < size and 0 <= b1 < size) or b0 == b1:
-            raise ValidationError(
-                "branch indices out of range or not two distinct levels")
-        branches = (b0, b1)
 
-    model = SensorModel(kind=kind, size=size, omega=omega,
-                        h=Operator(h_mat, hermitian=True), lindblad=lop,
-                        spectrum=np.asarray(eps, dtype=float),
-                        lindblad_spectrum=np.asarray(lam, dtype=float),
-                        basis=basis, energy_lindblad=energy,
-                        branch_indices=branches)
+    lop = _resolve_lindblad(h, omega, lindblad)
+    energy = lop is None
+    if energy:
+        eps, basis = eigenbasis(h.matrix)
+        lam = omega * eps
+        lop = Operator(omega * h.matrix, hermitian=True)
+    else:
+        _, lam, basis = joint_eigenbasis(h.matrix, lop.matrix)
+        eps = np.diag(basis.conj().T @ h.matrix @ basis).real.copy()
+    if branches is None:  # a 1x1 or flat h leaves no distinct pair
+        branches = (int(np.argmin(eps)), int(np.argmax(eps)))
+    b0, b1 = int(branches[0]), int(branches[1])
+    if not (0 <= b0 < h.dim and 0 <= b1 < h.dim) or b0 == b1:
+        raise ValidationError(
+            "branch indices out of range or not two distinct levels")
+
+    model = SensorModel(kind=kind, size=size, omega=omega, h=h, lindblad=lop,
+                        spectrum=eps, lindblad_spectrum=lam, basis=basis,
+                        energy_lindblad=energy, branch_indices=(b0, b1))
     _check_spectrum(model)
     return model
-
-
-def _diag_or_eigh(h_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    off = h_mat - np.diag(np.diag(h_mat))
-    offmax = float(np.max(np.abs(off))) if off.size else 0.0
-    if offmax > 1e-14 * max(1.0, float(np.max(np.abs(h_mat)))):
-        return np.linalg.eigh(h_mat)
-    return np.diag(h_mat).real.copy(), np.eye(h_mat.shape[0], dtype=complex)
 
 
 def _check_spectrum(model: SensorModel):

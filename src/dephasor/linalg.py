@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+DEGENERACY_TOL = 1e-10
+
 
 def _is_diagonal(a: np.ndarray, tol: float) -> bool:
     off = a - np.diag(np.diag(a))
@@ -30,35 +32,39 @@ def _clusters(levels: np.ndarray, tol: float) -> list[list[int]]:
     return [sorted(g) for g in groups]
 
 
-def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
-                     degeneracy_tol: float = 1e-10
+def eigenbasis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(eps, v)`` of a Hermitian ``h``: its diagonal and the identity
+    when ``h`` is already diagonal (off-diagonal Frobenius norm within
+    1e-14, relative), so basis positions keep their meaning; else LAPACK
+    ``eigh``, ascending."""
+    h = np.asarray(h, dtype=complex)  # a complex rotation fits into v
+    if _is_diagonal(h, 1e-14):
+        return np.diag(h).real.copy(), np.eye(h.shape[0], dtype=complex)
+    return np.linalg.eigh(h)
+
+
+def joint_eigenbasis(h: np.ndarray, l: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simultaneous eigenbasis of two commuting Hermitian matrices.
 
-    Diagonalizes ``h`` first, then rotates inside each cluster of ``h``
-    levels closer than 1e-4 (relative) to diagonalize ``l`` there as
-    well: LAPACK mixes the eigenvectors of levels a gap g apart by about
-    1e-16 / g, which leaves ``l`` off-diagonal unless they are rotated
-    too.  Inside a cluster, levels of ``l`` closer than
-    ``degeneracy_tol`` are split by ``h``, each vector returns to a
-    position of its own ``h`` level (levels closer than
-    ``degeneracy_tol`` count as one), and the vectors of one level go
-    in ascending ``l``.  When ``h`` is already diagonal its basis
-    ordering is kept, so distinguished basis states (network branch
-    states) stay at their positions.
+    Diagonalizes ``h`` first (``eigenbasis``), then rotates inside each
+    cluster of ``h`` levels closer than 1e-4 (relative) to diagonalize
+    ``l`` there as well: LAPACK mixes the eigenvectors of levels a gap g
+    apart by about 1e-16 / g, which leaves ``l`` off-diagonal unless
+    they are rotated too.  Inside a cluster, levels of ``l`` closer
+    than ``DEGENERACY_TOL`` (relative) are split by ``h``, each vector
+    returns to a position of its own ``h`` level, and the vectors of one
+    level go in ascending ``l``.  ``h`` levels closer than
+    ``DEGENERACY_TOL`` count as one level, whose ``eps`` is not each
+    vector's own eigenvalue: there ||h v - v diag(eps)|| reaches about
+    ``DEGENERACY_TOL`` times the scale of ``h``, and ``build_sensor_model``
+    takes the spectrum as diag(v^dag h v) instead, which meets 1e-12.
 
     Returns ``(eps, lam, v)``: eigenvalues of ``h``, eigenvalues of
     ``l`` in the matching order, and the common eigenvector columns.
     """
-    h = np.asarray(h, dtype=complex)  # a complex rotation fits into v
-    n = h.shape[0]
+    eps, v = eigenbasis(h)
     scale = max(1.0, float(np.max(np.abs(h))))
-    if _is_diagonal(h, 1e-14):
-        eps = np.diag(h).real.copy()
-        v = np.eye(n, dtype=complex)
-    else:
-        eps, v = np.linalg.eigh(h)
-
     lmat = v.conj().T @ l @ v
     lam = np.diag(lmat).real.copy()
     lscale = max(1.0, float(np.max(np.abs(lam))))
@@ -68,11 +74,11 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray,
             continue
         e = eps[idx]
         level = np.empty(len(idx), dtype=int)
-        for k, g in enumerate(_clusters(e, degeneracy_tol * scale)):
+        for k, g in enumerate(_clusters(e, DEGENERACY_TOL * scale)):
             level[g] = k
         wl, u = np.linalg.eigh(sub)
         hs = (u.conj().T * e) @ u
-        for g in _clusters(wl, degeneracy_tol * lscale):
+        for g in _clusters(wl, DEGENERACY_TOL * lscale):
             block = hs[np.ix_(g, g)]
             if len(g) > 1 and not _is_diagonal(block, 1e-14):
                 u[:, g] = u[:, g] @ np.linalg.eigh(block)[1]

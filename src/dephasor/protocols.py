@@ -241,7 +241,7 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
     ts = times(ts)
     rate, dose = schedule_eval(unit, ts)
     return ratio_law(spec, parameter, g * rate, g * dose, ts,
-                     g * unit.rate_right(ts))
+                     g * (unit.rate_right(ts) - rate))
 
 
 def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:

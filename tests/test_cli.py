@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dephasor import (CatSpec, NoiseSchedule, ValidationError,
-                      advantage_ratio, heatmap_scan)
+                      advantage_ratio, cat_spec_for, heatmap_scan, load_model)
 from dephasor.cli import parse_and_run, parse_grid, parse_schedule
 from dephasor.fisher import qfi_time_cat
 from dephasor.protocols import GridSpec
@@ -143,6 +143,26 @@ def test_evolve_csv_shape_and_physics(capsys, tmp_path):
         assert mineig > -1e-9
         env = 0.5 * math.exp(-4.0 * sch.integral(t))
         assert math.hypot(cre, cim) == pytest.approx(env, abs=1e-9)
+
+
+def test_evolve_reads_the_branches_in_the_model_eigenbasis(capsys,
+                                                           tmp_path):
+    # h is diagonal in a Haar frame: the branch indices point into the
+    # model's eigenbasis, not the computational one
+    path = _random_energy_model(np.random.default_rng(7),
+                                tmp_path / "haar.json")
+    delta_l = cat_spec_for(load_model(path)).delta_l
+    out = str(tmp_path / "traj.csv")
+    code, _, err = run_cli(capsys, "evolve", "--model", path,
+                           "--schedule", "const:0.2", "--t", "1.0",
+                           "--dt", "1e-3", "--samples", "5", "--out", out)
+    assert code == 0, err
+    sch = NoiseSchedule.constant(0.2)
+    for line in pathlib.Path(out).read_text().splitlines()[1:]:
+        t, lo, hi, cre, cim = (float(v) for v in line.split(",")[:5])
+        assert abs(lo - 0.5) <= 1e-12 and abs(hi - 0.5) <= 1e-12
+        env = 0.5 * math.exp(-delta_l ** 2 * sch.integral(t))
+        assert abs(math.hypot(cre, cim) - env) <= 1e-8
 
 
 def test_evolve_output_is_byte_deterministic(capsys, tmp_path):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, ValidationError,
-                      build_sensor_model, cat_initial_state,
+from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, Operator,
+                      ValidationError, build_sensor_model, cat_initial_state,
                       evolve_lindblad_numeric, operator_expectation)
 from dephasor.estimators import (estimator_variance, observable_expectation,
                                  optimal_observable, saturation_ratio)
@@ -212,8 +212,20 @@ def test_parity_observable_reproduces_cat_signal():
     assert var == pytest.approx(closed.variance_o, abs=1e-10)
 
 
-def test_branch_swap_observable_on_photonic_model():
-    model = build_sensor_model("photonic_two_mode", 2, omega=1.0)
+def rotated_two_level_model():
+    # h = U diag(-1, 1) U^dag in a fixed complex frame: the branches are
+    # eigenvectors of h, not computational states
+    c, s = math.cos(0.7), math.sin(0.7) * np.exp(0.4j)
+    u = np.array([[c, -np.conj(s)], [s, c]])
+    h = Operator((u * [-1.0, 1.0]) @ u.conj().T, hermitian=True)
+    return build_sensor_model("custom", 2, omega=1.0, h=h)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_sensor_model("photonic_two_mode", 2, omega=1.0),
+    rotated_two_level_model], ids=["photonic", "rotated_custom"])
+def test_branch_swap_observable_on_photonic_model(make):
+    model = make()
     obs = optimal_observable(model)
     assert obs.kind == "branch_swap"
     sch = NoiseSchedule.constant(0.2)

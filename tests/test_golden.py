@@ -12,14 +12,19 @@ the read-only diff mode (it writes nothing):
     PYTHONPATH=src python tests/test_golden.py --diff
 """
 
+import json
 import pathlib
 import re
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from dephasor.cli import parse_and_run
+from dephasor.hilbert import load_model
+
+from conftest import framed, haar_unitary
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -114,9 +119,14 @@ CASES = {
 }
 
 
-def run_case(name: str, directory: pathlib.Path) -> dict:
-    """Run one case into ``directory``; returns {file name: bytes}."""
+def run_case(name: str, directory: pathlib.Path,
+             model: str | None = None) -> dict:
+    """Run one case into ``directory``, on ``model`` instead of its own
+    model file if given; returns {file name: bytes}."""
     argv, exts = CASES[name]
+    if model is not None:
+        at = argv.index("--model") + 1
+        argv = argv[:at] + [model] + argv[at + 1:]
     paths = [directory / f"{name}.{ext}" for ext in exts]
     argv = list(argv) + ["--out", str(paths[0])]
     if len(paths) > 1:
@@ -134,6 +144,41 @@ def test_golden_bytes(name, tmp_path):
 
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def haar_twin(path: str, out: pathlib.Path) -> str:
+    """Write the ``custom`` twin of a shipped model: its h (and an explicit
+    L) with the same levels, in a seeded Haar frame; returns its path."""
+    model = load_model(path)
+    u = haar_unitary(np.random.default_rng(20260822), model.dim)
+
+    def matrix(levels):
+        return {"matrix": [[[z.real, z.imag] for z in row]
+                           for row in framed(u, levels).tolist()]}
+
+    lind = "energy" if model.energy_lindblad else matrix(
+        model.lindblad_spectrum)
+    out.write_text(json.dumps({"kind": "custom", "N": model.dim,
+                               "omega": model.omega, "lindblad": lind,
+                               "h": matrix(model.spectrum)}))
+    return str(out)
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n, (argv, _) in CASES.items() if "--model" in argv
+    and argv[0] in ("evolve", "qfi", "bound", "estimate")))
+def test_golden_numbers_are_frame_invariant(name, tmp_path):
+    # the same argv on the model's Haar-frame twin: every number within
+    # 1e-9 relative, or 1e-12 absolute for round-off around 0 (min_eig)
+    argv = CASES[name][0]
+    twin = haar_twin(argv[argv.index("--model") + 1], tmp_path / "twin.json")
+    for fname, data in run_case(name, tmp_path, twin).items():
+        golden = (GOLDEN / fname).read_bytes()
+        assert NUMBER.split(data) == NUMBER.split(golden), fname
+        for a, b in zip(NUMBER.findall(data), NUMBER.findall(golden)):
+            a, b = float(a), float(b)
+            assert abs(a - b) <= max(1e-9 * max(abs(a), abs(b)), 1e-12), \
+                (fname, a, b)
 
 
 def describe_move(old: bytes, new: bytes) -> str:

@@ -73,6 +73,22 @@ def test_custom_model_basis_meets_residual_contract(n, rng):
                                   explicit.lindblad_spectrum, explicit.basis)
 
 
+def test_custom_model_spectrum_is_each_vectors_own_level(rng):
+    # h levels 0.9e-10 apart count as one level inside a rotated cluster,
+    # where joint_eigenbasis returns one eps for them (a residual of about
+    # 1e-10); the build takes diag(V^dag h V) and meets 1e-12
+    levels, lam = np.array([0.0, 0.0, 0.9e-10, 1.0]), [-1.0, 0.0, 0.0, 0.5]
+    for _ in range(5):
+        u = haar_unitary(rng, 4)
+        h = Operator(framed(u, levels), hermitian=True)
+        model = build_sensor_model(
+            "custom", 4, 1.0, Operator(framed(u, np.array(lam)),
+                                       hermitian=True), h=h)
+        v, scale = model.basis, max(1.0, float(np.max(np.abs(levels))))
+        assert np.linalg.norm(h.matrix @ v - v * model.spectrum) \
+            <= 1e-12 * scale
+
+
 def test_joint_eigenbasis_commuting_pair(rng):
     # two operators diagonal in the same random basis, one degenerate
     u, _ = np.linalg.qr(random_hermitian(rng, 4))

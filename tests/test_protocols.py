@@ -57,6 +57,21 @@ def test_ratio_divergence_at_hard_onset():
     assert math.isinf(advantage_ratio(spec, sch, 1.0, "time"))
 
 
+def test_underflowed_dose_is_not_the_onset_divergence():
+    # a subnormal ramp slope: the dose 1/2 gdot t^2 rounds to 0 after the
+    # onset, where the rate has no jump, so the ratio takes its zero-dose
+    # limit 1, not the onset's inf
+    spec = CatSpec(delta_e=1.0, delta_l=1.0, omega=1.0)
+    ramp = NoiseSchedule.linear_ramp(5e-324)
+    assert advantage_ratio(spec, ramp, 1.5, "time") == 1.0
+    assert advantage_ratio(spec, ramp, np.array([1.0, 1.5]),
+                           "time").tolist() == [1.0, 1.0]
+    report = maximize_ratio(spec, "time",
+                            {"t": (1.0, 2.0), "gamma_dot": 5e-324},
+                            schedule_kind="linear_ramp")
+    assert report.best_ratio == 1.0
+
+
 def test_ratio_overflow_raises_not_nan():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     with pytest.raises(NumericalContractError, match="non-finite"):
