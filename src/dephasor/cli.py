@@ -144,7 +144,7 @@ def _cmd_evolve(args) -> int:
     lines = ["t,pop_lo,pop_hi,coher_re,coher_im,trace,min_eig"]
     for t, rho in states:
         m = model.to_eigenbasis(rho)  # the branches index its eigenbasis
-        tr = float(np.trace(rho.matrix).real)
+        tr = float(np.trace(m).real)
         lines.append(
             f"{t!r},{float(m[i, i].real)!r},{float(m[j, j].real)!r},"
             f"{float(m[i, j].real)!r},{float(m[i, j].imag)!r},{tr!r},"

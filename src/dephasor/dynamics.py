@@ -17,9 +17,8 @@ diagonal by 1.  ``evolve_exact`` takes the exact gain
 exp(-i w t - d Gamma(t)), Gamma the integrated rate; the fixed-step
 RK4 (``evolve_lindblad_numeric``, ``trajectory``) takes the product of
 its step gains, an independent check of the exact one.  The state is
-rotated in once per call (not at all if it carries its eigenbasis form,
-``DensityMatrix.frame``), and rotated back and re-symmetrized once per
-returned state, which keeps its eigenbasis form as its frame.
+rotated in once per call (not at all if it is written in the model's
+eigenbasis), and every returned state is written in that basis.
 """
 
 from __future__ import annotations
@@ -315,8 +314,8 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
                             verify_convergence: bool = False) -> DensityMatrix:
     """Fixed-step RK4 integration of the dephasing master equation.
 
-    Steps run elementwise in the joint eigenbasis of H and L; the state
-    is re-symmetrized once, after rotating back, not after every step.
+    Steps run elementwise in the joint eigenbasis of H and L, and the
+    state is returned written in that basis.
     Integration is split at schedule breakpoints (onset, knots) so each
     RK4 segment sees a smooth rate.  The run fails with
     NumericalContractError if the state stops being finite, the trace
@@ -347,16 +346,14 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
 
 def _contract_state(model: SensorModel, rho_e: np.ndarray,
                     dt: float | None = None) -> DensityMatrix:
-    """Wrap an evolved eigenbasis array as a state, rotated back and
-    re-symmetrized, with ``rho_e`` kept as its frame.  Invariant
+    """Wrap an evolved eigenbasis array as a state written in the
+    model's basis; no rotation, no re-symmetrization.  Invariant
     breakage becomes a numerical-contract failure (the inputs were
     valid; the propagation wasn't), with a smaller-dt hint when the
     state was integrated with a step dt."""
-    rho = model.from_eigenbasis(rho_e)
-    rho = 0.5 * (rho + rho.conj().T)
     try:
-        return DensityMatrix(rho, positivity_tol=-POSITIVITY_FLOOR,
-                             frame=(model.basis, rho_e))
+        return DensityMatrix(rho_e, positivity_tol=-POSITIVITY_FLOOR,
+                             basis=model.basis)
     except ValidationError as exc:
         hint = "" if dt is None else \
             f"; retry with a smaller dt (current {dt:.3e})"

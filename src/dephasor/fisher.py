@@ -79,7 +79,7 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     check_parameter(parameter)
     dm = drho.matrix if isinstance(drho, Operator) else np.asarray(
         drho, dtype=complex)
-    if dm.shape != rho.matrix.shape:
+    if dm.shape != (rho.dim, rho.dim):
         raise ValidationError("drho dimension does not match the state")
     if hermiticity_defect(dm) > DRHO_HERMITICITY_TOL:
         raise ValidationError("drho must be Hermitian within 1e-8")
@@ -112,10 +112,9 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
 
 def _commutators(model: SensorModel, rho: DensityMatrix):
     """([H, rho], [L, [L, rho]]) in the model's eigenbasis, where H and
-    L are diagonal.  A state that carries its form there
-    (``DensityMatrix.frame``) keeps a coherence far below the
-    populations to relative accuracy; rotated in from a dense frame, it
-    has lost it to their round-off."""
+    L are diagonal.  A state written in that basis keeps a coherence far
+    below the populations to relative accuracy; rotated in from a dense
+    frame, it has lost it to their round-off."""
     r = model.to_eigenbasis(rho)
     h, lm = model.omega * model.spectrum, model.lindblad_spectrum
     c_h = h[:, None] * r - r * h[None, :]
@@ -157,7 +156,7 @@ def qfi_quadratic_bound(rho: DensityMatrix, drho) -> QfiReport:
     """tr[(d rho)^2]; doubled into an equality when the state is pure."""
     dm = drho.matrix if isinstance(drho, Operator) else np.asarray(
         drho, dtype=complex)
-    if dm.shape != rho.matrix.shape:
+    if dm.shape != (rho.dim, rho.dim):
         raise ValidationError("drho dimension does not match the state")
     val = float(np.sum(np.abs(dm) ** 2))
     purity = rho.purity()

@@ -7,6 +7,7 @@ sparse machinery is used anywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -88,44 +89,40 @@ class Operator:
 class DensityMatrix:
     """Quantum state: Hermitian, unit trace, positive within tolerance.
 
-    Construction hard-fails on violations instead of repairing them.
+    ``array`` is the state written in the orthonormal columns of
+    ``basis`` (None: the computational basis), its only stored form;
+    every check reads it, as all are unitary invariants.  Construction
+    hard-fails on violations instead of repairing them.
     ``positivity_tol`` exists because the numeric integrator admits a
     slightly looser bound (1e-7) than fresh states (1e-9).
 
-    ``frame``, when set, is ``(v, m)``: the same state written in the
-    orthonormal columns of v, ``matrix`` = v m v^dag up to round-off.
-    Cat states on a model's branches and integrated states carry it in
+    Cat states on a model's branches and evolved states are written in
     the model's eigenbasis, where a coherence far below the populations
     keeps its relative accuracy; in a dense frame the round-off of the
     populations (about 1e-16) swamps it.
     """
 
-    matrix: np.ndarray
+    array: np.ndarray
     positivity_tol: float = POSITIVITY_TOL
-    frame: tuple[np.ndarray, np.ndarray] | None = None
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        defect = hermiticity_defect(m)
+        a = _as_complex_matrix(self.array)
+        if self.basis is not None and self.basis.shape != a.shape:
+            raise ValidationError("basis dimension does not match the state")
+        defect = hermiticity_defect(a)
         if defect > HERMITICITY_TOL:
             raise ValidationError(
                 f"density matrix Hermiticity defect {defect:.3e} > "
                 f"{HERMITICITY_TOL}")
-        tr = complex(np.trace(m))
+        tr = complex(np.trace(a))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(
                 f"density matrix trace {tr!r} deviates from 1 by more "
                 f"than {TRACE_TOL}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
         object.__setattr__(self, "_min_eig", None)
-        if self.frame is not None:
-            v, mf = self.frame
-            if v.shape != m.shape or mf.shape != m.shape:
-                raise ValidationError("frame dimension does not match")
-            mf = mf.view()
-            mf.flags.writeable = False
-            object.__setattr__(self, "frame", (v, mf))
         low = self._gershgorin_lower()
         if low < -self.positivity_tol:
             low = self.min_eigenvalue()
@@ -134,24 +131,35 @@ class DensityMatrix:
                     f"density matrix minimum eigenvalue {low:.3e} below "
                     f"-{self.positivity_tol}")
 
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """basis array basis^dag, re-symmetrized, read-only and formed on
+        first use; ``array`` itself without a basis."""
+        if self.basis is None:
+            return self.array
+        m = self.basis @ self.array @ self.basis.conj().T
+        m = 0.5 * (m + m.conj().T)
+        m.flags.writeable = False
+        return m
+
     def _gershgorin_lower(self) -> float:
         # Cheap sufficient positivity bound; exact spectrum only when needed.
-        d = np.diag(self.matrix).real
-        radii = np.sum(np.abs(self.matrix), axis=1) - np.abs(np.diag(self.matrix))
-        return float(np.min(d - radii))
+        a = self.array
+        radii = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
+        return float(np.min(np.diag(a).real - radii))
 
     def min_eigenvalue(self) -> float:
         if self._min_eig is None:
-            w = np.linalg.eigvalsh(self.matrix)
+            w = np.linalg.eigvalsh(self.array)
             object.__setattr__(self, "_min_eig", float(w[0]))
         return self._min_eig
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(np.trace(self.array @ self.array).real)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.array.shape[0]
 
 
 @dataclass(frozen=True)
@@ -223,12 +231,12 @@ class SensorModel:
                          - self.lindblad_spectrum[i]))
 
     def to_eigenbasis(self, rho: DensityMatrix) -> np.ndarray:
-        """A state in this model's eigenbasis: the form it carries there
-        (``DensityMatrix.frame``), or its matrix rotated in."""
+        """A state in this model's eigenbasis: its array when it is
+        written in this basis object, else its matrix rotated in."""
         if rho.dim != self.dim:
             raise ValidationError("state dimension does not match the model")
-        if rho.frame is not None and rho.frame[0] is self.basis:
-            return rho.frame[1]
+        if rho.basis is self.basis:
+            return rho.array
         return self.basis.conj().T @ rho.matrix @ self.basis
 
     def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
@@ -396,8 +404,8 @@ def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
 
     With a CatSpec the state lives on the 2-dimensional branch space.
     With a SensorModel the state is embedded in the full space, either
-    on the model's branch states or on explicitly supplied orthonormal
-    eigenvector columns.
+    on the model's branch states, written in its eigenbasis, or on
+    explicitly supplied orthonormal eigenvector columns.
     """
     if isinstance(model_or_spec, CatSpec):
         if branch_vectors is not None:
@@ -406,40 +414,36 @@ def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
     model = model_or_spec
     if not isinstance(model, SensorModel):
         raise ValidationError("expected a CatSpec or SensorModel")
-    frame = None
     if branch_vectors is None:
         i, j = model.branch_indices
-        v0 = model.basis[:, i]
-        v1 = model.basis[:, j]
         branches = np.zeros((model.dim, model.dim), dtype=complex)
         branches[np.ix_((i, j), (i, j))] = 0.5
-        frame = (model.basis, branches)
-    else:
-        v0 = np.asarray(branch_vectors[0], dtype=complex).reshape(-1)
-        v1 = np.asarray(branch_vectors[1], dtype=complex).reshape(-1)
-        if v0.shape != (model.dim,) or v1.shape != (model.dim,):
-            raise ValidationError("branch vectors have the wrong dimension")
-        g00 = abs(np.vdot(v0, v0) - 1.0)
-        g11 = abs(np.vdot(v1, v1) - 1.0)
-        g01 = abs(np.vdot(v0, v1))
-        if max(g00, g11, g01) > 1e-10:
+        return DensityMatrix(branches, basis=model.basis)
+    v0 = np.asarray(branch_vectors[0], dtype=complex).reshape(-1)
+    v1 = np.asarray(branch_vectors[1], dtype=complex).reshape(-1)
+    if v0.shape != (model.dim,) or v1.shape != (model.dim,):
+        raise ValidationError("branch vectors have the wrong dimension")
+    g00 = abs(np.vdot(v0, v0) - 1.0)
+    g11 = abs(np.vdot(v1, v1) - 1.0)
+    g01 = abs(np.vdot(v0, v1))
+    if max(g00, g11, g01) > 1e-10:
+        raise ValidationError(
+            f"branch vectors are not orthonormal "
+            f"(defects {g00:.3e}, {g11:.3e}, {g01:.3e})")
+    hmat = model.hamiltonian()
+    for v in (v0, v1):
+        hv = hmat @ v
+        e = np.vdot(v, hv)
+        resid = float(np.sqrt(np.sum(np.abs(hv - e * v) ** 2)))
+        if resid > 1e-8 * max(1.0, abs(e)):
             raise ValidationError(
-                f"branch vectors are not orthonormal "
-                f"(defects {g00:.3e}, {g11:.3e}, {g01:.3e})")
-        hmat = model.hamiltonian()
-        for v in (v0, v1):
-            hv = hmat @ v
-            e = np.vdot(v, hv)
-            resid = float(np.sqrt(np.sum(np.abs(hv - e * v) ** 2)))
-            if resid > 1e-8 * max(1.0, abs(e)):
-                raise ValidationError(
-                    f"branch vectors must be H eigenvectors "
-                    f"(residual {resid:.3e})")
+                f"branch vectors must be H eigenvectors "
+                f"(residual {resid:.3e})")
     # Expanded form keeps standard-basis branches at exactly 0.5 per
     # entry; squaring 1/sqrt(2) would leave rounding dust on the trace.
     rho = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v0, v1.conj())
                  + np.outer(v1, v0.conj()) + np.outer(v1, v1.conj()))
-    return DensityMatrix(rho, frame=frame)
+    return DensityMatrix(rho)
 
 
 def operator_expectation(op: Operator, rho: DensityMatrix) -> tuple[float, float]:

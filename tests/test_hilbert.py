@@ -67,16 +67,18 @@ def test_density_matrix_tolerates_tiny_negative_eigenvalue():
 def test_density_matrix_frame_is_checked_and_kept_read_only():
     model = build_sensor_model("photonic_two_mode", 1, omega=1.0)
     m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
-    rho = DensityMatrix(m, frame=(model.basis, m))
-    assert model.to_eigenbasis(rho) is rho.frame[1]
-    # a frame in another basis object is not used
-    other = DensityMatrix(m, frame=(model.basis.copy(), 0 * m))
+    rho = DensityMatrix(m, basis=model.basis)
+    assert model.to_eigenbasis(rho) is rho.array
+    # an array in another basis object is rotated in through the matrix
+    other = DensityMatrix(m, basis=model.basis.copy())
     assert np.array_equal(model.to_eigenbasis(other), m)
     with pytest.raises(ValueError):
-        rho.frame[1][0, 0] = 1.0
+        rho.array[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        other.matrix[0, 0] = 1.0
     assert m.flags.writeable  # the caller's array is left alone
-    with pytest.raises(ValidationError, match="frame"):
-        DensityMatrix(m, frame=(np.eye(3, dtype=complex), m))
+    with pytest.raises(ValidationError, match="basis dimension"):
+        DensityMatrix(m, basis=np.eye(3, dtype=complex))
     with pytest.raises(ValidationError, match="dimension"):
         build_sensor_model("qubit_network", 2, 1.0).to_eigenbasis(rho)
 
@@ -237,7 +239,7 @@ def test_cat_state_with_explicit_vectors():
     v1 = model.basis[:, 2]
     rho = cat_initial_state(model, branch_vectors=(v0, v1))
     assert rho.matrix[1, 2] == pytest.approx(0.5)
-    assert rho.frame is None
+    assert rho.basis is None and rho.matrix is rho.array
 
 
 def test_cat_state_rejects_nonorthonormal_vectors():

@@ -16,15 +16,16 @@ time or frequency QFI (also deep in the tail, where the branch coherence
 is far below the populations' round-off), and that numeric QFI sits
 above its commutator bound.  The derivatives and bounds, formed in the
 model's eigenbasis, match dense commutators of H and L along
-trajectories, with and without the state's eigenbasis form.  Models
-whose (w, d) pairs repeat many times (energy-dephased qubit networks,
-custom models with a degenerate L) check the distinct-pair RK4 against
-the same reference, at every trajectory sample too, and that a
-two-sample trajectory ends on the evolved state bit for bit.  The same
-models check the exact propagator: RK4 at its default step matches
-``evolve_exact`` to 1e-12, and a central difference of ``evolve_exact``
-over t matches the dense right-hand side of the equation of motion.
-Inputs that broke a property once are pinned as explicit examples.
+trajectories, for states written in that basis and states built dense.
+Models whose (w, d) pairs repeat many times (energy-dephased qubit
+networks, custom models with a degenerate L) check the distinct-pair
+RK4 against the same reference, at every trajectory sample too, and
+that a two-sample trajectory ends on the evolved state bit for bit.
+The same models check the exact propagator: RK4 at its default step
+matches ``evolve_exact`` to 1e-12, and a central difference of
+``evolve_exact`` over t matches the dense right-hand side of the
+equation of motion.  Inputs that broke a property once are pinned as
+explicit examples.
 
 Random log-ratios and region grids check the array scan renderer: every
 cell color follows the scalar color law, and the ratio = 1 boundary is
@@ -476,8 +477,8 @@ def test_default_step_rk4_matches_exact_evolution(model, sch, t, seed):
     rho0 = random_state(model, seed)
     got = evolve_lindblad_numeric(run, rho0)
     want = evolve_exact(run, rho0)
-    assert want.frame[0] is got.frame[0] is model.basis
-    assert np.max(np.abs(got.frame[1] - want.frame[1])) <= 1e-12
+    assert want.basis is got.basis is model.basis
+    assert np.max(np.abs(got.array - want.array)) <= 1e-12
     assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
 
 
@@ -648,7 +649,8 @@ def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
 def test_numeric_time_qfi_in_the_deep_tail(rate):
     # x = 64, 160 and 320: the coherence e^{-x/2} sits far below the
     # round-off of the O(1) populations in the model's Haar frame.  The
-    # state carries its eigenbasis form, so the derivative keeps it.
+    # state is written in the model's eigenbasis, so the derivative
+    # keeps it.
     model, sch, t = DEEP_TAIL, NoiseSchedule.constant(rate), 1.0
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
@@ -679,14 +681,14 @@ def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
     # drho and the bounds are formed in the model's eigenbasis; the
     # reference is the dense commutators of H and L, which differ by how
     # far H and L are from diagonal in the computed basis.  Each
-    # trajectory state carries its eigenbasis form, which rotates out to
-    # its matrix; the same state without the form is rotated in.
+    # trajectory state is written in the model's basis and rotates out
+    # to its matrix; the same state built dense is rotated in.
     run = EvolutionSpec(model=model, schedule=sch, t_final=t)
     h, l, v = model.hamiltonian(), model.lindblad.matrix, model.basis
     tol = 1e-12 + 1e3 * frame_residual(model)
     rate, dose = sch.rate(t), sch.integral(t)
     for _, rho in trajectory(run, cat_initial_state(model), samples)[1:]:
-        assert rho.frame[0] is v
+        assert rho.basis is v
         form = model.to_eigenbasis(rho)
         assert np.max(np.abs(v @ form @ v.conj().T - rho.matrix)) <= 1e-14
         m = rho.matrix
