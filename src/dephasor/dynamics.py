@@ -35,6 +35,8 @@ POSITIVITY_FLOOR = -1e-7
 CONVERGENCE_TOL = 1e-8
 MAX_STEPS_DEFAULT = 10_000
 GAIN_BLOCK = 4096
+STEP_CHUNK = 2 ** 16
+MAX_STEPS = 10 ** 8
 
 SCHEDULE_VARIANTS = ("constant", "linear_ramp", "piecewise_linear")
 
@@ -237,31 +239,43 @@ def _rk4_segment(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
 
     Element (j, k) obeys d rho_jk/dt = m_jk(g) rho_jk with
     m(g) = -i w - g d, so one RK4 step multiplies it by a scalar gain.
-    Gains are formed a block of steps at a time; blocks hold about
+    Step rates are formed a chunk of about ``STEP_CHUNK`` steps at a
+    time and gains a block of steps at a time, blocks holding about
     ``GAIN_BLOCK`` elements, so memory does not grow with the steps.
+    More than ``MAX_STEPS`` steps is a ValidationError.
     """
     span = t_end - t_start
-    n = max(1, int(math.ceil(span / dt_target - 1e-12)))
+    count = span / dt_target
+    if not count <= MAX_STEPS:
+        raise ValidationError(
+            f"step count {count:.3e} exceeds the cap of {MAX_STEPS:.3e}")
+    n = max(1, int(math.ceil(count - 1e-12)))
     dt = span / n
-    edges = t_start + np.arange(n + 1) * dt
-    edges[n] = t_end
-    ta, tb = edges[:-1], edges[1:]
-    rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
-    # The segment end is a breakpoint; the rate that belongs to this
-    # segment there is the left limit, not the value after the jump.
-    rates[2, -1] = schedule.rate(t_end)
     phase = -1j * w
     total = np.ones(w.shape, dtype=complex)
     block = max(1, GAIN_BLOCK // w.size)
-    for s in range(0, n, block):
-        step, g1, gm, g2 = (a[s:s + block, None] for a in (tb - ta, *rates))
-        k1 = phase - g1 * d
-        mid = phase - gm * d
-        k2 = mid * (1.0 + 0.5 * step * k1)
-        k3 = mid * (1.0 + 0.5 * step * k2)
-        k4 = (phase - g2 * d) * (1.0 + step * k3)
-        gain = 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        total = total * np.prod(gain, axis=0)
+    chunk = block * max(1, STEP_CHUNK // block)  # whole blocks per chunk
+    for c in range(0, n, chunk):
+        stop = min(c + chunk, n)
+        edges = t_start + np.arange(c, stop + 1) * dt
+        if stop == n:
+            edges[-1] = t_end
+        ta, tb = edges[:-1], edges[1:]
+        steps = tb - ta
+        rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
+        if stop == n:
+            # The segment end is a breakpoint; the rate that belongs to
+            # this segment there is the left limit, not the value after.
+            rates[2, -1] = schedule.rate(t_end)
+        for s in range(0, len(ta), block):
+            step, g1, gm, g2 = (a[s:s + block, None] for a in (steps, *rates))
+            k1 = phase - g1 * d
+            mid = phase - gm * d
+            k2 = mid * (1.0 + 0.5 * step * k1)
+            k3 = mid * (1.0 + 0.5 * step * k2)
+            k4 = (phase - g2 * d) * (1.0 + step * k3)
+            gain = 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            total = total * np.prod(gain, axis=0)
     return total
 
 

@@ -11,12 +11,14 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, NoiseSchedule, ValidationError,
+from dephasor import (CatSpec, DensityMatrix, NoiseSchedule, ValidationError,
                       advantage_ratio, cat_spec_for, heatmap_scan, load_model)
 from dephasor.cli import parse_and_run, parse_grid, parse_schedule
 from dephasor.fisher import qfi_time_cat
 from dephasor.protocols import GridSpec
 from dephasor.svgmap import render_heatmap_svg
+
+from conftest import framed, haar_unitary
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
@@ -165,6 +167,31 @@ def test_evolve_reads_the_branches_in_the_model_eigenbasis(capsys,
         assert abs(math.hypot(cre, cim) - env) <= 1e-8
 
 
+def test_evolve_never_forms_a_dense_matrix(capsys, tmp_path, monkeypatch):
+    # every column is read from the state's array in the model's
+    # eigenbasis and from its spectrum, never from DensityMatrix.matrix
+    u = haar_unitary(np.random.default_rng(11), 5)
+    h = framed(u, np.array([-1.0, -0.25, 0.0, 0.5, 1.0]))
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps({
+        "kind": "custom", "N": 5, "omega": 1.5, "lindblad": "energy",
+        "h": {"matrix": [[[v.real, v.imag] for v in row]
+                         for row in h.tolist()]}}))
+    argv = ["evolve", "--model", str(path), "--schedule", "ramp:2,t0=0.1",
+            "--t", "1.0", "--dt", "1e-3", "--samples", "6", "--out"]
+    plain, patched = str(tmp_path / "plain.csv"), str(tmp_path / "no.csv")
+    assert run_cli(capsys, *argv, plain)[0] == 0
+
+    def forbidden(rho):
+        raise AssertionError("evolve formed a dense matrix")
+
+    monkeypatch.setattr(DensityMatrix, "matrix", property(forbidden))
+    code, _, err = run_cli(capsys, *argv, patched)
+    assert code == 0, err
+    assert pathlib.Path(patched).read_bytes() == \
+        pathlib.Path(plain).read_bytes()
+
+
 def test_evolve_output_is_byte_deterministic(capsys, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (a, b):
@@ -285,6 +312,21 @@ def test_overflow_exits_2(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: numerical-contract:")
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("evolve", "--model", GHZ2, "--schedule", "const:0.1", "--t", "1",
+     "--dt", "1e-300"),
+    ("qfi", "--model", GHZ2, "--schedule", "const:0.1", "--t", "1e300",
+     "--param", "time", "--method", "numeric"),
+], ids=["evolve-tiny-dt", "qfi-huge-t"])
+def test_step_count_beyond_the_cap_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: validation: step count ")
+    assert "exceeds the cap of 1.000e+08" in lines[0]
 
 
 def test_scan_overflow_exits_2_without_output(capsys, tmp_path):

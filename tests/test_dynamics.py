@@ -1,6 +1,7 @@
 """Schedules, exact evolution, RK4 integration, cat-state dynamics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule,
                       NumericalContractError, ValidationError, branch_model,
                       build_sensor_model, cat_initial_state, evolve_exact,
                       evolve_lindblad_numeric, schedule_eval, trajectory)
-from dephasor.dynamics import default_step
+from dephasor import dynamics
+from dephasor.dynamics import _rk4_segment, default_step
 
 from conftest import (cat_reference, dense_schedule_integral,
                       evolved_branch_state, exact_cat_state)
@@ -230,6 +232,34 @@ def test_rk4_on_network_matches_branch_closed_form():
     i, j = model.branch_indices
     sub = rho.matrix[np.ix_([i, j], [i, j])]
     assert np.max(np.abs(sub - cat_reference(spec, sch, t))) < 1e-11
+
+
+def test_rk4_segment_memory_does_not_grow_with_the_steps():
+    # 10^6 steps of one pair: step times and rates are held a chunk at
+    # a time (the whole table of them took about 80 MB)
+    one = np.array([1.0])
+    tracemalloc.start()
+    try:
+        gain = _rk4_segment(one, one, NoiseSchedule.linear_ramp(1.0), 0.0,
+                            1.0, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert abs(gain[0] - np.exp(-1j - 0.5)) < 1e-9
+
+
+def test_rk4_segment_chunks_keep_every_bit(monkeypatch):
+    # chunks are whole gain blocks, so the product runs in the same
+    # order as with one chunk for the whole segment
+    w = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    d = np.array([1.0, 0.0, 4.0, 1.0, 0.25])
+    sch = NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.3, 2.0), (2.0, 1.0)])
+    args = (w, d, sch, 0.0, 1.0, 1.0 / 5003)
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", 1000)
+    chunked = _rk4_segment(*args)
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", 2 ** 40)
+    assert np.array_equal(chunked, _rk4_segment(*args))
 
 
 def test_rk4_zero_time_returns_input():

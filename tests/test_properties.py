@@ -414,6 +414,32 @@ def random_state(model, seed):
     return DensityMatrix(rho / np.trace(rho).real)
 
 
+@settings(max_examples=40)
+@given(commuting_models(), st.integers(0, 2 ** 16))
+def test_state_in_a_basis_equals_the_state_built_dense(model, seed):
+    # the same state written in the model's Haar basis and built dense:
+    # the matrix, the invariants and the eigenbasis form agree
+    v = model.basis
+    a = random_state(model, seed).array
+    rho = DensityMatrix(a, basis=v)
+    dense = DensityMatrix(v @ a @ v.conj().T)
+    assert np.max(np.abs(rho.matrix - dense.matrix)) <= 1e-14
+    assert abs(np.trace(rho.array) - np.trace(dense.matrix)) <= 1e-12
+    assert abs(rho.purity() - dense.purity()) <= 1e-12
+    assert abs(rho.min_eigenvalue() - dense.min_eigenvalue()) <= 1e-12
+    assert model.to_eigenbasis(rho) is rho.array
+    copy = DensityMatrix(a, basis=v.copy())
+    assert np.max(np.abs(model.to_eigenbasis(copy) - a)) <= 1e-14
+    # the array is checked in its basis, not only for its shape
+    n = model.dim
+    with pytest.raises(ValidationError, match="trace"):
+        DensityMatrix(a - np.eye(n) / n, basis=v)
+    skew = a.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        DensityMatrix(skew, basis=v)
+
+
 def _dense_rhs(h, l, g, rho):
     out = -1j * (h @ rho - rho @ h)
     if g != 0.0:
