@@ -16,14 +16,20 @@ conjugate of the gain of (w, d)) and multiplies the state once: element
 diagonal by 1.  ``evolve_exact`` takes the exact gain
 exp(-i w t - d Gamma(t)), Gamma the integrated rate; the fixed-step
 RK4 (``evolve_lindblad_numeric``, ``trajectory``) takes the product of
-its step gains, an independent check of the exact one.  The state is
+its step gains, an independent check of the exact one.  Under a
+constant rate g every step has the same gain, the stability polynomial
+R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt (-i w - g d), so n
+steps are R(z)^n: RK4 costs O(pairs x steps with a varying rate) plus
+O(pairs) per chunk of steps whose rates are all equal.  The state is
 rotated in once per call (not at all if it is written in the model's
-eigenbasis), and every returned state is written in that basis.
+eigenbasis), and every returned state is written in that basis;
+``trajectory`` yields its states one at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +238,17 @@ def _pair_table(model: SensorModel):
     return w_abs, d, upper, inverse.ravel(), w < 0.0
 
 
+def _step_gain(phase, d, step, g1, gm, g2):
+    """One RK4 step's gain for m(g) = phase - g d, with the rate g1 at
+    the step's start, gm at its midpoint and g2 at its end."""
+    k1 = phase - g1 * d
+    mid = phase - gm * d
+    k2 = mid * (1.0 + 0.5 * step * k1)
+    k3 = mid * (1.0 + 0.5 * step * k2)
+    k4 = (phase - g2 * d) * (1.0 + step * k3)
+    return 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _rk4_segment(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
                  t_start: float, t_end: float,
                  dt_target: float) -> np.ndarray:
@@ -239,10 +256,17 @@ def _rk4_segment(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
 
     Element (j, k) obeys d rho_jk/dt = m_jk(g) rho_jk with
     m(g) = -i w - g d, so one RK4 step multiplies it by a scalar gain.
-    Step rates are formed a chunk of about ``STEP_CHUNK`` steps at a
-    time and gains a block of steps at a time, blocks holding about
-    ``GAIN_BLOCK`` elements, so memory does not grow with the steps.
-    More than ``MAX_STEPS`` steps is a ValidationError.
+    Under a constant rate g that gain is the stability polynomial
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt m(g), the same for
+    every step, so n such steps are exactly R(z)^n.  Step rates are
+    formed a chunk of about ``STEP_CHUNK`` steps at a time.  A chunk
+    whose rates (start, midpoint and end of every step) are all equal
+    costs one step gain at the nominal step, raised to the chunk's
+    step count; any other chunk multiplies its step gains a block of
+    steps at a time, blocks holding about ``GAIN_BLOCK`` elements.  The
+    cost is O(pairs x steps with a varying rate) plus O(pairs) per
+    constant chunk, and memory does not grow with the steps.  More than
+    ``MAX_STEPS`` steps is a ValidationError.
     """
     span = t_end - t_start
     count = span / dt_target
@@ -261,20 +285,19 @@ def _rk4_segment(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
         if stop == n:
             edges[-1] = t_end
         ta, tb = edges[:-1], edges[1:]
-        steps = tb - ta
         rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
         if stop == n:
             # The segment end is a breakpoint; the rate that belongs to
             # this segment there is the left limit, not the value after.
             rates[2, -1] = schedule.rate(t_end)
+        g = rates[0, 0]
+        if (rates == g).all():
+            total = total * _step_gain(phase, d, dt, g, g, g) ** (stop - c)
+            continue
+        steps = tb - ta
         for s in range(0, len(ta), block):
-            step, g1, gm, g2 = (a[s:s + block, None] for a in (steps, *rates))
-            k1 = phase - g1 * d
-            mid = phase - gm * d
-            k2 = mid * (1.0 + 0.5 * step * k1)
-            k3 = mid * (1.0 + 0.5 * step * k2)
-            k4 = (phase - g2 * d) * (1.0 + step * k3)
-            gain = 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            gain = _step_gain(phase, d, *(a[s:s + block, None]
+                                          for a in (steps, *rates)))
             total = total * np.prod(gain, axis=0)
     return total
 
@@ -376,8 +399,10 @@ def _contract_state(model: SensorModel, rho_e: np.ndarray,
 
 
 def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
-               samples: int) -> list[tuple[float, DensityMatrix]]:
-    """States at ``samples`` evenly spaced times from 0 to t_final."""
+               samples: int) -> Iterator[tuple[float, DensityMatrix]]:
+    """States at ``samples`` evenly spaced times from 0 to t_final,
+    yielded one (t, state) at a time, so only the latest state is held.
+    The arguments are checked at the call, before the first state."""
     if samples < 2:
         raise ValidationError("need at least 2 samples")
     model, schedule = spec.model, spec.schedule
@@ -386,10 +411,13 @@ def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
     dt = spec.dt if spec.dt is not None else default_step(
         model, schedule, spec.t_final)
     times = np.linspace(0.0, spec.t_final, samples)
-    out = [(0.0, rho0)]
     pairs = _pair_table(model)
-    rho_e = model.to_eigenbasis(rho0)
-    for ta, tb in zip(times, times[1:]):
-        rho_e = _propagate(pairs, schedule, rho_e, float(ta), float(tb), dt)
-        out.append((float(tb), _contract_state(model, rho_e, dt)))
-    return out
+
+    def states(rho_e):
+        yield 0.0, rho0
+        for ta, tb in zip(times, times[1:]):
+            rho_e = _propagate(pairs, schedule, rho_e, float(ta), float(tb),
+                               dt)
+            yield float(tb), _contract_state(model, rho_e, dt)
+
+    return states(model.to_eigenbasis(rho0))

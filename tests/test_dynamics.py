@@ -305,7 +305,7 @@ def test_trajectory_consistent_with_single_shot():
     sch = NoiseSchedule.linear_ramp(1.5, t0=0.2)
     rho0 = cat_initial_state(model)
     run = EvolutionSpec(model=model, schedule=sch, t_final=1.0, dt=1e-3)
-    samples = trajectory(run, rho0, samples=5)
+    samples = list(trajectory(run, rho0, samples=5))
     assert [t for t, _ in samples] == pytest.approx(
         [0.0, 0.25, 0.5, 0.75, 1.0])
     assert samples[0][1] is rho0
@@ -317,9 +317,30 @@ def test_trajectory_consistent_with_single_shot():
             < 1e-10
 
 
+def test_trajectory_streams_its_states():
+    # 7 qubits, 101 samples: consumed one at a time, the run holds a few
+    # 128 x 128 states at once (a list of all 101 holds about 26 MB)
+    model = build_sensor_model("qubit_network", 7, omega=1.0)
+    run = EvolutionSpec(model=model, schedule=NoiseSchedule.constant(0.2),
+                        t_final=1.0)
+    rho0 = cat_initial_state(model)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in trajectory(run, rho0, samples=101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 101
+    assert peak < 8 * 2 ** 20
+
+
 def test_trajectory_needs_two_samples():
     model = branch_model(CatSpec(delta_e=1.0, delta_l=1.0, omega=1.0))
     run = EvolutionSpec(model=model, schedule=NoiseSchedule.constant(0.1),
                         t_final=1.0)
+    # both checks run at the call, before the first state is asked for
     with pytest.raises(ValidationError):
         trajectory(run, cat_initial_state(model), samples=1)
+    with pytest.raises(ValidationError, match="positive"):
+        trajectory(EvolutionSpec(model=model, schedule=run.schedule,
+                                 t_final=0.0), cat_initial_state(model), 5)

@@ -192,10 +192,13 @@ def describe_move(old: bytes, new: bytes) -> str:
     pairs = [(float(a), float(b)) for a, b in
              zip(NUMBER.findall(old), NUMBER.findall(new)) if a != b]
     if pairs:
+        # the absolute change tells round-off around 0 (a relative
+        # change of 1) from a real move
         worst = max(abs(a - b) / (max(abs(a), abs(b)) or 1.0)
                     for a, b in pairs)
+        widest = max(abs(a - b) for a, b in pairs)
         parts.append(f"{len(pairs)} numbers moved, largest relative change "
-                     f"{worst:.2g}")
+                     f"{worst:.2g}, largest absolute change {widest:.2g}")
     return "; ".join(parts)
 
 
@@ -219,11 +222,16 @@ def test_describe_move_counts_numbers_and_largest_change():
     old = b"t,x\n0.5,1.0\n1e-3,-2.0\n"
     new = b"t,x\n0.5,1.5\n1e-3,-2.5\n"
     assert describe_move(old, new) == \
-        "2 numbers moved, largest relative change 0.33"
+        "2 numbers moved, largest relative change 0.33, largest absolute " \
+        "change 0.5"
     assert describe_move(old, b"t,y" + old[3:]) == "text 't,x\\n' -> 't,y\\n'"
     assert describe_move(old, b"t,y" + new[3:]) == \
         "text 't,x\\n' -> 't,y\\n'; 2 numbers moved, largest relative " \
-        "change 0.33"
+        "change 0.33, largest absolute change 0.5"
+    # round-off around 0: relative change 1, absolute change tiny
+    assert describe_move(b"min_eig\n-2e-17\n", b"min_eig\n0.0\n") == \
+        "1 numbers moved, largest relative change 1, largest absolute " \
+        "change 2e-17"
     assert describe_move(old, old + b"4.0\n") == \
         "text outside the numbers changed"
 

@@ -24,8 +24,10 @@ that a two-sample trajectory ends on the evolved state bit for bit.
 The same models check the exact propagator: RK4 at its default step
 matches ``evolve_exact`` to 1e-12, and a central difference of
 ``evolve_exact`` over t matches the dense right-hand side of the
-equation of motion.  Inputs that broke a property once are pinned as
-explicit examples.
+equation of motion.  Random (w, d) pairs, schedules and segments check
+that one segment's RK4 gain, which takes a chunk of equal step rates as
+one step gain raised to its step count, matches a plain per-step loop.
+Inputs that broke a property once are pinned as explicit examples.
 
 Random log-ratios and region grids check the array scan renderer: every
 cell color follows the scalar color law, and the ratio = 1 boundary is
@@ -46,7 +48,7 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
                       evolve_exact, evolve_lindblad_numeric, heatmap_scan,
                       maximize_ratio, observable_expectation,
                       saturation_ratio, sld_and_qfi, trajectory)
-from dephasor.dynamics import _pair_table
+from dephasor.dynamics import _pair_table, _rk4_segment
 from dephasor.estimators import signal_statistics
 from dephasor.fisher import (decay_exponent, drho_domega, law_at, qfi_closed,
                              qfi_freq_cat, qfi_freq_lower_bound, qfi_law,
@@ -543,6 +545,57 @@ def test_near_degenerate_levels_rk4_matches_dense_reference(seed):
     assert np.max(np.abs(got.matrix - want)) <= 1e-13
 
 
+def stepwise_rk4_gain(w, d, schedule, t_start, t_end, dt_target):
+    """Reference RK4 gain of one segment per pair: a plain loop, one
+    step at a time, each with its own width and rates (start, midpoint
+    and end; the left limit at the segment end), with the integrator's
+    step rule."""
+    span = t_end - t_start
+    n = max(1, int(math.ceil(span / dt_target - 1e-12)))
+    edges = t_start + np.arange(n + 1) * (span / n)
+    edges[n] = t_end
+    total = np.ones(len(w), dtype=complex)
+    for i in range(n):
+        ta, tb = float(edges[i]), float(edges[i + 1])
+        step = tb - ta
+        end = schedule.rate(tb) if i == n - 1 else schedule.rate_right(tb)
+        m1, mid, m2 = (-1j * w - g * d for g in (
+            schedule.rate_right(ta), schedule.rate_right(0.5 * (ta + tb)),
+            end))
+        k1 = m1
+        k2 = mid * (1.0 + 0.5 * step * k1)
+        k3 = mid * (1.0 + 0.5 * step * k2)
+        k4 = m2 * (1.0 + step * k3)
+        total = total * (1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    return total
+
+
+ONSET = NoiseSchedule.constant(2.0, t0=0.3)
+EQUAL_KNOTS = NoiseSchedule.piecewise_linear(
+    [(0.0, 0.0), (0.2, 1.5), (0.7, 1.5), (1.0, 0.5)])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 16.0)),
+                min_size=1, max_size=6),
+       schedules(rate=st.floats(0.0, 5.0)), st.floats(0.0, 2.0),
+       st.floats(0.01, 1.5), st.floats(1e-3, 0.5))
+@example([(3.0, 4.0), (1.0, 0.0)], ONSET, 0.3, 0.7, 1e-3)
+@example([(3.0, 4.0), (0.0, 1.0)], ONSET, 0.0, 0.3, 1e-3)
+@example([(2.0, 1.0), (5.0, 9.0)], EQUAL_KNOTS, 0.2, 0.5, 1e-3)
+@example([(2.0, 1.0), (5.0, 9.0)], EQUAL_KNOTS, 1.0, 0.6, 1e-3)
+@example([(4.0, 16.0), (8.0, 16.0)], NoiseSchedule.constant(10.0), 0.0,
+         1.0, 1e-4)
+def test_rk4_segment_equals_a_per_step_loop(pairs, sch, t_start, span, dt):
+    # the examples: a constant rate from its onset, the zero-rate stretch
+    # before an onset, a stretch between equal knots, the stretch after
+    # the last knot, and a decay exponent of d Gamma = 160
+    w, d = np.array(pairs).T
+    got = _rk4_segment(w, d, sch, t_start, t_start + span, dt)
+    want = stepwise_rk4_gain(w, d, sch, t_start, t_start + span, dt)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 # Distinct-pair kernel: models whose (w, d) pairs repeat many times
 
 @st.composite
@@ -600,9 +653,9 @@ def test_distinct_pair_trajectory_matches_dense_reference(data, model, t,
     sch = data.draw(piecewise_schedules(t))
     rho0 = random_state(model, seed)
     dt = t / 300
-    states = trajectory(
+    states = list(trajectory(
         EvolutionSpec(model=model, schedule=sch, t_final=t, dt=dt), rho0,
-        samples)
+        samples))
     want = np.array(rho0.matrix)
     grid = np.linspace(0.0, t, samples)
     for (ta, _), (tb, rho) in zip(states, states[1:]):
@@ -619,7 +672,7 @@ def test_two_sample_trajectory_is_the_evolved_state_bit_for_bit(
     sch = data.draw(piecewise_schedules(t) | schedules(st.floats(0.0, 2.0)))
     spec = EvolutionSpec(model=model, schedule=sch, t_final=t)
     rho0 = random_state(model, seed)
-    end = trajectory(spec, rho0, 2)[-1]
+    end = list(trajectory(spec, rho0, 2))[-1]
     assert end[0] == t
     assert bits(end[1].matrix.view(float)) == bits(
         evolve_lindblad_numeric(spec, rho0).matrix.view(float))
@@ -648,8 +701,9 @@ def test_qubit_network_has_one_pair_per_energy_gap(n_qubits, omega):
 @example(DEEP_TAIL, NoiseSchedule.constant(5.0, t0=0.5), 1.0, 3)
 @example(NEAR_DEGENERATE, KNOTS_INSIDE, 1.0, 5)
 def test_trajectory_keeps_trace_and_positivity(model, sch, t, samples):
-    states = trajectory(EvolutionSpec(model=model, schedule=sch, t_final=t),
-                        cat_initial_state(model), samples)
+    states = list(trajectory(
+        EvolutionSpec(model=model, schedule=sch, t_final=t),
+        cat_initial_state(model), samples))
     assert len(states) == samples
     for _, rho in states:
         assert abs(complex(np.trace(rho.matrix)) - 1.0) <= 1e-9
@@ -713,7 +767,8 @@ def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
     h, l, v = model.hamiltonian(), model.lindblad.matrix, model.basis
     tol = 1e-12 + 1e3 * frame_residual(model)
     rate, dose = sch.rate(t), sch.integral(t)
-    for _, rho in trajectory(run, cat_initial_state(model), samples)[1:]:
+    for _, rho in list(trajectory(run, cat_initial_state(model),
+                                  samples))[1:]:
         assert rho.basis is v
         form = model.to_eigenbasis(rho)
         assert np.max(np.abs(v @ form @ v.conj().T - rho.matrix)) <= 1e-14
