@@ -13,12 +13,12 @@ from .estimators import (EstimateReport, ObservableSpec, estimator_variance,
                          observable_expectation, optimal_observable,
                          saturation_ratio)
 from .fisher import (QfiReport, SldResult, drho_domega, drho_dt, qfi_closed,
-                     qfi_freq_cat, qfi_freq_lower_bound, qfi_quadratic_bound,
-                     qfi_time_cat, qfi_time_lower_bound, sld_and_qfi)
+                     qfi_freq_cat, qfi_freq_lower_bound, qfi_time_cat,
+                     qfi_time_lower_bound, sld_and_qfi)
 from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
-                      Operator, SensorModel, ValidationError, branch_model,
-                      build_sensor_model, cat_initial_state, cat_spec_for,
-                      commutator_norms, load_model, model_from_json,
+                      Operator, SensorModel, SupportBlock, ValidationError,
+                      branch_model, build_sensor_model, cat_initial_state,
+                      cat_spec_for, load_model, model_from_json,
                       model_to_json, operator_expectation)
 from .linalg import joint_eigenbasis
 from .protocols import (GridSpec, HeatmapTable, OptimumReport, RampWindow,
@@ -34,17 +34,17 @@ __all__ = [
     "CatSpec", "DensityMatrix", "EstimateReport", "EvolutionSpec", "GridSpec",
     "HeatmapTable", "NoiseSchedule", "NumericalContractError",
     "ObservableSpec", "Operator", "OptimumReport", "QfiReport", "RampWindow",
-    "SensingTime", "SensorModel", "SldResult", "ValidationError",
-    "advantage_ratio", "branch_model", "build_sensor_model",
-    "cat_initial_state", "cat_spec_for", "commutator_norms",
+    "SensingTime", "SensorModel", "SldResult", "SupportBlock",
+    "ValidationError", "advantage_ratio", "branch_model", "build_sensor_model",
+    "cat_initial_state", "cat_spec_for",
     "constant_rate_gain", "default_fig_grid", "default_step", "drho_domega",
     "drho_dt", "estimator_variance", "evolve_exact", "evolve_lindblad_numeric",
     "heatmap_scan", "joint_eigenbasis", "load_model", "maximize_ratio",
     "model_from_json", "model_to_json",
     "observable_expectation", "operator_expectation", "optimal_observable",
     "optimal_time_constant", "optimal_window_ramp", "qfi_closed",
-    "qfi_freq_cat", "qfi_freq_lower_bound", "qfi_quadratic_bound",
-    "qfi_time_cat", "qfi_time_lower_bound", "ramp_window_gain",
+    "qfi_freq_cat", "qfi_freq_lower_bound", "qfi_time_cat",
+    "qfi_time_lower_bound", "ramp_window_gain",
     "render_heatmap_svg", "saturation_ratio", "schedule_eval", "sld_and_qfi",
     "trajectory",
 ]

@@ -136,18 +136,16 @@ def _cmd_validate(args) -> int:
 def _cmd_evolve(args) -> int:
     model = _load_model("evolve", args)
     schedule = parse_schedule(args.schedule)
-    rho0 = cat_initial_state(model)
     spec = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
                          dt=args.dt)
-    states = dynamics.trajectory(spec, rho0, samples=args.samples)
-    i, j = model.branch_indices
     lines = ["t,pop_lo,pop_hi,coher_re,coher_im,trace,min_eig"]
-    for t, rho in states:
-        m = model.to_eigenbasis(rho)  # the branches index its eigenbasis
+    for t, rho in dynamics.trajectory(spec, cat_initial_state(model),
+                                      args.samples):
+        m = rho.array  # the branch block: (lo, hi) in the model's eigenbasis
         tr = float(np.trace(m).real)
         lines.append(
-            f"{t!r},{float(m[i, i].real)!r},{float(m[j, j].real)!r},"
-            f"{float(m[i, j].real)!r},{float(m[i, j].imag)!r},{tr!r},"
+            f"{t!r},{float(m[0, 0].real)!r},{float(m[1, 1].real)!r},"
+            f"{float(m[0, 1].real)!r},{float(m[0, 1].imag)!r},{tr!r},"
             f"{rho.min_eigenvalue()!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

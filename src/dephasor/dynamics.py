@@ -9,25 +9,18 @@ time-dependent rate gamma_t that switches on at an onset time t0.
 Because H and L commute, every matrix element in their joint eigenbasis
 evolves independently: element (j, k) is multiplied by a gain that
 depends only on its pair (w, d) = (omega (e_j - e_k), (l_j - l_k)^2).
-One propagator serves two gain rules.  Each call builds the table of
-distinct pairs once (folding the sign of w: the gain of (-w, d) is the
-conjugate of the gain of (w, d)) and multiplies the state once: element
-(j, k) by its pair's gain, element (k, j) by the conjugate, the
-diagonal by 1.  ``evolve_exact`` takes the exact gain
-exp(-i w t - d Gamma(t)), Gamma the integrated rate; the fixed-step
-RK4 (``evolve_lindblad_numeric``, ``trajectory``) takes the product of
-its step gains, an independent check of the exact one.  Under a
-constant rate g every step has the same gain, the stability polynomial
-R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt (-i w - g d), so n
-steps are R(z)^n: RK4 costs O(pairs x steps with a varying rate) plus
-O(pairs) per chunk of steps whose rates are all equal.  The state is
-rotated in once per call (not at all if it is written in the model's
-eigenbasis), and every returned state is written in that basis;
-``trajectory`` yields its states one at a time.
+A state never leaves its support block, and all work is on that block
+(a cat state: 2 x 2, one distinct pair, at any dimension).  Each state
+is the initial block times its pairs' gains: ``evolve_exact`` takes
+exp(-i w t - d Gamma(t)), Gamma the integrated rate, and the fixed-step
+RK4 the product of its step gains, one pass for every sample of a
+``trajectory`` (``evolve_lindblad_numeric`` is its two-sample case).
+States come back written in the model's eigenbasis.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -41,7 +34,7 @@ POSITIVITY_FLOOR = -1e-7
 CONVERGENCE_TOL = 1e-8
 MAX_STEPS_DEFAULT = 10_000
 GAIN_BLOCK = 4096
-STEP_CHUNK = 2 ** 16
+STEP_CHUNK = 2 ** 12
 MAX_STEPS = 10 ** 8
 
 SCHEDULE_VARIANTS = ("constant", "linear_ramp", "piecewise_linear")
@@ -224,13 +217,14 @@ def default_step(model: SensorModel, schedule: NoiseSchedule,
     return min(candidates)
 
 
-def _pair_table(model: SensorModel):
+def _pair_table(model: SensorModel, support=None):
     """Distinct (|w|, d) = (|omega (e_j - e_k)|, (l_j - l_k)^2) over the
-    strict upper triangle; the (j, k) indices of that triangle, the
-    index of each element's pair, and where w < 0 (the gain of (-w, d)
-    is the conjugate of the gain of (w, d), exactly)."""
-    eps, lam = model.spectrum, model.lindblad_spectrum
-    upper = np.triu_indices(model.dim, 1)
+    strict upper triangle of the support's levels; its (j, k) indices,
+    each element's pair, and where w < 0 (the gain of (-w, d) is the
+    conjugate of the gain of (w, d), exactly)."""
+    levels = slice(None) if support is None else list(support)
+    eps, lam = model.spectrum[levels], model.lindblad_spectrum[levels]
+    upper = np.triu_indices(len(eps), 1)
     j, k = upper
     w = model.omega * (eps[j] - eps[k])
     table = np.stack([np.abs(w), (lam[j] - lam[k]) ** 2])
@@ -249,83 +243,95 @@ def _step_gain(phase, d, step, g1, gm, g2):
     return 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rk4_segment(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
-                 t_start: float, t_end: float,
-                 dt_target: float) -> np.ndarray:
-    """Product of the RK4 step gains over one smooth segment, per pair.
+def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
+               times: np.ndarray, dt_target: float) -> Iterator[np.ndarray]:
+    """The RK4 gain per pair from times[0] to each later sample, one
+    sample at a time.
 
-    Element (j, k) obeys d rho_jk/dt = m_jk(g) rho_jk with
-    m(g) = -i w - g d, so one RK4 step multiplies it by a scalar gain.
-    Under a constant rate g that gain is the stability polynomial
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt m(g), the same for
-    every step, so n such steps are exactly R(z)^n.  Step rates are
-    formed a chunk of about ``STEP_CHUNK`` steps at a time.  A chunk
-    whose rates (start, midpoint and end of every step) are all equal
-    costs one step gain at the nominal step, raised to the chunk's
-    step count; any other chunk multiplies its step gains a block of
-    steps at a time, blocks holding about ``GAIN_BLOCK`` elements.  The
-    cost is O(pairs x steps with a varying rate) plus O(pairs) per
-    constant chunk, and memory does not grow with the steps.  More than
-    ``MAX_STEPS`` steps is a ValidationError.
-    """
-    span = t_end - t_start
-    count = span / dt_target
-    if not count <= MAX_STEPS:
-        raise ValidationError(
-            f"step count {count:.3e} exceeds the cap of {MAX_STEPS:.3e}")
-    n = max(1, int(math.ceil(count - 1e-12)))
-    dt = span / n
-    phase = -1j * w
-    total = np.ones(w.shape, dtype=complex)
-    block = max(1, GAIN_BLOCK // w.size)
-    chunk = block * max(1, STEP_CHUNK // block)  # whole blocks per chunk
-    for c in range(0, n, chunk):
-        stop = min(c + chunk, n)
-        edges = t_start + np.arange(c, stop + 1) * dt
-        if stop == n:
-            edges[-1] = t_end
-        ta, tb = edges[:-1], edges[1:]
-        rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
-        if stop == n:
-            # The segment end is a breakpoint; the rate that belongs to
-            # this segment there is the left limit, not the value after.
-            rates[2, -1] = schedule.rate(t_end)
-        g = rates[0, 0]
-        if (rates == g).all():
-            total = total * _step_gain(phase, d, dt, g, g, g) ** (stop - c)
-            continue
-        steps = tb - ta
-        for s in range(0, len(ta), block):
-            gain = _step_gain(phase, d, *(a[s:s + block, None]
-                                          for a in (steps, *rates)))
-            total = total * np.prod(gain, axis=0)
-    return total
+    Element (j, k) obeys d rho_jk/dt = (-i w - g d) rho_jk, so an RK4
+    step multiplies it by a scalar gain.  Each sample interval is cut at
+    the breakpoints into segments of ceil(span / dt_target) equal steps
+    (over ``MAX_STEPS``: ValidationError, at the call).  The rate is
+    linear between breakpoints, so a segment with one rate g at both
+    ends takes R(z)^n, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
+    z = dt (-i w - g d); others are cut into units of at most a block
+    of steps (``GAIN_BLOCK`` gains).  One pass folds the units into a
+    running gain in time order, about ``STEP_CHUNK`` steps at a time,
+    which changes neither the result nor, with the steps, memory."""
+    edges = np.array(sorted({*times.tolist(), *(
+        p for p in schedule.breakpoints(float(times[-1])) if p > times[0])}))
+    lo, hi = edges[:-1], edges[1:]
+    count = (hi - lo) / dt_target
+    if not (count <= MAX_STEPS).all():
+        raise ValidationError(f"step count {count.max():.3e} exceeds the "
+                              f"cap of {MAX_STEPS:.3e}")
+    n = np.maximum(1, np.ceil(count - 1e-12)).astype(np.int64)
+    dt, phase = (hi - lo) / n, -1j * w
+    block = max(1, GAIN_BLOCK // max(1, w.size))
+    g = schedule.rate_right(lo)
+    const = g == schedule.rate(hi)
+    # samples read once the first k segments are done, for each k
+    reads = np.bincount(np.searchsorted(hi, times[1:], side="right"),
+                        minlength=len(n) + 1).tolist()
+    # (segment, first step, steps, ends segment); constant: no steps
+    units = ((k, f, 0 if c else min(block, m - f), c or f + block >= m)
+             for k, (c, m) in enumerate(zip(const.tolist(), n.tolist()))
+             for f in range(0, 1 if c else m, block))
+
+    @np.errstate(all="ignore")  # a blown-up step fails the state's check
+    def fold(batch, running):
+        """The running gain after ``batch``, and those samples read."""
+        k, first, size, _ = (np.array(x) for x in zip(*batch))
+        out = np.empty((len(batch), w.size), dtype=complex)
+        c, v = k[size == 0, None], size > 0
+        out[~v] = _step_gain(phase, d, dt[c], g[c], g[c], g[c]) ** n[c]
+        # step i of segment s, rates at its start, midpoint and end (the
+        # left limit at a segment's end), one unit after another
+        m = size[v]
+        rows = np.cumsum(m) - m
+        s = np.repeat(k[v], m)
+        i = np.arange(len(s)) + np.repeat(first[v] - rows, m)
+        ta, end = lo[s] + i * dt[s], i + 1 == n[s]
+        tb = np.where(end, hi[s], lo[s] + (i + 1) * dt[s])
+        table = [tb - ta, *(schedule.rate_right(x)
+                            for x in (ta, 0.5 * (ta + tb), tb))]
+        table[3][end] = schedule.rate(hi[s[end]])
+        gains = np.empty((len(m), w.size), dtype=complex)
+        starts = np.flatnonzero(np.diff(rows // block, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [len(m)]):  # a block at a time
+            r = slice(rows[a], rows[b - 1] + m[b - 1])
+            gains[a:b] = np.multiply.reduceat(_step_gain(
+                phase, d, *(x[r, None] for x in table)),
+                rows[a:b] - rows[a], axis=0)
+        out[v] = gains
+        read = []
+        for gain, (k, _, _, last) in zip(out, batch):
+            running = running * gain
+            read += [running] * (reads[k + 1] if last else 0)
+        return running, read
+
+    def gains():
+        running = np.ones(w.shape, dtype=complex)
+        yield from (running,) * reads[0]
+        batch, rows = [], 0
+        for unit in units:
+            batch.append(unit)
+            rows += max(unit[2], 1)
+            if rows >= STEP_CHUNK:
+                running, read = fold(batch, running)
+                yield from read
+                batch, rows = [], 0
+        if batch:
+            yield from fold(batch, running)[1]
+
+    return gains()
 
 
-@np.errstate(all="ignore")  # a blown-up step fails the finite check
-def _propagate(pairs, schedule: NoiseSchedule, rho: np.ndarray,
-               t_start: float, t_end: float, dt_target: float) -> np.ndarray:
-    """An eigenbasis array carried from t_start to t_end.
-
-    The RK4 step gains of the segments between schedule breakpoints
-    multiply into one gain per pair, applied to the state once.
-    """
-    w, d = pairs[:2]
-    gain = np.ones(w.shape, dtype=complex)
-    lo = t_start
-    for cut in [p for p in schedule.breakpoints(t_end) if p > t_start] \
-            + [t_end]:
-        if cut > lo:
-            gain = gain * _rk4_segment(w, d, schedule, lo, cut, dt_target)
-            lo = cut
-    return _apply_gains(pairs, gain, rho)
-
-
+@np.errstate(all="ignore")  # a blown-up gain fails the finite check
 def _apply_gains(pairs, gain: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """An eigenbasis array with each element multiplied by its pair's
-    gain: the upper triangle by the gain (conjugated where w < 0), the
-    lower by the conjugate of that.  The diagonal (w = d = 0) keeps
-    gain 1."""
+    """An eigenbasis block with each element times its pair's gain: the
+    upper triangle by the gain (conjugated where w < 0), the lower by
+    the conjugate of that, the diagonal (w = d = 0) by 1."""
     _, _, (j, k), inverse, negative = pairs
     gain = gain[inverse]
     gain[negative] = gain[negative].conj()
@@ -340,57 +346,54 @@ def evolve_exact(spec: EvolutionSpec, rho0: DensityMatrix) -> DensityMatrix:
     exp(-i w t - d Gamma(t)), with Gamma the integrated rate.  Takes the
     same inputs as ``evolve_lindblad_numeric``; ``spec.dt`` is unused."""
     model, t = spec.model, spec.t_final
-    rho_e = model.to_eigenbasis(rho0)
-    pairs = _pair_table(model)
-    w, d = pairs[:2]
-    gain = np.exp(-1j * w * t - d * spec.schedule.integral(t))
-    return _contract_state(model, _apply_gains(pairs, gain, rho_e))
+    block, support = model.eigenbasis_block(rho0)
+    pairs = _pair_table(model, support)
+    gain = np.exp(-1j * pairs[0] * t - pairs[1] * spec.schedule.integral(t))
+    return _contract_state(model, _apply_gains(pairs, gain, block), support)
 
 
 def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
                             verify_convergence: bool = False) -> DensityMatrix:
-    """Fixed-step RK4 integration of the dephasing master equation.
-
-    Steps run elementwise in the joint eigenbasis of H and L, and the
-    state is returned written in that basis.
-    Integration is split at schedule breakpoints (onset, knots) so each
-    RK4 segment sees a smooth rate.  The run fails with
+    """Fixed-step RK4 integration of the dephasing master equation,
+    the two-sample case of ``trajectory``.  The run fails with
     NumericalContractError if the state stops being finite, the trace
-    drifts beyond 1e-9 or the final state dips below -1e-7 in its
-    spectrum; with ``verify_convergence`` the run is repeated at half
-    the step and any entry disagreeing by more than 1e-8 is an error.
-    """
+    drifts beyond 1e-9 or the state dips below -1e-7 in its spectrum;
+    with ``verify_convergence`` the run is repeated at half the step and
+    any block entry moving by more than 1e-8 is an error."""
     model, schedule = spec.model, spec.schedule
-    rho_e = model.to_eigenbasis(rho0)
+    block, support = model.eigenbasis_block(rho0)
     if spec.t_final == 0.0:
         return rho0
     dt = spec.dt if spec.dt is not None else default_step(
         model, schedule, spec.t_final)
 
-    pairs = _pair_table(model)
-    out = _propagate(pairs, schedule, rho_e, 0.0, spec.t_final, dt)
+    pairs = _pair_table(model, support)
+
+    def run(step):
+        gain, = _rk4_gains(*pairs[:2], schedule,
+                           np.array([0.0, spec.t_final]), step)
+        return _apply_gains(pairs, gain, block)
+
+    out = run(dt)
     if verify_convergence:
-        fine = _propagate(pairs, schedule, rho_e, 0.0, spec.t_final,
-                          dt / 2.0)
-        gap = float(np.max(np.abs(model.from_eigenbasis(fine - out))))
+        fine = run(dt / 2.0)
+        gap = float(np.max(np.abs(fine - out)))
         if gap > CONVERGENCE_TOL:
             raise NumericalContractError(
                 f"halving dt moved entries by {gap:.3e} > {CONVERGENCE_TOL}; "
                 f"retry with a smaller dt (current {dt:.3e})")
         out = fine
-    return _contract_state(model, out, dt)
+    return _contract_state(model, out, support, dt)
 
 
-def _contract_state(model: SensorModel, rho_e: np.ndarray,
+def _contract_state(model: SensorModel, block: np.ndarray, support,
                     dt: float | None = None) -> DensityMatrix:
-    """Wrap an evolved eigenbasis array as a state written in the
-    model's basis; no rotation, no re-symmetrization.  Invariant
-    breakage becomes a numerical-contract failure (the inputs were
-    valid; the propagation wasn't), with a smaller-dt hint when the
-    state was integrated with a step dt."""
+    """An evolved eigenbasis block as a state in the model's basis; a
+    broken invariant is a numerical-contract failure (the inputs were
+    valid; the propagation wasn't), with a smaller-dt hint after RK4."""
     try:
-        return DensityMatrix(rho_e, positivity_tol=-POSITIVITY_FLOOR,
-                             basis=model.basis)
+        return DensityMatrix(block, basis=model.basis, support=support,
+                             positivity_tol=-POSITIVITY_FLOOR)
     except ValidationError as exc:
         hint = "" if dt is None else \
             f"; retry with a smaller dt (current {dt:.3e})"
@@ -400,9 +403,9 @@ def _contract_state(model: SensorModel, rho_e: np.ndarray,
 
 def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
                samples: int) -> Iterator[tuple[float, DensityMatrix]]:
-    """States at ``samples`` evenly spaced times from 0 to t_final,
-    yielded one (t, state) at a time, so only the latest state is held.
-    The arguments are checked at the call, before the first state."""
+    """States at ``samples`` evenly spaced times from 0 to t_final from
+    one RK4 pass, yielded one (t, state) at a time; the arguments and
+    step counts are checked at the call, before the first state."""
     if samples < 2:
         raise ValidationError("need at least 2 samples")
     model, schedule = spec.model, spec.schedule
@@ -411,13 +414,9 @@ def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
     dt = spec.dt if spec.dt is not None else default_step(
         model, schedule, spec.t_final)
     times = np.linspace(0.0, spec.t_final, samples)
-    pairs = _pair_table(model)
-
-    def states(rho_e):
-        yield 0.0, rho0
-        for ta, tb in zip(times, times[1:]):
-            rho_e = _propagate(pairs, schedule, rho_e, float(ta), float(tb),
-                               dt)
-            yield float(tb), _contract_state(model, rho_e, dt)
-
-    return states(model.to_eigenbasis(rho0))
+    block, support = model.eigenbasis_block(rho0)
+    pairs = _pair_table(model, support)
+    states = (_contract_state(model, _apply_gains(pairs, gain, block),
+                              support, dt)
+              for gain in _rk4_gains(*pairs[:2], schedule, times, dt))
+    return zip(times.tolist(), itertools.chain([rho0], states))

@@ -74,7 +74,7 @@ def optimal_observable(model: SensorModel) -> ObservableSpec:
         return ObservableSpec(kind="parity",
                               operator=Operator(op, hermitian=True))
     if model.dim == 2:
-        op = model.from_eigenbasis(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        op = model.basis[:, ::-1] @ model.basis.conj().T
         return ObservableSpec(kind="branch_swap",
                               operator=Operator(op, hermitian=True))
     raise ValidationError(

@@ -6,6 +6,10 @@ logarithmic derivative Lam defined by d rho / d lambda =
 are Lam[j][k] = 2 (d rho)[j][k] / (p_j + p_k), and eigenvalue pairs
 whose sum falls below a cutoff are dropped.
 
+Derivatives are written like the state, on its block in the model's
+eigenbasis, and vanish off it, so the SLD is solved on the block (Liu,
+Yuan, Lu and Wang, J. Phys. A 53, 023001 (2020)); dense is the oracle.
+
 Closed forms for the two-branch cat state and the noiseless baselines
 sit next to the generic numeric route so every analytic claim can be
 cross-checked against the eigenbasis formula.
@@ -20,8 +24,8 @@ import numpy as np
 
 from .dynamics import NoiseSchedule, scalar_or_array, schedule_eval, times
 from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
-                      Operator, SensorModel, ValidationError,
-                      hermiticity_defect, hs_norm, operator_expectation)
+                      Operator, SensorModel, SupportBlock, ValidationError,
+                      hermiticity_defect)
 
 SLD_PAIR_CUTOFF = 1e-10
 DRHO_HERMITICITY_TOL = 1e-8
@@ -33,9 +37,9 @@ PARAMETERS = ("time", "omega")
 
 @dataclass(frozen=True, eq=False)
 class SldResult:
-    """Symmetric logarithmic derivative plus truncation bookkeeping."""
+    """Symmetric logarithmic derivative, written like its state."""
 
-    sld: Operator
+    sld: SupportBlock
     truncated_rank: int
 
 
@@ -74,13 +78,21 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
 
     ``drho`` must be Hermitian and traceless within 1e-8.  Pairs with
     p_j + p_k < 1e-10 contribute nothing; ``truncated_rank`` counts the
-    eigenvalues whose diagonal pair fell below the cutoff.
+    eigenvalues whose diagonal pair fell below the cutoff, the n - k
+    zeros off a k-column support among them.  A ``drho`` written like
+    ``rho`` is solved on the block, anything else on dense matrices.
     """
     check_parameter(parameter)
-    dm = drho.matrix if isinstance(drho, Operator) else np.asarray(
-        drho, dtype=complex)
-    if dm.shape != (rho.dim, rho.dim):
-        raise ValidationError("drho dimension does not match the state")
+    basis, support = rho.basis, rho.support
+    if isinstance(drho, SupportBlock) and drho.basis is basis and \
+            drho.support == support and drho.dim == rho.dim:
+        dm, r = drho.array, rho.array
+    else:
+        dm = drho.matrix if isinstance(drho, Operator) else np.asarray(
+            drho, dtype=complex)
+        if dm.shape != (rho.dim, rho.dim):
+            raise ValidationError("drho dimension does not match the state")
+        r, basis, support = rho.matrix, None, None
     if hermiticity_defect(dm) > DRHO_HERMITICITY_TOL:
         raise ValidationError("drho must be Hermitian within 1e-8")
     tr = complex(np.trace(dm))
@@ -88,7 +100,7 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     if abs(tr) > DRHO_TRACE_TOL * scale:
         raise ValidationError(f"drho must be traceless (got tr {tr!r})")
 
-    w, v = np.linalg.eigh(rho.matrix)
+    w, v = np.linalg.eigh(r)
     dd = v.conj().T @ dm @ v
     sums = w[:, None] + w[None, :]
     keep = sums >= SLD_PAIR_CUTOFF
@@ -97,45 +109,49 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     lam = np.zeros_like(dd)
     lam[keep] = 2.0 * dd[keep] / sums[keep]
     qfi = float(np.sum(w[:, None] * np.abs(lam) ** 2))
-    truncated = int(np.sum(2.0 * w < SLD_PAIR_CUTOFF))
+    off = rho.dim - len(w)  # zeros off the support
+    truncated = off + int(np.sum(2.0 * w < SLD_PAIR_CUTOFF))
 
-    sld_full = v @ lam @ v.conj().T
-    sld_full = 0.5 * (sld_full + sld_full.conj().T)
-    result = SldResult(sld=Operator(sld_full, hermitian=True),
+    sld = v @ lam @ v.conj().T
+    result = SldResult(sld=SupportBlock(0.5 * (sld + sld.conj().T),
+                                        basis=basis, support=support),
                        truncated_rank=truncated)
     report = QfiReport(value=qfi, method="numeric_sld", parameter=parameter,
                        diagnostics={"truncated_rank": truncated,
-                                    "min_eigenvalue": float(w[0]),
+                                    "min_eigenvalue": min(
+                                        float(w[0]), 0.0 if off else math.inf),
                                     "purity": rho.purity()})
     return result, report
 
 
 def _commutators(model: SensorModel, rho: DensityMatrix):
-    """([H, rho], [L, [L, rho]]) in the model's eigenbasis, where H and
-    L are diagonal.  A state written in that basis keeps a coherence far
-    below the populations to relative accuracy; rotated in from a dense
-    frame, it has lost it to their round-off."""
-    r = model.to_eigenbasis(rho)
-    h, lm = model.omega * model.spectrum, model.lindblad_spectrum
+    """([H, rho], [L, [L, rho]], support) on the state's block in the
+    model's eigenbasis, where a tiny coherence keeps its accuracy."""
+    r, support = model.eigenbasis_block(rho)
+    levels = slice(None) if support is None else list(support)
+    h = model.omega * model.spectrum[levels]
+    lm = model.lindblad_spectrum[levels]
     c_h = h[:, None] * r - r * h[None, :]
     c_l = lm[:, None] * r - r * lm[None, :]
-    return c_h, lm[:, None] * c_l - c_l * lm[None, :]
+    return c_h, lm[:, None] * c_l - c_l * lm[None, :], support
 
 
 def drho_dt(model: SensorModel, schedule: NoiseSchedule, rho: DensityMatrix,
-            t: float) -> np.ndarray:
-    """Equation-of-motion derivative -i[H, rho] - gamma_t [L, [L, rho]]."""
-    c_h, c_ll = _commutators(model, rho)
+            t: float) -> SupportBlock:
+    """Equation-of-motion derivative -i[H, rho] - gamma_t [L, [L, rho]],
+    written like the state in the model's eigenbasis."""
+    c_h, c_ll, support = _commutators(model, rho)
     rate, _ = schedule_eval(schedule, t)
     out = -1j * c_h
     if rate != 0.0:
         out = out - rate * c_ll
-    return model.from_eigenbasis(out)
+    return SupportBlock(out, basis=model.basis, support=support)
 
 
 def drho_domega(model: SensorModel, schedule: NoiseSchedule,
-                rho_t: DensityMatrix, t: float) -> np.ndarray:
-    """Frequency derivative of the evolved state, valid for L = H.
+                rho_t: DensityMatrix, t: float) -> SupportBlock:
+    """Frequency derivative of the evolved state, valid for L = H,
+    written like the state in the model's eigenbasis.
 
     Every element carries a phase exp(-i omega (e_j - e_k) t) and a
     decay exp(-omega^2 (e_j - e_k)^2 Gamma); differentiating in omega
@@ -144,35 +160,20 @@ def drho_domega(model: SensorModel, schedule: NoiseSchedule,
     if not model.energy_lindblad:
         raise ValidationError(
             "frequency derivatives require energy dephasing (L = H)")
-    c_h, c_hh = _commutators(model, rho_t)  # L = H
+    c_h, c_hh, support = _commutators(model, rho_t)  # L = H
     _, integral = schedule_eval(schedule, t)
     out = -1j * (t / model.omega) * c_h
     if integral != 0.0:
         out = out - (2.0 * integral / model.omega) * c_hh
-    return model.from_eigenbasis(out)
-
-
-def qfi_quadratic_bound(rho: DensityMatrix, drho) -> QfiReport:
-    """tr[(d rho)^2]; doubled into an equality when the state is pure."""
-    dm = drho.matrix if isinstance(drho, Operator) else np.asarray(
-        drho, dtype=complex)
-    if dm.shape != (rho.dim, rho.dim):
-        raise ValidationError("drho dimension does not match the state")
-    val = float(np.sum(np.abs(dm) ** 2))
-    purity = rho.purity()
-    pure = purity >= 1.0 - PURITY_TOL
-    return QfiReport(value=2.0 * val if pure else val,
-                     method="quadratic_bound", parameter="time",
-                     diagnostics={"purity": purity,
-                                  "pure_state_equality": pure})
+    return SupportBlock(out, basis=model.basis, support=support)
 
 
 def qfi_time_lower_bound(model: SensorModel, schedule: NoiseSchedule,
                          rho: DensityMatrix, t: float) -> QfiReport:
     """||[H, rho]||_2^2 + gamma_t^2 ||[L, [L, rho]]||_2^2."""
-    c_h, c_ll = _commutators(model, rho)
+    c_h, c_ll, _ = _commutators(model, rho)
     rate, integral = schedule_eval(schedule, t)
-    n_h, n_ll = hs_norm(c_h) ** 2, hs_norm(c_ll) ** 2
+    n_h, n_ll = (float(np.vdot(c, c).real) for c in (c_h, c_ll))
     value = n_h + rate * rate * n_ll
     return QfiReport(value=value, method="lower_bound", parameter="time",
                      diagnostics={"rate": rate, "integral": integral,
@@ -185,10 +186,10 @@ def qfi_freq_lower_bound(model: SensorModel, schedule: NoiseSchedule,
     if not model.energy_lindblad:
         raise ValidationError(
             "the frequency bound requires energy dephasing (L = H)")
-    c_h, c_hh = _commutators(model, rho)  # L = H
+    c_h, c_hh, _ = _commutators(model, rho)  # L = H
     _, integral = schedule_eval(schedule, t)
     w = model.omega
-    n_h, n_hh = hs_norm(c_h) ** 2, hs_norm(c_hh) ** 2
+    n_h, n_hh = (float(np.vdot(c, c).real) for c in (c_h, c_hh))
     value = (t * t / (w * w)) * n_h + \
         (4.0 * integral * integral / (w * w)) * n_hh
     return QfiReport(value=value, method="lower_bound", parameter="omega",
@@ -359,7 +360,8 @@ def qfi_closed(spec_or_model, rho: DensityMatrix | None = None,
     """Noiseless baselines: 4 var(H), and (t^2/w^2) 4 var(H) for omega.
 
     Accepts a CatSpec (var(H) = dE^2/4 exactly) or a SensorModel with a
-    pure state.
+    pure state, whose var(H) is sum_j p_j (e_j - mean)^2 over the
+    populations p_j of its block in the model's eigenbasis.
     """
     check_parameter(parameter)
     if isinstance(spec_or_model, CatSpec):
@@ -376,12 +378,12 @@ def qfi_closed(spec_or_model, rho: DensityMatrix | None = None,
         raise ValidationError(
             f"closed-evolution baseline needs a pure state "
             f"(purity {purity:.12f})")
-    _, var_h = operator_expectation(
-        Operator(spec_or_model.hamiltonian(), hermitian=True), rho)
-    omega = spec_or_model.omega
-    if parameter == "time":
-        value = 4.0 * var_h
-    else:
-        value = 4.0 * var_h * t * t / (omega * omega)
+    omega, eps = spec_or_model.omega, spec_or_model.spectrum
+    block, support = spec_or_model.eigenbasis_block(rho)
+    h = omega * (eps if support is None else eps[list(support)])
+    p = block.diagonal().real
+    var_h = float(p @ (h - p @ h) ** 2)
+    value = 4.0 * var_h if parameter == "time" else \
+        4.0 * var_h * t * t / (omega * omega)
     return QfiReport(value=value, method="closed_baseline",
                      parameter=parameter, diagnostics={"var_h": var_h})

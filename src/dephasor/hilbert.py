@@ -1,8 +1,8 @@
 """Operators, density matrices, and sensor models on small dense Hilbert spaces.
 
-Everything is dense complex128.  The intended scale is a handful of
-qubits or a two-branch photonic sensor, capped at dimension 4096, so no
-sparse machinery is used anywhere.
+Operators and models are dense complex128, capped at dimension 4096, so
+no sparse machinery is used anywhere; a state is its block on the basis
+columns it lives on (a cat state: 2 x 2 at any dimension).
 """
 
 from __future__ import annotations
@@ -44,24 +44,15 @@ def _as_complex_matrix(entries) -> np.ndarray:
     if m.shape[0] > DIM_CAP:
         raise ValidationError(
             f"dimension {m.shape[0]} exceeds the cap of {DIM_CAP}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m.view(float)).all():
         raise ValidationError("matrix entries must be finite")
     return m
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """max |M - M^dag| relative to max(1, max |M|)."""
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    return float(np.max(np.abs(m - m.conj().T))) / scale
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt norm sqrt(tr(A^dag A))."""
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
+    return float(np.abs(m - m.conj().T).max()) / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,30 +77,70 @@ class Operator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Quantum state: Hermitian, unit trace, positive within tolerance.
-
-    ``array`` is the state written in the orthonormal columns of
-    ``basis`` (None: the computational basis), its only stored form;
-    every check reads it, as all are unitary invariants.  Construction
-    hard-fails on violations instead of repairing them.
-    ``positivity_tol`` exists because the numeric integrator admits a
-    slightly looser bound (1e-7) than fresh states (1e-9).
-
-    Cat states on a model's branches and evolved states are written in
-    the model's eigenbasis, where a coherence far below the populations
-    keeps its relative accuracy; in a dense frame the round-off of the
-    populations (about 1e-16) swamps it.
-    """
+class SupportBlock:
+    """A matrix as its k x k block ``array`` on the columns ``support``
+    (distinct; None: all n, in order) of the orthonormal ``basis``
+    (None: the computational one), zero elsewhere.  ``matrix``, also
+    what numpy reads, is the n x n matrix, formed on first use."""
 
     array: np.ndarray
-    positivity_tol: float = POSITIVITY_TOL
     basis: np.ndarray | None = None
+    support: tuple[int, ...] | None = None
 
     def __post_init__(self):
         a = _as_complex_matrix(self.array)
-        if self.basis is not None and self.basis.shape != a.shape:
+        if self.support is not None:
+            s = tuple(int(j) for j in self.support)
+            n = -1 if self.basis is None else self.basis.shape[0]
+            if len(s) != len(a) or len(set(s)) < len(s) or min(s) < 0 \
+                    or max(s) >= n:
+                raise ValidationError("support must be distinct columns "
+                                      "of a basis, one per row")
+            object.__setattr__(self, "support",
+                               None if s == tuple(range(n)) else s)
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
+        if self.basis is not None and \
+                self.basis.shape != (self.dim, self.dim):
             raise ValidationError("basis dimension does not match the state")
+
+    @property
+    def dim(self) -> int:
+        return len(self.array if self.support is None else self.basis)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """basis array basis^dag on the support, re-symmetrized."""
+        if self.basis is None:
+            return self.array
+        v = self.basis if self.support is None \
+            else self.basis[:, list(self.support)]
+        m = v @ self.array @ v.conj().T
+        m = 0.5 * (m + m.conj().T)
+        m.flags.writeable = False
+        return m
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(SupportBlock):
+    """Quantum state: Hermitian, unit trace, positive within tolerance.
+
+    Every check reads the block, as all are unitary invariants and the
+    state is zero off it, and fails hard instead of repairing.
+    ``positivity_tol`` exists because the numeric integrator admits a
+    slightly looser bound (1e-7) than fresh states (1e-9).  Cat states
+    and evolved states are written in the model's eigenbasis, where a
+    coherence far below the populations keeps its relative accuracy.
+    """
+
+    positivity_tol: float = POSITIVITY_TOL
+
+    def __post_init__(self):
+        super().__post_init__()
+        a = self.array
         defect = hermiticity_defect(a)
         if defect > HERMITICITY_TOL:
             raise ValidationError(
@@ -120,10 +151,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix trace {tr!r} deviates from 1 by more "
                 f"than {TRACE_TOL}")
-        a.flags.writeable = False
-        object.__setattr__(self, "array", a)
         object.__setattr__(self, "_min_eig", None)
-        low = self._gershgorin_lower()
+        d = a.diagonal()  # Gershgorin: cheap, sufficient for positivity
+        low = float((d.real - (np.abs(a).sum(axis=1) - np.abs(d))).min())
         if low < -self.positivity_tol:
             low = self.min_eigenvalue()
             if low < -self.positivity_tol:
@@ -131,35 +161,17 @@ class DensityMatrix:
                     f"density matrix minimum eigenvalue {low:.3e} below "
                     f"-{self.positivity_tol}")
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """basis array basis^dag, re-symmetrized, read-only and formed on
-        first use; ``array`` itself without a basis."""
-        if self.basis is None:
-            return self.array
-        m = self.basis @ self.array @ self.basis.conj().T
-        m = 0.5 * (m + m.conj().T)
-        m.flags.writeable = False
-        return m
-
-    def _gershgorin_lower(self) -> float:
-        # Cheap sufficient positivity bound; exact spectrum only when needed.
-        a = self.array
-        radii = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
-        return float(np.min(np.diag(a).real - radii))
-
     def min_eigenvalue(self) -> float:
+        """The block's least eigenvalue, and at most 0 off a full support."""
         if self._min_eig is None:
-            w = np.linalg.eigvalsh(self.array)
-            object.__setattr__(self, "_min_eig", float(w[0]))
+            low = float(np.linalg.eigvalsh(self.array)[0])
+            if len(self.array) < self.dim:
+                low = min(low, 0.0)
+            object.__setattr__(self, "_min_eig", low)
         return self._min_eig
 
     def purity(self) -> float:
         return float(np.trace(self.array @ self.array).real)
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
 
 
 @dataclass(frozen=True)
@@ -230,18 +242,14 @@ class SensorModel:
         return abs(float(self.lindblad_spectrum[j]
                          - self.lindblad_spectrum[i]))
 
-    def to_eigenbasis(self, rho: DensityMatrix) -> np.ndarray:
-        """A state in this model's eigenbasis: its array when it is
+    def eigenbasis_block(self, rho: SupportBlock) -> tuple:
+        """(block, support) of a state in this model's eigenbasis: as
         written in this basis object, else its matrix rotated in."""
         if rho.dim != self.dim:
             raise ValidationError("state dimension does not match the model")
         if rho.basis is self.basis:
-            return rho.array
-        return self.basis.conj().T @ rho.matrix @ self.basis
-
-    def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        """An eigenbasis array rotated out to the model's frame."""
-        return self.basis @ m @ self.basis.conj().T
+            return rho.array, rho.support
+        return self.basis.conj().T @ rho.matrix @ self.basis, None
 
 
 def _qubit_diagonal(n: int) -> np.ndarray:
@@ -268,8 +276,9 @@ def _resolve_lindblad(h: Operator, omega: float, lindblad) -> Operator | None:
             raise ValidationError("lindblad operator must be Hermitian")
         lindblad = Operator(lmat, hermitian=True)
     hmat = omega * h.matrix
-    comm = hs_norm(commutator(hmat, lmat))
-    bound = COMMUTATOR_TOL * hs_norm(hmat) * hs_norm(lmat)
+    norm = np.linalg.norm  # Hilbert-Schmidt
+    comm = norm(hmat @ lmat - lmat @ hmat)
+    bound = COMMUTATOR_TOL * norm(hmat) * norm(lmat)
     if comm > bound:
         raise ValidationError(
             f"lindblad does not commute with H: ||[H, L]||_2 = {comm:.6e} "
@@ -335,13 +344,15 @@ def build_sensor_model(kind: str, size: int, omega: float,
 
     lop = _resolve_lindblad(h, omega, lindblad)
     energy = lop is None
+    h_rot = None  # basis^dag h basis, formed once
     if energy:
         eps, basis = eigenbasis(h.matrix)
         lam = omega * eps
         lop = Operator(omega * h.matrix, hermitian=True)
     else:
         _, lam, basis = joint_eigenbasis(h.matrix, lop.matrix)
-        eps = np.diag(basis.conj().T @ h.matrix @ basis).real.copy()
+        h_rot = basis.conj().T @ h.matrix @ basis
+        eps = np.diag(h_rot).real.copy()
     if branches is None:  # a 1x1 or flat h leaves no distinct pair
         branches = (int(np.argmin(eps)), int(np.argmax(eps)))
     b0, b1 = int(branches[0]), int(branches[1])
@@ -352,19 +363,23 @@ def build_sensor_model(kind: str, size: int, omega: float,
     model = SensorModel(kind=kind, size=size, omega=omega, h=h, lindblad=lop,
                         spectrum=eps, lindblad_spectrum=lam, basis=basis,
                         energy_lindblad=energy, branch_indices=(b0, b1))
-    _check_spectrum(model)
+    _check_spectrum(model, h_rot)
     return model
 
 
-def _check_spectrum(model: SensorModel):
-    # basis^dag h basis must reproduce the stored spectrum, and so must
-    # basis^dag L basis the lindblad spectrum unless L = omega h
-    checks = [("spectrum", "h", model.h, model.spectrum)]
+def _check_spectrum(model: SensorModel, h_rot: np.ndarray | None = None):
+    # basis^dag h basis (``h_rot`` when the caller formed it) must
+    # reproduce the stored spectrum, and so must basis^dag L basis the
+    # lindblad spectrum unless L = omega h
+    v = model.basis
+    if h_rot is None:
+        h_rot = v.conj().T @ model.h.matrix @ v
+    checks = [("spectrum", "h", h_rot, model.spectrum)]
     if not model.energy_lindblad:
-        checks.append(("lindblad spectrum", "L", model.lindblad,
+        checks.append(("lindblad spectrum", "L",
+                       v.conj().T @ model.lindblad.matrix @ v,
                        model.lindblad_spectrum))
-    for name, symbol, op, levels in checks:
-        mt = model.basis.conj().T @ op.matrix @ model.basis
+    for name, symbol, mt, levels in checks:
         resid = np.max(np.abs(mt - np.diag(levels)))
         scale = max(1.0, float(np.max(np.abs(levels))))
         if resid > 1e-10 * scale:
@@ -403,9 +418,9 @@ def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
     """Equal superposition of the two branch states, as a density matrix.
 
     With a CatSpec the state lives on the 2-dimensional branch space.
-    With a SensorModel the state is embedded in the full space, either
-    on the model's branch states, written in its eigenbasis, or on
-    explicitly supplied orthonormal eigenvector columns.
+    With a SensorModel it is either the 2 x 2 block on the model's
+    branch columns of its eigenbasis, or a dense matrix on explicitly
+    supplied orthonormal eigenvector columns.
     """
     if isinstance(model_or_spec, CatSpec):
         if branch_vectors is not None:
@@ -415,10 +430,8 @@ def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
     if not isinstance(model, SensorModel):
         raise ValidationError("expected a CatSpec or SensorModel")
     if branch_vectors is None:
-        i, j = model.branch_indices
-        branches = np.zeros((model.dim, model.dim), dtype=complex)
-        branches[np.ix_((i, j), (i, j))] = 0.5
-        return DensityMatrix(branches, basis=model.basis)
+        return DensityMatrix(np.full((2, 2), 0.5, dtype=complex),
+                             basis=model.basis, support=model.branch_indices)
     v0 = np.asarray(branch_vectors[0], dtype=complex).reshape(-1)
     v1 = np.asarray(branch_vectors[1], dtype=complex).reshape(-1)
     if v0.shape != (model.dim,) or v1.shape != (model.dim,):
@@ -472,18 +485,6 @@ def operator_expectation(op: Operator, rho: DensityMatrix) -> tuple[float, float
             raise ValidationError(f"negative variance {var:.3e}")
         var = 0.0
     return mean, var
-
-
-def commutator_norms(a: Operator, b: Operator,
-                     rho: DensityMatrix) -> tuple[float, float]:
-    """(||[A, rho]||_2^2, ||[B, [B, rho]]||_2^2), Hilbert-Schmidt squared."""
-    am = a.matrix if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-    bm = b.matrix if isinstance(b, Operator) else np.asarray(b, dtype=complex)
-    if am.shape != rho.matrix.shape or bm.shape != rho.matrix.shape:
-        raise ValidationError("operator and state dimensions differ")
-    first = hs_norm(commutator(am, rho.matrix)) ** 2
-    second = hs_norm(commutator(bm, commutator(bm, rho.matrix))) ** 2
-    return first, second
 
 
 def _matrix_to_json(m: np.ndarray) -> list:

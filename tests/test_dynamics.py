@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule,
+from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, NoiseSchedule,
                       NumericalContractError, ValidationError, branch_model,
                       build_sensor_model, cat_initial_state, evolve_exact,
                       evolve_lindblad_numeric, schedule_eval, trajectory)
 from dephasor import dynamics
-from dephasor.dynamics import _rk4_segment, default_step
+from dephasor.dynamics import _rk4_gains, _step_gain, default_step
 
 from conftest import (cat_reference, dense_schedule_integral,
                       evolved_branch_state, exact_cat_state)
@@ -240,8 +240,8 @@ def test_rk4_segment_memory_does_not_grow_with_the_steps():
     one = np.array([1.0])
     tracemalloc.start()
     try:
-        gain = _rk4_segment(one, one, NoiseSchedule.linear_ramp(1.0), 0.0,
-                            1.0, 1e-6)
+        gain, = _rk4_gains(one, one, NoiseSchedule.linear_ramp(1.0),
+                           np.array([0.0, 1.0]), 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -250,16 +250,118 @@ def test_rk4_segment_memory_does_not_grow_with_the_steps():
 
 
 def test_rk4_segment_chunks_keep_every_bit(monkeypatch):
-    # chunks are whole gain blocks, so the product runs in the same
-    # order as with one chunk for the whole segment
+    # chunks hold whole units of steps, and the units fold into the
+    # running gain in time order, so the product runs in the same order
+    # as with one chunk for the whole run (five samples, the last two on
+    # the constant rate after the last knot; 819-step units here)
     w = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
     d = np.array([1.0, 0.0, 4.0, 1.0, 0.25])
     sch = NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.3, 2.0), (2.0, 1.0)])
-    args = (w, d, sch, 0.0, 1.0, 1.0 / 5003)
-    monkeypatch.setattr(dynamics, "STEP_CHUNK", 1000)
-    chunked = _rk4_segment(*args)
+    args = (w, d, sch, np.linspace(0.0, 2.5, 5), 1.0 / 5003)
+    monkeypatch.setattr(dynamics, "STEP_CHUNK", 300)
+    chunked = list(_rk4_gains(*args))
     monkeypatch.setattr(dynamics, "STEP_CHUNK", 2 ** 40)
-    assert np.array_equal(chunked, _rk4_segment(*args))
+    assert np.array_equal(chunked, list(_rk4_gains(*args)))
+
+
+def segment_gain(w, d, schedule, t_start, t_end, dt_target):
+    """The RK4 gain of one smooth segment as the integrator took it one
+    sample interval at a time: step rates a chunk at a time, a chunk of
+    equal rates as one step gain raised to its step count, any other a
+    block of step gains at a time."""
+    span = t_end - t_start
+    n = max(1, int(math.ceil(span / dt_target - 1e-12)))
+    dt = span / n
+    phase = -1j * w
+    total = np.ones(w.shape, dtype=complex)
+    block = max(1, dynamics.GAIN_BLOCK // w.size)
+    chunk = block * max(1, dynamics.STEP_CHUNK // block)
+    for c in range(0, n, chunk):
+        stop = min(c + chunk, n)
+        edges = t_start + np.arange(c, stop + 1) * dt
+        if stop == n:
+            edges[-1] = t_end
+        ta, tb = edges[:-1], edges[1:]
+        rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
+        if stop == n:
+            rates[2, -1] = schedule.rate(t_end)
+        g = rates[0, 0]
+        if (rates == g).all():
+            total = total * _step_gain(phase, d, dt, g, g, g) ** (stop - c)
+            continue
+        for s in range(0, len(ta), block):
+            gain = _step_gain(phase, d, *(a[s:s + block, None]
+                                          for a in (tb - ta, *rates)))
+            total = total * np.prod(gain, axis=0)
+    return total
+
+
+def per_interval_gains(w, d, schedule, times, dt_target):
+    """Oracle: the running gain at times[1:], one sample interval at a
+    time, each cut at the breakpoints into smooth segments."""
+    total = np.ones(w.shape, dtype=complex)
+    out = []
+    for ta, tb in zip(times.tolist(), times[1:].tolist()):
+        lo = ta
+        for cut in [p for p in schedule.breakpoints(tb) if p > ta] + [tb]:
+            if cut > lo:
+                total = total * segment_gain(w, d, schedule, lo, cut,
+                                             dt_target)
+                lo = cut
+        out.append(total)
+    return out
+
+
+W3 = np.array([0.0, 0.5, 1.0, 3.0])
+D3 = np.array([1.0, 0.0, 4.0, 0.25])
+
+
+@pytest.mark.parametrize("sch, times, dt", [
+    # onset on the second sample; then a long constant stretch per
+    # interval, longer than one chunk of steps
+    (NoiseSchedule.constant(0.7, t0=0.25), np.linspace(0.0, 1.0, 5), 1e-3),
+    (NoiseSchedule.constant(0.7, t0=0.25), np.array([0.0, 0.25, 1.25]),
+     1.0 / (dynamics.STEP_CHUNK + 4099)),
+    # ramp switched on at a sample, and on between samples
+    (NoiseSchedule.linear_ramp(2.0, t0=0.5), np.linspace(0.0, 1.5, 7), 1e-3),
+    (NoiseSchedule.linear_ramp(2.0, t0=0.3), np.linspace(0.0, 1.5, 7), 1e-3),
+    # knots on samples, equal knots, the tail after the last knot
+    (NoiseSchedule.piecewise_linear(
+        [(0.25, 0.0), (0.5, 1.5), (1.0, 1.5), (1.2, 0.3)]),
+     np.linspace(0.0, 1.5, 7), 1e-3),
+    # intervals shorter than one step
+    (NoiseSchedule.piecewise_linear([(0.1, 0.2), (0.7, 2.0)]),
+     np.linspace(0.0, 1.0, 41), 0.3),
+    (NoiseSchedule.linear_ramp(1.0), np.linspace(0.0, 2.0, 301), 0.02),
+])
+def test_one_pass_gains_match_the_per_interval_loop(sch, times, dt):
+    got = list(_rk4_gains(W3, D3, sch, times, dt))
+    want = per_interval_gains(W3, D3, sch, times, dt)
+    assert len(got) == len(times) - 1
+    for g, h in zip(got, want):
+        assert np.all(np.abs(g - h) <= 1e-13 * np.abs(h))
+
+
+def test_one_pass_trajectory_matches_the_per_interval_loop():
+    # every sample of a 101-sample ramp trajectory of a dim-8 model:
+    # a cat state has one pair, a dense state all of them
+    model = build_sensor_model("qubit_network", 3, omega=1.0)
+    sch = NoiseSchedule.linear_ramp(1.5, t0=0.2)
+    run = EvolutionSpec(model=model, schedule=sch, t_final=1.0, dt=1e-3)
+    times = np.linspace(0.0, 1.0, 101)
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    dense = a @ a.conj().T
+    for rho0 in (cat_initial_state(model),
+                 DensityMatrix(dense / np.trace(dense).real)):
+        pairs = dynamics._pair_table(model, rho0.support)
+        want = per_interval_gains(*pairs[:2], sch, times, 1e-3)
+        block = model.eigenbasis_block(rho0)[0]
+        for (t, rho), gain in zip(list(trajectory(run, rho0, 101))[1:],
+                                  want):
+            ref = dynamics._apply_gains(pairs, gain, block)
+            assert rho.support == rho0.support
+            assert np.all(np.abs(rho.array - ref) <= 1e-13 * np.abs(ref))
 
 
 def test_rk4_zero_time_returns_input():

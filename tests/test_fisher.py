@@ -8,8 +8,8 @@ import pytest
 from dephasor import (CatSpec, NoiseSchedule, Operator, ValidationError,
                       branch_model, build_sensor_model, cat_initial_state)
 from dephasor.fisher import (drho_domega, drho_dt, qfi_closed, qfi_freq_cat,
-                             qfi_freq_lower_bound, qfi_quadratic_bound,
-                             qfi_time_cat, qfi_time_lower_bound, sld_and_qfi)
+                             qfi_freq_lower_bound, qfi_time_cat,
+                             qfi_time_lower_bound, sld_and_qfi)
 
 from conftest import (evolved_branch_state, exact_cat_state, fd_qfi_time,
                       numeric_qfi, rel)
@@ -162,28 +162,19 @@ def test_freq_qfi_requires_energy_dephasing():
 
 # ------------------------------------------------------------------- bounds
 
-def test_quadratic_bound_doubles_into_pure_equality():
+def test_time_bound_doubles_into_the_qfi_of_a_pure_state():
+    # for a commuting model the time bound is tr[(d rho)^2], and for a
+    # pure state twice that is the QFI
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     model = branch_model(spec)
     sch = NoiseSchedule.constant(0.0)
     rho = exact_cat_state(model, sch, 0.5)
     drho = drho_dt(model, sch, rho, 0.5)
-    bound = qfi_quadratic_bound(rho, drho)
-    assert bound.diagnostics["pure_state_equality"]
+    bound = qfi_time_lower_bound(model, sch, rho, 0.5)
+    assert bound.value == pytest.approx(
+        float(np.sum(np.abs(np.asarray(drho)) ** 2)), rel=1e-12)
     _, exact = sld_and_qfi(rho, drho, parameter="time")
-    assert bound.value == pytest.approx(exact.value, rel=1e-12)
-
-
-def test_quadratic_bound_stays_below_qfi_when_mixed():
-    spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
-    sch = NoiseSchedule.constant(0.3)
-    for t in (0.4, 1.0, 2.0):
-        model, rho = evolved_branch_state(spec, sch, t)
-        drho = drho_dt(model, sch, rho, t)
-        bound = qfi_quadratic_bound(rho, drho)
-        assert not bound.diagnostics["pure_state_equality"]
-        _, exact = sld_and_qfi(rho, drho, parameter="time")
-        assert bound.value <= exact.value * (1.0 + 1e-12)
+    assert 2.0 * bound.value == pytest.approx(exact.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("sch", SCHEDULES)

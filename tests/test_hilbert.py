@@ -8,10 +8,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, DensityMatrix, Operator, ValidationError,
-                      branch_model, build_sensor_model, cat_initial_state,
-                      cat_spec_for, commutator_norms, load_model,
-                      model_from_json, model_to_json, operator_expectation)
+from dephasor import (CatSpec, DensityMatrix, NoiseSchedule, Operator,
+                      ValidationError, branch_model, build_sensor_model,
+                      cat_initial_state, cat_spec_for, load_model,
+                      model_from_json, model_to_json, operator_expectation,
+                      qfi_time_lower_bound)
 from dephasor.hilbert import _check_spectrum
 
 from conftest import random_hermitian
@@ -68,10 +69,11 @@ def test_density_matrix_frame_is_checked_and_kept_read_only():
     model = build_sensor_model("photonic_two_mode", 1, omega=1.0)
     m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
     rho = DensityMatrix(m, basis=model.basis)
-    assert model.to_eigenbasis(rho) is rho.array
+    block, support = model.eigenbasis_block(rho)
+    assert block is rho.array and support is None
     # an array in another basis object is rotated in through the matrix
     other = DensityMatrix(m, basis=model.basis.copy())
-    assert np.array_equal(model.to_eigenbasis(other), m)
+    assert np.array_equal(model.eigenbasis_block(other)[0], m)
     with pytest.raises(ValueError):
         rho.array[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -80,7 +82,7 @@ def test_density_matrix_frame_is_checked_and_kept_read_only():
     with pytest.raises(ValidationError, match="basis dimension"):
         DensityMatrix(m, basis=np.eye(3, dtype=complex))
     with pytest.raises(ValidationError, match="dimension"):
-        build_sensor_model("qubit_network", 2, 1.0).to_eigenbasis(rho)
+        build_sensor_model("qubit_network", 2, 1.0).eigenbasis_block(rho)
 
 
 def test_min_eigenvalue_matches_lapack(rng):
@@ -224,12 +226,10 @@ def test_cat_state_carries_its_eigenbasis_form(rng):
     model = build_sensor_model("custom", 5, 1.0, "energy",
                                h=Operator(0.5 * (h + h.conj().T)))
     rho = cat_initial_state(model)
-    m = model.to_eigenbasis(rho)
-    i, j = model.branch_indices
-    want = np.zeros((5, 5), dtype=complex)
-    want[np.ix_([i, j], [i, j])] = 0.5
-    assert np.array_equal(m, want)
-    v = model.basis
+    m, support = model.eigenbasis_block(rho)
+    assert support == model.branch_indices and rho.dim == 5
+    assert np.array_equal(m, np.full((2, 2), 0.5, dtype=complex))
+    v = model.basis[:, list(support)]
     assert np.max(np.abs(v @ m @ v.conj().T - rho.matrix)) <= 1e-15
 
 
@@ -284,7 +284,9 @@ def test_commutator_norms_dephasing_structure():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     model = branch_model(spec)
     rho = cat_initial_state(model)
-    first, second = commutator_norms(model.h, model.lindblad, rho)
+    norms = qfi_time_lower_bound(model, NoiseSchedule.constant(0.0), rho,
+                                 0.0).diagnostics
+    first, second = norms["norm_h_sq"], norms["norm_ll_sq"]
     # |rho01|^2 * gap^2 * 2 with h gap = delta_eps = 2
     assert first == pytest.approx(2.0 * 0.25 * 4.0, abs=1e-14)
     # double commutator gap^4 with l gap = 1

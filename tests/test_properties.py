@@ -24,9 +24,12 @@ that a two-sample trajectory ends on the evolved state bit for bit.
 The same models check the exact propagator: RK4 at its default step
 matches ``evolve_exact`` to 1e-12, and a central difference of
 ``evolve_exact`` over t matches the dense right-hand side of the
-equation of motion.  Random (w, d) pairs, schedules and segments check
-that one segment's RK4 gain, which takes a chunk of equal step rates as
-one step gain raised to its step count, matches a plain per-step loop.
+equation of motion.  Random (w, d) pairs, schedules and runs check
+that the RK4 gain, which takes a segment of equal step rates as one
+step gain raised to its step count, matches a plain per-step loop.
+Random supports of random models, in a Haar frame or an identity basis,
+check that a state on its support block evolves, differentiates and
+gives the SLD QFI as the same state built dense.
 Inputs that broke a property once are pinned as explicit examples.
 
 Random log-ratios and region grids check the array scan renderer: every
@@ -44,11 +47,11 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
                       NoiseSchedule, NumericalContractError, Operator,
                       ValidationError, advantage_ratio, branch_model,
                       build_sensor_model, cat_initial_state, cat_spec_for,
-                      commutator_norms, drho_dt, estimator_variance,
+                      drho_dt, estimator_variance,
                       evolve_exact, evolve_lindblad_numeric, heatmap_scan,
                       maximize_ratio, observable_expectation,
                       saturation_ratio, sld_and_qfi, trajectory)
-from dephasor.dynamics import _pair_table, _rk4_segment
+from dephasor.dynamics import _pair_table, _rk4_gains
 from dephasor.estimators import signal_statistics
 from dephasor.fisher import (decay_exponent, drho_domega, law_at, qfi_closed,
                              qfi_freq_cat, qfi_freq_lower_bound, qfi_law,
@@ -429,9 +432,9 @@ def test_state_in_a_basis_equals_the_state_built_dense(model, seed):
     assert abs(np.trace(rho.array) - np.trace(dense.matrix)) <= 1e-12
     assert abs(rho.purity() - dense.purity()) <= 1e-12
     assert abs(rho.min_eigenvalue() - dense.min_eigenvalue()) <= 1e-12
-    assert model.to_eigenbasis(rho) is rho.array
+    assert model.eigenbasis_block(rho)[0] is rho.array
     copy = DensityMatrix(a, basis=v.copy())
-    assert np.max(np.abs(model.to_eigenbasis(copy) - a)) <= 1e-14
+    assert np.max(np.abs(model.eigenbasis_block(copy)[0] - a)) <= 1e-14
     # the array is checked in its basis, not only for its shape
     n = model.dim
     with pytest.raises(ValidationError, match="trace"):
@@ -440,6 +443,78 @@ def test_state_in_a_basis_equals_the_state_built_dense(model, seed):
     skew[0, 1] += 1e-6
     with pytest.raises(ValidationError, match="Hermiticity"):
         DensityMatrix(skew, basis=v)
+
+
+@st.composite
+def block_states(draw):
+    """(model, block, support): a commuting model of dim 2..8, in a
+    Haar-random frame or already diagonal (an identity basis), and a
+    random state block on a random support of its eigenbasis; a sorted
+    support of all levels is the full one."""
+    dim = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    q = np.eye(dim) if draw(st.booleans()) else haar_unitary(
+        np.random.default_rng(seed), dim)
+    level = st.floats(-1.0, 1.0) | st.sampled_from((-1.0, 0.0, 1.0))
+    levels = st.lists(level, min_size=dim, max_size=dim)
+    eps = np.array(draw(levels))
+    assume(np.ptp(eps) > 0.1)
+    lindblad = "energy" if draw(st.booleans()) else Operator(
+        framed(q, np.array(draw(levels))), hermitian=True)
+    model = build_sensor_model("custom", dim, draw(st.floats(0.5, 2.0)),
+                               lindblad, h=Operator(framed(q, eps),
+                                                    hermitian=True))
+    support = draw(st.permutations(range(dim)))[:draw(st.integers(1, dim))]
+    if draw(st.booleans()):
+        support = sorted(support)
+    k = len(support)
+    rng = np.random.default_rng(seed + 1)
+    a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    block = a @ a.conj().T
+    return model, block / np.trace(block).real, tuple(support)
+
+
+def rel_gap(got, want):
+    """Largest entry of |got - want| over the largest of |want| (or 1)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want))) / max(
+        1.0, float(np.max(np.abs(want))))
+
+
+@settings(max_examples=40)
+@given(block_states(), schedules(rate=st.floats(0.0, 2.0)),
+       st.floats(0.1, 1.5))
+def test_block_route_equals_the_dense_route(case, sch, t):
+    # a state on its support block against the same state built dense:
+    # the evolved state, its derivatives, the SLD QFI and min_eig agree,
+    # and so does the truncated rank
+    model, block, support = case
+    rho0 = DensityMatrix(block, basis=model.basis, support=support)
+    dense0 = DensityMatrix(np.array(rho0.matrix))
+    full = support == tuple(range(model.dim))
+    assert (rho0.support is None) == full
+    run = EvolutionSpec(model=model, schedule=sch, t_final=t, dt=t / 300)
+    rho = evolve_lindblad_numeric(run, rho0)
+    dense = evolve_lindblad_numeric(run, dense0)
+    assert rho.support == rho0.support and dense.support is None
+    assert rel_gap(rho.matrix, dense.matrix) <= 1e-12
+    assert abs(rho.min_eigenvalue() - dense.min_eigenvalue()) <= 1e-12
+    derivatives = [(drho_dt, "time")]
+    if model.energy_lindblad:
+        derivatives.append((drho_domega, "omega"))
+    for derivative, parameter in derivatives:
+        d_block = derivative(model, sch, rho, t)
+        d_dense = np.asarray(derivative(model, sch, dense, t))
+        assert d_block.support == rho.support
+        assert rel_gap(d_block, d_dense) <= 1e-12
+        _, got = sld_and_qfi(rho, d_block, parameter)
+        _, want = sld_and_qfi(dense, d_dense, parameter)  # dense route
+        assert math.isclose(got.value, want.value, rel_tol=1e-12,
+                            abs_tol=1e-12)
+        assert got.diagnostics["truncated_rank"] == \
+            want.diagnostics["truncated_rank"]
+        assert abs(got.diagnostics["min_eigenvalue"]
+                   - want.diagnostics["min_eigenvalue"]) <= 1e-12
 
 
 def _dense_rhs(h, l, g, rho):
@@ -589,10 +664,15 @@ EQUAL_KNOTS = NoiseSchedule.piecewise_linear(
 def test_rk4_segment_equals_a_per_step_loop(pairs, sch, t_start, span, dt):
     # the examples: a constant rate from its onset, the zero-rate stretch
     # before an onset, a stretch between equal knots, the stretch after
-    # the last knot, and a decay exponent of d Gamma = 160
+    # the last knot, and a decay exponent of d Gamma = 160.  The run is
+    # cut at the breakpoints inside it, each piece a smooth segment.
     w, d = np.array(pairs).T
-    got = _rk4_segment(w, d, sch, t_start, t_start + span, dt)
-    want = stepwise_rk4_gain(w, d, sch, t_start, t_start + span, dt)
+    t_end = t_start + span
+    got, = _rk4_gains(w, d, sch, np.array([t_start, t_end]), dt)
+    want, lo = 1.0, t_start
+    for cut in [p for p in sch.breakpoints(t_end) if p > t_start] + [t_end]:
+        want = want * stepwise_rk4_gain(w, d, sch, lo, cut, dt)
+        lo = cut
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
@@ -740,6 +820,13 @@ def test_numeric_time_qfi_in_the_deep_tail(rate):
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
 
+def commutator_norms(a, b, m):
+    """(||[A, m]||_2^2, ||[B, [B, m]]||_2^2) of dense matrices."""
+    c = a @ m - m @ a
+    k = b @ m - m @ b
+    return np.sum(np.abs(c) ** 2), np.sum(np.abs(b @ k - k @ b) ** 2)
+
+
 def frame_residual(model):
     """Largest entry by which H and L miss their diagonals in the
     model's computed eigenbasis (round-off)."""
@@ -770,10 +857,11 @@ def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
     for _, rho in list(trajectory(run, cat_initial_state(model),
                                   samples))[1:]:
         assert rho.basis is v
-        form = model.to_eigenbasis(rho)
-        assert np.max(np.abs(v @ form @ v.conj().T - rho.matrix)) <= 1e-14
+        form, support = model.eigenbasis_block(rho)
+        vs = v if support is None else v[:, list(support)]
+        assert np.max(np.abs(vs @ form @ vs.conj().T - rho.matrix)) <= 1e-14
         m = rho.matrix
-        n_h, n_ll = commutator_norms(h, l, rho)
+        n_h, n_ll = commutator_norms(h, l, m)
         for state in (rho, DensityMatrix(m, positivity_tol=1e-7)):
             np.testing.assert_allclose(drho_dt(model, sch, state, t),
                                        _dense_rhs(h, l, rate, m),
@@ -789,7 +877,7 @@ def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
                 drho_domega(model, sch, state, t),
                 -1j * (t / w) * k - (2.0 * dose / w) * (h @ k - k @ h),
                 rtol=0.0, atol=tol)
-            _, n_hh = commutator_norms(h, h, rho)  # L = H
+            _, n_hh = commutator_norms(h, h, m)  # L = H
             assert math.isclose(
                 qfi_freq_lower_bound(model, sch, state, t).value,
                 (t * t * n_h + 4.0 * dose * dose * n_hh) / (w * w),
