@@ -11,6 +11,7 @@ identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -138,15 +139,16 @@ def _cmd_evolve(args) -> int:
     schedule = parse_schedule(args.schedule)
     spec = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
                          dt=args.dt)
+    ts, states = zip(*dynamics.trajectory(spec, cat_initial_state(model),
+                                          args.samples))
+    # the branch blocks: (lo, hi) in the model's eigenbasis
+    m = np.array([rho.array for rho in states])
+    columns = [ts, *(x.tolist() for x in (
+        m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real, m[:, 0, 1].imag,
+        m.trace(axis1=1, axis2=2).real)),
+        [rho.min_eigenvalue() for rho in states]]
     lines = ["t,pop_lo,pop_hi,coher_re,coher_im,trace,min_eig"]
-    for t, rho in dynamics.trajectory(spec, cat_initial_state(model),
-                                      args.samples):
-        m = rho.array  # the branch block: (lo, hi) in the model's eigenbasis
-        tr = float(np.trace(m).real)
-        lines.append(
-            f"{t!r},{float(m[0, 0].real)!r},{float(m[1, 1].real)!r},"
-            f"{float(m[0, 1].real)!r},{float(m[0, 1].imag)!r},{tr!r},"
-            f"{rho.min_eigenvalue()!r}")
+    lines += [",".join(map(repr, row)) for row in zip(*columns)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -318,6 +320,7 @@ def _outputs(args) -> list:
     return [("file", args.out)] if getattr(args, "out", None) else []
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dephasor",
@@ -345,25 +348,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a model file")
     p.add_argument("--model", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("evolve", help="integrate and dump a trajectory")
     add_common(p)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--samples", type=int, default=101)
-    p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("qfi", help="Fisher information at a single time")
     add_common(p, param=True)
     p.add_argument("--method", choices=("analytic", "numeric", "bound"),
                    default="analytic")
     p.add_argument("--dt", type=float, default=None)
-    p.set_defaults(func=_cmd_qfi)
 
     p = sub.add_parser("bound", help="commutator lower bound on the QFI")
     add_common(p, param=True)
     p.add_argument("--dt", type=float, default=None)
-    p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("estimate", help="signal statistics and estimator "
                                         "variance")
@@ -371,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--sweep", default=None,
                    help="t_min:t_max:steps for a CSV sweep")
-    p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("scan", help="advantage-ratio heatmap over a grid")
     p.add_argument("--param", choices=fisher.PARAMETERS, required=True)
@@ -379,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="default_fig1 or x=name:min:max:steps;y=...")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--svg", default=None, help="optional SVG output path")
-    p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("optimize", help="maximize the advantage ratio")
     p.add_argument("--model", required=True)
@@ -390,18 +387,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="constant", dest="schedule_kind")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_optimize)
     return parser
 
 
 def parse_and_run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  The parser is built on the first call and kept;
+    the handler is looked up by command name at each call."""
+    args = _build_parser().parse_args(argv)
     if args.command == "estimate" and args.t is None and args.sweep is None:
         sys.stderr.write("error: validation: estimate needs --t or --sweep\n")
         return 1
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ValidationError as exc:
         sys.stderr.write(f"error: validation: {exc}\n")
         return 1

@@ -15,12 +15,13 @@ is the initial block times its pairs' gains: ``evolve_exact`` takes
 exp(-i w t - d Gamma(t)), Gamma the integrated rate, and the fixed-step
 RK4 the product of its step gains, one pass for every sample of a
 ``trajectory`` (``evolve_lindblad_numeric`` is its two-sample case).
-States come back written in the model's eigenbasis.
+The gains of many samples scale the block as one broadcast product,
+and the states come back written in the model's eigenbasis, checked
+one stack of samples at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -244,20 +245,20 @@ def _step_gain(phase, d, step, g1, gm, g2):
 
 
 def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
-               times: np.ndarray, dt_target: float) -> Iterator[np.ndarray]:
-    """The RK4 gain per pair from times[0] to each later sample, one
-    sample at a time.
+               times: np.ndarray, dt_target: float) -> np.ndarray:
+    """The RK4 gain per pair from times[0] to each later sample, as one
+    (samples - 1, pairs) array.
 
     Element (j, k) obeys d rho_jk/dt = (-i w - g d) rho_jk, so an RK4
     step multiplies it by a scalar gain.  Each sample interval is cut at
     the breakpoints into segments of ceil(span / dt_target) equal steps
-    (over ``MAX_STEPS``: ValidationError, at the call).  The rate is
-    linear between breakpoints, so a segment with one rate g at both
-    ends takes R(z)^n, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
-    z = dt (-i w - g d); others are cut into units of at most a block
-    of steps (``GAIN_BLOCK`` gains).  One pass folds the units into a
-    running gain in time order, about ``STEP_CHUNK`` steps at a time,
-    which changes neither the result nor, with the steps, memory."""
+    (over ``MAX_STEPS``: ValidationError).  The rate is linear between
+    breakpoints, so a segment with one rate g at both ends takes R(z)^n,
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt (-i w - g d); others
+    are cut into units of at most a block of steps (``GAIN_BLOCK``
+    gains).  One pass folds the units into a running gain in time order,
+    about ``STEP_CHUNK`` steps at a time, which changes neither the
+    result nor, with the steps, memory."""
     edges = np.array(sorted({*times.tolist(), *(
         p for p in schedule.breakpoints(float(times[-1])) if p > times[0])}))
     lo, hi = edges[:-1], edges[1:]
@@ -270,21 +271,22 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     block = max(1, GAIN_BLOCK // max(1, w.size))
     g = schedule.rate_right(lo)
     const = g == schedule.rate(hi)
-    # samples read once the first k segments are done, for each k
-    reads = np.bincount(np.searchsorted(hi, times[1:], side="right"),
-                        minlength=len(n) + 1).tolist()
+    # out[stop[k]:stop[k + 1]]: the samples read once segment k is done
+    stop = np.cumsum(np.bincount(np.searchsorted(hi, times[1:], side="right"),
+                                 minlength=len(n) + 1)).tolist()
     # (segment, first step, steps, ends segment); constant: no steps
     units = ((k, f, 0 if c else min(block, m - f), c or f + block >= m)
              for k, (c, m) in enumerate(zip(const.tolist(), n.tolist()))
              for f in range(0, 1 if c else m, block))
+    out = np.empty((len(times) - 1, w.size), dtype=complex)
 
     @np.errstate(all="ignore")  # a blown-up step fails the state's check
     def fold(batch, running):
-        """The running gain after ``batch``, and those samples read."""
+        """The running gain after ``batch``, its samples written out."""
         k, first, size, _ = (np.array(x) for x in zip(*batch))
-        out = np.empty((len(batch), w.size), dtype=complex)
+        unit = np.empty((len(batch), w.size), dtype=complex)
         c, v = k[size == 0, None], size > 0
-        out[~v] = _step_gain(phase, d, dt[c], g[c], g[c], g[c]) ** n[c]
+        unit[~v] = _step_gain(phase, d, dt[c], g[c], g[c], g[c]) ** n[c]
         # step i of segment s, rates at its start, midpoint and end (the
         # left limit at a segment's end), one unit after another
         m = size[v]
@@ -303,41 +305,39 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
             gains[a:b] = np.multiply.reduceat(_step_gain(
                 phase, d, *(x[r, None] for x in table)),
                 rows[a:b] - rows[a], axis=0)
-        out[v] = gains
-        read = []
-        for gain, (k, _, _, last) in zip(out, batch):
+        unit[v] = gains
+        for gain, (k, _, _, last) in zip(unit, batch):
             running = running * gain
-            read += [running] * (reads[k + 1] if last else 0)
-        return running, read
+            if last:
+                out[stop[k]:stop[k + 1]] = running
+        return running
 
-    def gains():
-        running = np.ones(w.shape, dtype=complex)
-        yield from (running,) * reads[0]
-        batch, rows = [], 0
-        for unit in units:
-            batch.append(unit)
-            rows += max(unit[2], 1)
-            if rows >= STEP_CHUNK:
-                running, read = fold(batch, running)
-                yield from read
-                batch, rows = [], 0
-        if batch:
-            yield from fold(batch, running)[1]
-
-    return gains()
+    running = np.ones(w.shape, dtype=complex)
+    out[:stop[0]] = running
+    batch, rows = [], 0
+    for unit in units:
+        batch.append(unit)
+        rows += max(unit[2], 1)
+        if rows >= STEP_CHUNK:
+            running = fold(batch, running)
+            batch, rows = [], 0
+    if batch:
+        fold(batch, running)
+    return out
 
 
 @np.errstate(all="ignore")  # a blown-up gain fails the finite check
 def _apply_gains(pairs, gain: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """An eigenbasis block with each element times its pair's gain: the
     upper triangle by the gain (conjugated where w < 0), the lower by
-    the conjugate of that, the diagonal (w = d = 0) by 1."""
+    the conjugate of that, the diagonal (w = d = 0) by 1.  Gains of
+    shape (samples, pairs) give a (samples, k, k) stack of blocks."""
     _, _, (j, k), inverse, negative = pairs
-    gain = gain[inverse]
-    gain[negative] = gain[negative].conj()
-    out = rho.copy()
-    out[j, k] *= gain
-    out[k, j] *= gain.conj()
+    gain = gain[..., inverse]
+    gain = np.where(negative, gain.conj(), gain)
+    out = np.broadcast_to(rho, gain.shape[:-1] + rho.shape).copy()
+    out[..., j, k] *= gain
+    out[..., k, j] *= gain.conj()
     return out
 
 
@@ -349,7 +349,8 @@ def evolve_exact(spec: EvolutionSpec, rho0: DensityMatrix) -> DensityMatrix:
     block, support = model.eigenbasis_block(rho0)
     pairs = _pair_table(model, support)
     gain = np.exp(-1j * pairs[0] * t - pairs[1] * spec.schedule.integral(t))
-    return _contract_state(model, _apply_gains(pairs, gain, block), support)
+    return _contract_state(model, _apply_gains(pairs, gain[None], block),
+                           support)[0]
 
 
 def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
@@ -370,9 +371,8 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
     pairs = _pair_table(model, support)
 
     def run(step):
-        gain, = _rk4_gains(*pairs[:2], schedule,
-                           np.array([0.0, spec.t_final]), step)
-        return _apply_gains(pairs, gain, block)
+        return _apply_gains(pairs, _rk4_gains(
+            *pairs[:2], schedule, np.array([0.0, spec.t_final]), step), block)
 
     out = run(dt)
     if verify_convergence:
@@ -383,17 +383,18 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
                 f"halving dt moved entries by {gap:.3e} > {CONVERGENCE_TOL}; "
                 f"retry with a smaller dt (current {dt:.3e})")
         out = fine
-    return _contract_state(model, out, support, dt)
+    return _contract_state(model, out, support, dt)[0]
 
 
 def _contract_state(model: SensorModel, block: np.ndarray, support,
-                    dt: float | None = None) -> DensityMatrix:
-    """An evolved eigenbasis block as a state in the model's basis; a
-    broken invariant is a numerical-contract failure (the inputs were
-    valid; the propagation wasn't), with a smaller-dt hint after RK4."""
+                    dt: float | None = None) -> list[DensityMatrix]:
+    """A (samples, k, k) stack of evolved eigenbasis blocks as states in
+    the model's basis, checked as one stack; a broken invariant is a
+    numerical-contract failure (the inputs were valid; the propagation
+    wasn't), with a smaller-dt hint after RK4."""
     try:
-        return DensityMatrix(block, basis=model.basis, support=support,
-                             positivity_tol=-POSITIVITY_FLOOR)
+        return DensityMatrix.stack(block, basis=model.basis, support=support,
+                                   positivity_tol=-POSITIVITY_FLOOR)
     except ValidationError as exc:
         hint = "" if dt is None else \
             f"; retry with a smaller dt (current {dt:.3e})"
@@ -404,8 +405,11 @@ def _contract_state(model: SensorModel, block: np.ndarray, support,
 def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
                samples: int) -> Iterator[tuple[float, DensityMatrix]]:
     """States at ``samples`` evenly spaced times from 0 to t_final from
-    one RK4 pass, yielded one (t, state) at a time; the arguments and
-    step counts are checked at the call, before the first state."""
+    one RK4 pass, yielded one (t, state) at a time.  The arguments are
+    checked and the pass runs at the call; the states are then formed
+    and checked a chunk of at most max(1, GAIN_BLOCK // k^2) samples at
+    a time (k x k the support block), so a run holds one chunk.  A broken
+    state ends the run after the states before it, as if checked alone."""
     if samples < 2:
         raise ValidationError("need at least 2 samples")
     model, schedule = spec.model, spec.schedule
@@ -416,7 +420,18 @@ def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
     times = np.linspace(0.0, spec.t_final, samples)
     block, support = model.eigenbasis_block(rho0)
     pairs = _pair_table(model, support)
-    states = (_contract_state(model, _apply_gains(pairs, gain, block),
-                              support, dt)
-              for gain in _rk4_gains(*pairs[:2], schedule, times, dt))
-    return zip(times.tolist(), itertools.chain([rho0], states))
+    gains = _rk4_gains(*pairs[:2], schedule, times, dt)
+    chunk = max(1, GAIN_BLOCK // len(block) ** 2)
+
+    def sampled():
+        yield rho0
+        for c in range(0, len(gains), chunk):
+            blocks = _apply_gains(pairs, gains[c:c + chunk], block)
+            try:
+                states = _contract_state(model, blocks, support, dt)
+            except NumericalContractError:  # the states before the first
+                states = (_contract_state(model, one[None], support, dt)[0]
+                          for one in blocks)
+            yield from states
+
+    return zip(times.tolist(), sampled())

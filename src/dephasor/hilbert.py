@@ -2,7 +2,9 @@
 
 Operators and models are dense complex128, capped at dimension 4096, so
 no sparse machinery is used anywhere; a state is its block on the basis
-columns it lives on (a cat state: 2 x 2 at any dimension).
+columns it lives on (a cat state: 2 x 2 at any dimension).  The state
+checks are written once, over a stack of blocks, so a trajectory's
+samples are checked a stack at a time and a lone state as a stack of one.
 """
 
 from __future__ import annotations
@@ -49,10 +51,13 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M^dag| relative to max(1, max |M|)."""
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    return float(np.abs(m - m.conj().T).max()) / scale
+def hermiticity_defect(m: np.ndarray):
+    """max |M - M^dag| relative to max(1, max |M|); an array of them
+    for a stack of matrices."""
+    axes = {"axis": (-2, -1), "initial": 0.0}
+    defect = np.abs(m - m.conj().swapaxes(-2, -1)).max(**axes) \
+        / np.maximum(1.0, np.abs(m).max(**axes))
+    return defect if m.ndim > 2 else float(defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +129,50 @@ class SupportBlock:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
+@np.errstate(all="ignore")  # a non-finite block fails its first check
+def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
+    """Check a (samples, k, k) stack of state blocks on a dim-n space.
+
+    Per block, in order: finite entries, Hermiticity defect, trace, the
+    Gershgorin screen and, where it fails, the least eigenvalue; the
+    first failing block raises the ValidationError of its first failing
+    check.  Returns each block's least eigenvalue, and at most 0 off a
+    full support, from one stacked ``eigvalsh``."""
+    defect = hermiticity_defect(a)
+    tr = a.trace(axis1=1, axis2=2)
+    d = a.diagonal(axis1=1, axis2=2)  # Gershgorin: cheap, sufficient
+    screen = (d.real - (np.abs(a).sum(axis=2) - np.abs(d))).min(axis=1)
+    fails = [~np.isfinite(a.view(float)).all(axis=(1, 2)),
+             defect > HERMITICITY_TOL, np.abs(tr - 1.0) > TRACE_TOL]
+    ok = ~np.logical_or.reduce(fails)
+    low = np.full(len(a), np.nan)
+    low[ok] = np.linalg.eigvalsh(a if ok.all() else a[ok])[:, 0]
+    if a.shape[1] < dim:  # min(low, 0.0), signed zeros included
+        low = np.where(low > 0.0, 0.0, low)
+    fails.append((screen < -positivity_tol) & (low < -positivity_tol))
+    bad = np.logical_or.reduce(fails)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError([
+            "matrix entries must be finite",
+            f"density matrix Hermiticity defect {defect[i]:.3e} > "
+            f"{HERMITICITY_TOL}",
+            f"density matrix trace {complex(tr[i])!r} deviates from 1 by "
+            f"more than {TRACE_TOL}",
+            f"density matrix minimum eigenvalue {low[i]:.3e} below "
+            f"-{positivity_tol}"][next(c for c, f in enumerate(fails) if f[i])])
+    return low.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(SupportBlock):
     """Quantum state: Hermitian, unit trace, positive within tolerance.
 
     Every check reads the block, as all are unitary invariants and the
-    state is zero off it, and fails hard instead of repairing.
+    state is zero off it, and fails hard instead of repairing.  The
+    checks live in one place, ``_check_states``, over a stack of blocks:
+    a state is a stack of one, ``stack`` checks many at once, and either
+    keeps each least eigenvalue for ``min_eigenvalue``.
     ``positivity_tol`` exists because the numeric integrator admits a
     slightly looser bound (1e-7) than fresh states (1e-9).  Cat states
     and evolved states are written in the model's eigenbasis, where a
@@ -140,34 +183,29 @@ class DensityMatrix(SupportBlock):
 
     def __post_init__(self):
         super().__post_init__()
-        a = self.array
-        defect = hermiticity_defect(a)
-        if defect > HERMITICITY_TOL:
-            raise ValidationError(
-                f"density matrix Hermiticity defect {defect:.3e} > "
-                f"{HERMITICITY_TOL}")
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(
-                f"density matrix trace {tr!r} deviates from 1 by more "
-                f"than {TRACE_TOL}")
-        object.__setattr__(self, "_min_eig", None)
-        d = a.diagonal()  # Gershgorin: cheap, sufficient for positivity
-        low = float((d.real - (np.abs(a).sum(axis=1) - np.abs(d))).min())
-        if low < -self.positivity_tol:
-            low = self.min_eigenvalue()
-            if low < -self.positivity_tol:
-                raise ValidationError(
-                    f"density matrix minimum eigenvalue {low:.3e} below "
-                    f"-{self.positivity_tol}")
+        low, = _check_states(self.array[None], self.dim, self.positivity_tol)
+        object.__setattr__(self, "_min_eig", low)
+
+    @classmethod
+    def stack(cls, blocks, *, basis: np.ndarray | None = None,
+              support=None, positivity_tol: float = POSITIVITY_TOL) -> list:
+        """States from a nonempty (samples, k, k) stack of blocks on one
+        basis and support, checked once as a stack."""
+        a = np.array(blocks, dtype=complex)
+        # the block's shape, its support and the basis, checked once
+        head = SupportBlock(a[0], basis=basis, support=support)
+        a.flags.writeable = False
+        fields = {"basis": basis, "support": head.support,
+                  "positivity_tol": positivity_tol}
+        states = []
+        for block, low in zip(a, _check_states(a, head.dim, positivity_tol)):
+            rho = object.__new__(cls)  # checked above, as a stack
+            rho.__dict__.update(fields, array=block, _min_eig=low)
+            states.append(rho)
+        return states
 
     def min_eigenvalue(self) -> float:
         """The block's least eigenvalue, and at most 0 off a full support."""
-        if self._min_eig is None:
-            low = float(np.linalg.eigvalsh(self.array)[0])
-            if len(self.array) < self.dim:
-                low = min(low, 0.0)
-            object.__setattr__(self, "_min_eig", low)
         return self._min_eig
 
     def purity(self) -> float:
@@ -367,20 +405,30 @@ def build_sensor_model(kind: str, size: int, omega: float,
     return model
 
 
+def _in_basis(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v^dag m v, or m itself when v is exactly the identity (a diagonal
+    model's basis), where the dense products give m up to signed zeros."""
+    if np.count_nonzero(v) == len(v) and (v.diagonal() == 1.0).all():
+        return m
+    return v.conj().T @ m @ v
+
+
 def _check_spectrum(model: SensorModel, h_rot: np.ndarray | None = None):
     # basis^dag h basis (``h_rot`` when the caller formed it) must
     # reproduce the stored spectrum, and so must basis^dag L basis the
     # lindblad spectrum unless L = omega h
     v = model.basis
     if h_rot is None:
-        h_rot = v.conj().T @ model.h.matrix @ v
+        h_rot = _in_basis(v, model.h.matrix)
     checks = [("spectrum", "h", h_rot, model.spectrum)]
     if not model.energy_lindblad:
         checks.append(("lindblad spectrum", "L",
-                       v.conj().T @ model.lindblad.matrix @ v,
+                       _in_basis(v, model.lindblad.matrix),
                        model.lindblad_spectrum))
     for name, symbol, mt, levels in checks:
-        resid = np.max(np.abs(mt - np.diag(levels)))
+        r = np.abs(mt)  # elementwise |mt - diag(levels)|
+        np.fill_diagonal(r, np.abs(mt.diagonal() - levels))
+        resid = r.max()
         scale = max(1.0, float(np.max(np.abs(levels))))
         if resid > 1e-10 * scale:
             raise ValidationError(

@@ -13,6 +13,7 @@ import pytest
 
 from dephasor import (CatSpec, DensityMatrix, NoiseSchedule, ValidationError,
                       advantage_ratio, cat_spec_for, heatmap_scan, load_model)
+from dephasor import cli
 from dephasor.cli import parse_and_run, parse_grid, parse_schedule
 from dephasor.fisher import qfi_time_cat
 from dephasor.protocols import GridSpec
@@ -558,6 +559,32 @@ def test_svg_color_floor_and_ceiling():
 
 
 # ------------------------------------------------------------- entry point
+
+def test_commands_back_to_back_print_what_they_print_alone(capsys):
+    # the parser is built once per process; nothing else carries over
+    # from one call to the next, options and their defaults included
+    runs = [
+        ("evolve", "--model", NOON2, "--schedule", "ramp:1,t0=0.1", "--t",
+         "0.6", "--dt", "2e-3", "--samples", "4"),
+        ("qfi", "--model", GHZ2, "--schedule", "const:0.1", "--t", "1",
+         "--param", "time", "--method", "numeric"),
+        ("estimate", "--model", GHZ2, "--schedule", "const:0.1",
+         "--param", "time"),
+        ("validate", "--model", GHZ2),
+        ("evolve", "--model", NOON2, "--schedule", "const:80", "--t", "400",
+         "--dt", "0.5", "--samples", "2"),
+        ("evolve", "--model", GHZ2, "--schedule", "const:0.5", "--t", "1"),
+    ]
+    alone = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in alone] == [0, 0, 1, 0, 2, 0]
+    assert alone[-1][1].count("\n") == 102  # the default 101 samples
+    cli._build_parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in runs] == alone
+    assert [run_cli(capsys, *argv) for argv in runs[::-1]] == alone[::-1]
+
 
 def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
     def broken(args):

@@ -364,6 +364,70 @@ def test_one_pass_trajectory_matches_the_per_interval_loop():
             assert np.all(np.abs(rho.array - ref) <= 1e-13 * np.abs(ref))
 
 
+def per_sample_trajectory(run, rho0, samples):
+    """Oracle: each sample's gains scattered onto the initial block and
+    the state formed and checked on its own, one sample at a time."""
+    model = run.model
+    dt = run.dt if run.dt is not None else default_step(
+        model, run.schedule, run.t_final)
+    times = np.linspace(0.0, run.t_final, samples)
+    block, support = model.eigenbasis_block(rho0)
+    _, _, (j, k), inverse, negative = pairs = dynamics._pair_table(
+        model, support)
+    states = [rho0]
+    for gain in _rk4_gains(*pairs[:2], run.schedule, times, dt):
+        gain = gain[inverse]
+        gain[negative] = gain[negative].conj()
+        out = block.copy()
+        out[j, k] *= gain
+        out[k, j] *= gain.conj()
+        states.append(DensityMatrix(out, basis=model.basis, support=support,
+                                    positivity_tol=1e-7))
+    return list(zip(times.tolist(), states))
+
+
+@pytest.mark.parametrize("gain_block", [dynamics.GAIN_BLOCK, 64, 12, 1])
+def test_chunked_trajectory_matches_the_per_sample_loop(monkeypatch,
+                                                        gain_block):
+    # chunks of max(1, GAIN_BLOCK // k^2) samples: 1024, 16, 3 and 1
+    # cat-state samples, 1, 1, 1 and 1 dense dim-8 ones; every state,
+    # least eigenvalue and time equals the per-sample loop's bit for bit
+    monkeypatch.setattr(dynamics, "GAIN_BLOCK", gain_block)
+    model = build_sensor_model("qubit_network", 3, omega=1.0)
+    sch = NoiseSchedule.piecewise_linear([(0.1, 0.0), (0.4, 2.0), (0.9, 0.5)])
+    run = EvolutionSpec(model=model, schedule=sch, t_final=1.0, dt=1e-3)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    dense = a @ a.conj().T
+    for rho0, samples in ((cat_initial_state(model), 37),
+                          (DensityMatrix(dense / np.trace(dense).real), 5)):
+        want = per_sample_trajectory(run, rho0, samples)
+        got = list(trajectory(run, rho0, samples))
+        assert len(got) == samples
+        for (t, rho), (t_ref, ref) in zip(got, want):
+            assert t == t_ref and rho.support == ref.support
+            assert rho.basis is ref.basis
+            assert np.array_equal(rho.array, ref.array)
+            assert rho.min_eigenvalue() == ref.min_eigenvalue()
+
+
+def test_trajectory_fails_at_its_first_broken_sample(monkeypatch):
+    # a stiff rate switched on mid-run at a coarse step: the samples
+    # before the first broken one are yielded, and it ends the run with
+    # the retry hint, whether it sits in one chunk with them or not
+    model = branch_model(CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0))
+    run = EvolutionSpec(model=model,
+                        schedule=NoiseSchedule.constant(80.0, t0=2.0),
+                        t_final=4.0, dt=0.5)
+    for gain_block in (dynamics.GAIN_BLOCK, 4):
+        monkeypatch.setattr(dynamics, "GAIN_BLOCK", gain_block)
+        seen = []
+        with pytest.raises(NumericalContractError, match="smaller dt"):
+            for t, _ in trajectory(run, cat_initial_state(model), 9):
+                seen.append(t)
+        assert seen == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
 def test_rk4_zero_time_returns_input():
     model = branch_model(CatSpec(delta_e=1.0, delta_l=1.0, omega=1.0))
     rho0 = cat_initial_state(model)

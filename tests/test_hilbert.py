@@ -95,6 +95,55 @@ def test_min_eigenvalue_matches_lapack(rng):
         assert rho.min_eigenvalue() == pytest.approx(ref, abs=1e-12)
 
 
+def random_states(rng, count, k):
+    """``count`` random full-rank k x k density matrices, as one stack."""
+    a = rng.normal(size=(count, k, k)) + 1j * rng.normal(size=(count, k, k))
+    rho = a @ a.conj().swapaxes(1, 2)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, np.inf], [np.inf, 0.5]]),  # not finite
+    np.array([[0.5, 0.1j], [0.1j, 0.5]]),      # not Hermitian
+    np.diag([0.5, 0.6]),                       # trace 1.1
+    np.diag([1.2, -0.2]),                      # negative eigenvalue
+])
+@pytest.mark.parametrize("at", [0, 3, 5])
+def test_a_stack_fails_as_its_first_bad_block_alone(rng, bad, at):
+    # one check over the stack: the first failing block raises the same
+    # error as a state built from it alone, and later blocks do not count
+    blocks = random_states(rng, 7, 2)
+    blocks[at] = bad
+    blocks[-1] = np.diag([0.5, 0.7])  # a later failure
+    with pytest.raises(ValidationError) as alone:
+        DensityMatrix(np.asarray(bad, dtype=complex), positivity_tol=1e-7)
+    with pytest.raises(type(alone.value)) as stacked:
+        DensityMatrix.stack(blocks, positivity_tol=1e-7)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stacked_least_eigenvalues_equal_each_blocks_eigvalsh(rng):
+    model = build_sensor_model("qubit_network", 3, omega=1.0)
+    for k, support in ((2, (7, 0)), (3, None), (8, None), (3, (1, 4, 2))):
+        blocks = random_states(rng, 9, k)
+        basis = None if support is None else model.basis
+        states = DensityMatrix.stack(blocks, basis=basis, support=support)
+        for rho, block in zip(states, blocks):
+            low = float(np.linalg.eigvalsh(block)[0])
+            want = low if support is None else min(low, 0.0)
+            assert rho.min_eigenvalue() == want  # bit for bit
+            single = DensityMatrix(block, basis=basis, support=support)
+            assert single.min_eigenvalue() == want
+            assert np.array_equal(rho.array, block)
+            assert rho.support == single.support and rho.dim == single.dim
+            with pytest.raises(ValueError):
+                rho.array[0, 0] = 1.0
+    # the support and basis are checked once for the stack, as for one
+    with pytest.raises(ValidationError, match="support"):
+        DensityMatrix.stack(random_states(rng, 3, 2), basis=model.basis,
+                            support=(0, 0))
+
+
 # ----------------------------------------------------------------- cat spec
 
 def test_cat_spec_derives_relative_gap():
@@ -179,6 +228,30 @@ def test_spectrum_check_covers_an_explicit_lindblad():
     with pytest.raises(ValidationError, match="spectrum does not match h"):
         _check_spectrum(dataclasses.replace(
             model, spectrum=np.array([0.5, -0.4])))
+
+
+def test_spectrum_check_on_an_identity_basis_matches_the_dense_route():
+    # an identity basis is checked elementwise, any other through
+    # basis^dag h basis; a diagonal sign flip is one that keeps every
+    # residual, so both routes must report the same one
+    levels = np.arange(8.0) / 7.0
+    model = build_sensor_model("qubit_network", 3, omega=1.0, lindblad=Operator(
+        np.diag(levels).astype(complex), hermitian=True))
+    flip = np.diag([1.0, -1.0] * 4).astype(complex)
+    h = model.h.matrix.copy()
+    h[1, 2] = h[2, 1] = 3e-9
+    for bad, match in (
+            (dataclasses.replace(model, h=Operator(h, hermitian=True)), "h"),
+            (dataclasses.replace(model, spectrum=model.spectrum + 2e-9), "h"),
+            (dataclasses.replace(model, lindblad_spectrum=levels - 2e-9), "L")):
+        text = []
+        for basis in (model.basis, flip):
+            with pytest.raises(ValidationError,
+                               match=f"does not match {match}") as exc:
+                _check_spectrum(dataclasses.replace(bad, basis=basis))
+            text.append(str(exc.value))
+        assert text[0] == text[1]
+    _check_spectrum(dataclasses.replace(model, basis=flip))
 
 
 def test_unknown_kind_rejected():
