@@ -284,9 +284,9 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     def fold(batch, running):
         """The running gain after ``batch``, its samples written out."""
         k, first, size, _ = (np.array(x) for x in zip(*batch))
-        unit = np.empty((len(batch), w.size), dtype=complex)
+        per_unit = np.empty((len(batch), w.size), dtype=complex)
         c, v = k[size == 0, None], size > 0
-        unit[~v] = _step_gain(phase, d, dt[c], g[c], g[c], g[c]) ** n[c]
+        per_unit[~v] = _step_gain(phase, d, dt[c], g[c], g[c], g[c]) ** n[c]
         # step i of segment s, rates at its start, midpoint and end (the
         # left limit at a segment's end), one unit after another
         m = size[v]
@@ -305,8 +305,8 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
             gains[a:b] = np.multiply.reduceat(_step_gain(
                 phase, d, *(x[r, None] for x in table)),
                 rows[a:b] - rows[a], axis=0)
-        unit[v] = gains
-        for gain, (k, _, _, last) in zip(unit, batch):
+        per_unit[v] = gains
+        for gain, (k, _, _, last) in zip(per_unit, batch):
             running = running * gain
             if last:
                 out[stop[k]:stop[k + 1]] = running

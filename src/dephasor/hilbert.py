@@ -153,6 +153,7 @@ def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
     bad = np.logical_or.reduce(fails)
     if bad.any():
         i = int(np.argmax(bad))
+        check = next(c for c, f in enumerate(fails) if f[i])
         raise ValidationError([
             "matrix entries must be finite",
             f"density matrix Hermiticity defect {defect[i]:.3e} > "
@@ -160,7 +161,7 @@ def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
             f"density matrix trace {complex(tr[i])!r} deviates from 1 by "
             f"more than {TRACE_TOL}",
             f"density matrix minimum eigenvalue {low[i]:.3e} below "
-            f"-{positivity_tol}"][next(c for c, f in enumerate(fails) if f[i])])
+            f"-{positivity_tol}"][check])
     return low.tolist()
 
 

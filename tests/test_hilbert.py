@@ -235,15 +235,16 @@ def test_spectrum_check_on_an_identity_basis_matches_the_dense_route():
     # basis^dag h basis; a diagonal sign flip is one that keeps every
     # residual, so both routes must report the same one
     levels = np.arange(8.0) / 7.0
-    model = build_sensor_model("qubit_network", 3, omega=1.0, lindblad=Operator(
-        np.diag(levels).astype(complex), hermitian=True))
+    lind = Operator(np.diag(levels).astype(complex), hermitian=True)
+    model = build_sensor_model("qubit_network", 3, omega=1.0, lindblad=lind)
     flip = np.diag([1.0, -1.0] * 4).astype(complex)
     h = model.h.matrix.copy()
     h[1, 2] = h[2, 1] = 3e-9
     for bad, match in (
             (dataclasses.replace(model, h=Operator(h, hermitian=True)), "h"),
             (dataclasses.replace(model, spectrum=model.spectrum + 2e-9), "h"),
-            (dataclasses.replace(model, lindblad_spectrum=levels - 2e-9), "L")):
+            (dataclasses.replace(model, lindblad_spectrum=levels - 2e-9),
+             "L")):
         text = []
         for basis in (model.basis, flip):
             with pytest.raises(ValidationError,
