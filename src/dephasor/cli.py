@@ -294,15 +294,13 @@ def _parse_box(text: str) -> dict:
         if not eq:
             raise ValidationError(f"malformed box field {chunk!r}")
         bits = raw.split(":")
+        if len(bits) > 2:
+            raise ValidationError(f"malformed box range {raw!r}")
         try:
-            if len(bits) == 1:
-                box[key] = float(bits[0])
-            elif len(bits) == 2:
-                box[key] = (float(bits[0]), float(bits[1]))
-            else:
-                raise ValidationError(f"malformed box range {raw!r}")
+            values = tuple(float(b) for b in bits)
         except ValueError as exc:
             raise ValidationError(f"malformed box value {raw!r}") from exc
+        box[key] = values if len(values) == 2 else values[0]
     return box
 
 
@@ -320,9 +318,17 @@ def _outputs(args) -> list:
     return [("file", args.out)] if getattr(args, "out", None) else []
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a validation error (exit 1, one line),
+    not argparse's usage text and exit 2; subparsers inherit this."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dephasor",
         description="Cat-state sensing under commuting dephasing: dynamics, "
                     "Fisher information, and noise-advantage analysis.")
@@ -393,11 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_and_run(argv=None) -> int:
     """Run one command.  The parser is built on the first call and kept;
     the handler is looked up by command name at each call."""
-    args = _build_parser().parse_args(argv)
-    if args.command == "estimate" and args.t is None and args.sweep is None:
-        sys.stderr.write("error: validation: estimate needs --t or --sweep\n")
-        return 1
     try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "estimate" and args.t is None \
+                and args.sweep is None:
+            raise ValidationError("estimate needs --t or --sweep")
         return globals()[f"_cmd_{args.command}"](args)
     except ValidationError as exc:
         sys.stderr.write(f"error: validation: {exc}\n")

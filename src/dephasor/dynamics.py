@@ -13,7 +13,8 @@ A state never leaves its support block, and all work is on that block
 (a cat state: 2 x 2, one distinct pair, at any dimension).  Each state
 is the initial block times its pairs' gains: ``evolve_exact`` takes
 exp(-i w t - d Gamma(t)), Gamma the integrated rate, and the fixed-step
-RK4 the product of its step gains, one pass for every sample of a
+RK4 the product of its step gains, folded into one running gain in time
+order a block of factor rows at a time, one pass for every sample of a
 ``trajectory`` (``evolve_lindblad_numeric`` is its two-sample case).
 The gains of many samples scale the block as one broadcast product,
 and the states come back written in the model's eigenbasis, checked
@@ -34,8 +35,7 @@ from .hilbert import (DensityMatrix, NumericalContractError, SensorModel,
 POSITIVITY_FLOOR = -1e-7
 CONVERGENCE_TOL = 1e-8
 MAX_STEPS_DEFAULT = 10_000
-GAIN_BLOCK = 4096
-STEP_CHUNK = 2 ** 12
+GAIN_BLOCK = 2 ** 14
 MAX_STEPS = 10 ** 8
 
 SCHEDULE_VARIANTS = ("constant", "linear_ramp", "piecewise_linear")
@@ -244,6 +244,7 @@ def _step_gain(phase, d, step, g1, gm, g2):
     return 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+@np.errstate(all="ignore")  # a blown-up step fails the state's check
 def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
                times: np.ndarray, dt_target: float) -> np.ndarray:
     """The RK4 gain per pair from times[0] to each later sample, as one
@@ -253,12 +254,14 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     step multiplies it by a scalar gain.  Each sample interval is cut at
     the breakpoints into segments of ceil(span / dt_target) equal steps
     (over ``MAX_STEPS``: ValidationError).  The rate is linear between
-    breakpoints, so a segment with one rate g at both ends takes R(z)^n,
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt (-i w - g d); others
-    are cut into units of at most a block of steps (``GAIN_BLOCK``
-    gains).  One pass folds the units into a running gain in time order,
-    about ``STEP_CHUNK`` steps at a time, which changes neither the
-    result nor, with the steps, memory."""
+    breakpoints, so a segment with one rate g at both ends is one factor
+    row, R(z)^n with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
+    z = dt (-i w - g d); any other segment is one row per step.  The rows
+    are formed a block at a time, each block about ``GAIN_BLOCK`` entries
+    (a row holds a gain per pair and its step's times and rates, about
+    four more), and multiplied into the running gain in time order, so
+    memory stays near one block whatever the step count (the block size
+    can move a gain at round-off)."""
     edges = np.array(sorted({*times.tolist(), *(
         p for p in schedule.breakpoints(float(times[-1])) if p > times[0])}))
     lo, hi = edges[:-1], edges[1:]
@@ -268,61 +271,37 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
                               f"cap of {MAX_STEPS:.3e}")
     n = np.maximum(1, np.ceil(count - 1e-12)).astype(np.int64)
     dt, phase = (hi - lo) / n, -1j * w
-    block = max(1, GAIN_BLOCK // max(1, w.size))
-    g = schedule.rate_right(lo)
-    const = g == schedule.rate(hi)
-    # out[stop[k]:stop[k + 1]]: the samples read once segment k is done
-    stop = np.cumsum(np.bincount(np.searchsorted(hi, times[1:], side="right"),
-                                 minlength=len(n) + 1)).tolist()
-    # (segment, first step, steps, ends segment); constant: no steps
-    units = ((k, f, 0 if c else min(block, m - f), c or f + block >= m)
-             for k, (c, m) in enumerate(zip(const.tolist(), n.tolist()))
-             for f in range(0, 1 if c else m, block))
+    g, g_end = schedule.rate_right(lo), schedule.rate(hi)
+    const = g == g_end
+    rows = np.where(const, 1, n)
+    ends = np.cumsum(rows)
+    # sample i + 1 reads the running gain after the first read[i] rows
+    read = np.append(0, ends)[np.searchsorted(hi, times[1:], side="right")]
     out = np.empty((len(times) - 1, w.size), dtype=complex)
-
-    @np.errstate(all="ignore")  # a blown-up step fails the state's check
-    def fold(batch, running):
-        """The running gain after ``batch``, its samples written out."""
-        k, first, size, _ = (np.array(x) for x in zip(*batch))
-        per_unit = np.empty((len(batch), w.size), dtype=complex)
-        c, v = k[size == 0, None], size > 0
-        per_unit[~v] = _step_gain(phase, d, dt[c], g[c], g[c], g[c]) ** n[c]
+    running = np.ones((1, w.size), dtype=complex)
+    block = max(2, GAIN_BLOCK // (w.size + 4))
+    for a in range(0, ends[-1], block):
+        r = np.arange(a, min(a + block, ends[-1]))
+        s = ends.searchsorted(r, "right")
         # step i of segment s, rates at its start, midpoint and end (the
-        # left limit at a segment's end), one unit after another
-        m = size[v]
-        rows = np.cumsum(m) - m
-        s = np.repeat(k[v], m)
-        i = np.arange(len(s)) + np.repeat(first[v] - rows, m)
-        ta, end = lo[s] + i * dt[s], i + 1 == n[s]
-        tb = np.where(end, hi[s], lo[s] + (i + 1) * dt[s])
-        table = [tb - ta, *(schedule.rate_right(x)
-                            for x in (ta, 0.5 * (ta + tb), tb))]
-        table[3][end] = schedule.rate(hi[s[end]])
-        gains = np.empty((len(m), w.size), dtype=complex)
-        starts = np.flatnonzero(np.diff(rows // block, prepend=-1)).tolist()
-        for a, b in zip(starts, starts[1:] + [len(m)]):  # a block at a time
-            r = slice(rows[a], rows[b - 1] + m[b - 1])
-            gains[a:b] = np.multiply.reduceat(_step_gain(
-                phase, d, *(x[r, None] for x in table)),
-                rows[a:b] - rows[a], axis=0)
-        per_unit[v] = gains
-        for gain, (k, _, _, last) in zip(per_unit, batch):
-            running = running * gain
-            if last:
-                out[stop[k]:stop[k + 1]] = running
-        return running
-
-    running = np.ones(w.shape, dtype=complex)
-    out[:stop[0]] = running
-    batch, rows = [], 0
-    for unit in units:
-        batch.append(unit)
-        rows += max(unit[2], 1)
-        if rows >= STEP_CHUNK:
-            running = fold(batch, running)
-            batch, rows = [], 0
-    if batch:
-        fold(batch, running)
+        # left limit at a segment's end); a constant segment's one row
+        # takes the nominal step and the rate g
+        i = r - (ends - rows)[s]
+        ta, tb = lo[s] + np.array([i, i + 1]) * dt[s]
+        end, c = i + 1 == rows[s], const[s]
+        tb[end] = hi[s[end]]
+        rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
+        rates[2, end] = g_end[s[end]]
+        rates[:, c] = g[s[c]]
+        step = tb - ta
+        step[c] = dt[s[c]]
+        gain = _step_gain(phase, d, step[:, None], *rates[..., None])
+        gain[c] **= n[s[c], None]
+        gains = np.vstack([running, gain])
+        np.multiply.accumulate(gains, axis=0, out=gains)
+        running = gains[-1:]
+        first, last = np.searchsorted(read, [a, a + len(r) + 1])
+        out[first:last] = gains[read[first:last] - a]
     return out
 
 

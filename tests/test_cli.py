@@ -503,6 +503,13 @@ def test_optimize_rejects_bad_box(capsys):
     assert err.startswith("error: validation:")
 
 
+def test_optimize_box_with_three_bounds_names_the_range(capsys):
+    code, out, err = run_cli(capsys, "optimize", "--model", GHZ2,
+                             "--param", "time", "--box", "t=1:2:3;gamma=1")
+    assert code == 1 and out == ""
+    assert err == "error: validation: malformed box range '1:2:3'\n"
+
+
 def test_optimize_all_cells_on_the_onset_is_a_validation_error(capsys):
     code, out, err = run_cli(capsys, "optimize", "--model", GHZ2,
                              "--param", "time", "--box", "t=0.5;gamma=1:10",
@@ -594,6 +601,29 @@ def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "validate", "--model", GHZ2)
     assert code == 3 and out == ""
     assert err == "error: internal: RuntimeError: boom\n"
+
+
+MALFORMED_ARGV = [
+    ["qfi", "--model", "x"],
+    ["evolve", "--model", GHZ2, "--schedule", "const:1", "--t", "1",
+     "--samples", "abc"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV)
+def test_malformed_command_line_is_one_validation_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV)
+def test_module_entry_point_malformed_command_line(argv):
+    proc = subprocess.run([sys.executable, "-m", "dephasor.cli", *argv],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: validation: ")
 
 
 def test_module_entry_point_runs():

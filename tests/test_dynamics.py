@@ -249,51 +249,42 @@ def test_rk4_segment_memory_does_not_grow_with_the_steps():
     assert abs(gain[0] - np.exp(-1j - 0.5)) < 1e-9
 
 
-def test_rk4_segment_chunks_keep_every_bit(monkeypatch):
-    # chunks hold whole units of steps, and the units fold into the
-    # running gain in time order, so the product runs in the same order
-    # as with one chunk for the whole run (five samples, the last two on
-    # the constant rate after the last knot; 819-step units here)
-    w = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
-    d = np.array([1.0, 0.0, 4.0, 1.0, 0.25])
-    sch = NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.3, 2.0), (2.0, 1.0)])
-    args = (w, d, sch, np.linspace(0.0, 2.5, 5), 1.0 / 5003)
-    monkeypatch.setattr(dynamics, "STEP_CHUNK", 300)
-    chunked = list(_rk4_gains(*args))
-    monkeypatch.setattr(dynamics, "STEP_CHUNK", 2 ** 40)
-    assert np.array_equal(chunked, list(_rk4_gains(*args)))
+def test_rk4_gains_memory_stays_near_one_block():
+    # 10^4 ramp steps for 2016 distinct pairs (a dense dim-64 block):
+    # the factor rows are held one block at a time (a row of gains for
+    # every unit of steps took 127 MiB); a pair's gain is the one it has
+    # on its own
+    rng = np.random.default_rng(5)
+    w, d = rng.uniform(0.0, 4.0, (2, 2016))
+    args = (NoiseSchedule.linear_ramp(1.0), np.array([0.0, 1.0]), 1e-4)
+    tracemalloc.start()
+    try:
+        gain, = _rk4_gains(w, d, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    one, = _rk4_gains(w[7:8], d[7:8], *args)
+    assert abs(gain[7] - one[0]) <= 1e-13 * abs(one[0])
 
 
 def segment_gain(w, d, schedule, t_start, t_end, dt_target):
-    """The RK4 gain of one smooth segment as the integrator took it one
-    sample interval at a time: step rates a chunk at a time, a chunk of
-    equal rates as one step gain raised to its step count, any other a
-    block of step gains at a time."""
+    """The RK4 gain of one smooth segment: the plain product of its
+    step gains, each step with its own width and its rates at its
+    start, midpoint and end (the left limit at the segment end); with
+    one rate g at both ends, the step gain at g to the step count."""
     span = t_end - t_start
     n = max(1, int(math.ceil(span / dt_target - 1e-12)))
-    dt = span / n
-    phase = -1j * w
-    total = np.ones(w.shape, dtype=complex)
-    block = max(1, dynamics.GAIN_BLOCK // w.size)
-    chunk = block * max(1, dynamics.STEP_CHUNK // block)
-    for c in range(0, n, chunk):
-        stop = min(c + chunk, n)
-        edges = t_start + np.arange(c, stop + 1) * dt
-        if stop == n:
-            edges[-1] = t_end
-        ta, tb = edges[:-1], edges[1:]
-        rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
-        if stop == n:
-            rates[2, -1] = schedule.rate(t_end)
-        g = rates[0, 0]
-        if (rates == g).all():
-            total = total * _step_gain(phase, d, dt, g, g, g) ** (stop - c)
-            continue
-        for s in range(0, len(ta), block):
-            gain = _step_gain(phase, d, *(a[s:s + block, None]
-                                          for a in (tb - ta, *rates)))
-            total = total * np.prod(gain, axis=0)
-    return total
+    g = schedule.rate_right(t_start)
+    if g == schedule.rate(t_end):
+        return _step_gain(-1j * w, d, span / n, g, g, g) ** n
+    edges = t_start + np.arange(n + 1) * (span / n)
+    edges[n] = t_end
+    ta, tb = edges[:-1], edges[1:]
+    rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
+    rates[2, -1] = schedule.rate(t_end)
+    gains = _step_gain(-1j * w, d, *(x[:, None] for x in (tb - ta, *rates)))
+    return np.prod(gains, axis=0)
 
 
 def per_interval_gains(w, d, schedule, times, dt_target):
@@ -318,10 +309,10 @@ D3 = np.array([1.0, 0.0, 4.0, 0.25])
 
 @pytest.mark.parametrize("sch, times, dt", [
     # onset on the second sample; then a long constant stretch per
-    # interval, longer than one chunk of steps
+    # interval, more steps than one block holds rows
     (NoiseSchedule.constant(0.7, t0=0.25), np.linspace(0.0, 1.0, 5), 1e-3),
     (NoiseSchedule.constant(0.7, t0=0.25), np.array([0.0, 0.25, 1.25]),
-     1.0 / (dynamics.STEP_CHUNK + 4099)),
+     1.0 / (dynamics.GAIN_BLOCK + 4099)),
     # ramp switched on at a sample, and on between samples
     (NoiseSchedule.linear_ramp(2.0, t0=0.5), np.linspace(0.0, 1.5, 7), 1e-3),
     (NoiseSchedule.linear_ramp(2.0, t0=0.3), np.linspace(0.0, 1.5, 7), 1e-3),
@@ -333,6 +324,10 @@ D3 = np.array([1.0, 0.0, 4.0, 0.25])
     (NoiseSchedule.piecewise_linear([(0.1, 0.2), (0.7, 2.0)]),
      np.linspace(0.0, 1.0, 41), 0.3),
     (NoiseSchedule.linear_ramp(1.0), np.linspace(0.0, 2.0, 301), 0.02),
+    # a ramp segment as long as the second case: its rows cross block
+    # edges
+    (NoiseSchedule.linear_ramp(0.7, t0=0.25), np.array([0.0, 0.25, 1.25]),
+     1.0 / (dynamics.GAIN_BLOCK + 4099)),
 ])
 def test_one_pass_gains_match_the_per_interval_loop(sch, times, dt):
     got = list(_rk4_gains(W3, D3, sch, times, dt))
@@ -389,8 +384,8 @@ def per_sample_trajectory(run, rho0, samples):
 @pytest.mark.parametrize("gain_block", [dynamics.GAIN_BLOCK, 64, 12, 1])
 def test_chunked_trajectory_matches_the_per_sample_loop(monkeypatch,
                                                         gain_block):
-    # chunks of max(1, GAIN_BLOCK // k^2) samples: 1024, 16, 3 and 1
-    # cat-state samples, 1, 1, 1 and 1 dense dim-8 ones; every state,
+    # chunks of max(1, GAIN_BLOCK // k^2) samples: 4096, 16, 3 and 1
+    # cat-state samples, 256, 1, 1 and 1 dense dim-8 ones; every state,
     # least eigenvalue and time equals the per-sample loop's bit for bit
     monkeypatch.setattr(dynamics, "GAIN_BLOCK", gain_block)
     model = build_sensor_model("qubit_network", 3, omega=1.0)
