@@ -13,12 +13,10 @@ A state never leaves its support block, and all work is on that block
 (a cat state: 2 x 2, one distinct pair, at any dimension).  Each state
 is the initial block times its pairs' gains: ``evolve_exact`` takes
 exp(-i w t - d Gamma(t)), Gamma the integrated rate, and the fixed-step
-RK4 the product of its step gains, folded into one running gain in time
-order a block of factor rows at a time, one pass for every sample of a
-``trajectory`` (``evolve_lindblad_numeric`` is its two-sample case).
-The gains of many samples scale the block as one broadcast product,
-and the states come back written in the model's eigenbasis, checked
-one stack of samples at a time.
+RK4 the product of its step gains, their rates read from each smooth
+segment's linear law, folded into one running gain a block at a time,
+one pass for every sample of a ``trajectory``.  The states come back
+written in the model's eigenbasis, checked a stack at a time.
 """
 
 from __future__ import annotations
@@ -116,7 +114,8 @@ class NoiseSchedule:
         if self.variant == "constant":
             g = self.gamma
         elif self.variant == "linear_ramp":
-            g = self.gamma_dot * (ts - self.t0)
+            with np.errstate(over="ignore"):  # inf beyond the float range
+                g = self.gamma_dot * (ts - self.t0)
         else:
             kt, kg = np.array(self.knots).T
             # index of the segment [kt[i], kt[i+1]) holding t, clamped
@@ -142,8 +141,9 @@ class NoiseSchedule:
                 hi = np.minimum(ts, tb)
                 # exact trapezoid of the linear segment, cut at t
                 ghi = ga + (gb - ga) * (hi - ta) / (tb - ta)
-                total = total + np.where(ts > ta,
-                                         0.5 * (ga + ghi) * (hi - ta), 0.0)
+                with np.errstate(all="ignore"):  # discarded where t <= ta
+                    cut = 0.5 * (ga + ghi) * (hi - ta)
+                total = total + np.where(ts > ta, cut, 0.0)
             total = total + np.where(ts > ks[-1][0],
                                      ks[-1][1] * (ts - ks[-1][0]), 0.0)
         return scalar_or_array(t, total)
@@ -156,10 +156,8 @@ class NoiseSchedule:
 
     def breakpoints(self, t_final: float) -> list[float]:
         """Times in (0, t_final) where the rate is not smooth."""
-        if self.variant == "piecewise_linear":
-            pts = [tk for tk, _ in self.knots]
-        else:
-            pts = [self.t0]
+        pts = ([tk for tk, _ in self.knots]
+               if self.variant == "piecewise_linear" else [self.t0])
         return sorted({p for p in pts if 0.0 < p < t_final})
 
 
@@ -225,12 +223,16 @@ def _pair_table(model: SensorModel, support=None):
     conjugate of the gain of (w, d), exactly)."""
     levels = slice(None) if support is None else list(support)
     eps, lam = model.spectrum[levels], model.lindblad_spectrum[levels]
-    upper = np.triu_indices(len(eps), 1)
-    j, k = upper
+    upper = j, k = np.triu_indices(len(eps), 1)
     w = model.omega * (eps[j] - eps[k])
-    table = np.stack([np.abs(w), (lam[j] - lam[k]) ** 2])
-    (w_abs, d), inverse = np.unique(table, axis=1, return_inverse=True)
-    return w_abs, d, upper, inverse.ravel(), w < 0.0
+    w_abs, d = np.abs(w), (lam[j] - lam[k]) ** 2
+    order = np.lexsort((d, w_abs))
+    w_abs, d = w_abs[order], d[order]
+    new = np.ones(order.size, dtype=bool)  # where a distinct pair starts
+    new[1:] = (w_abs[1:] != w_abs[:-1]) | (d[1:] != d[:-1])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return w_abs[new], d[new], upper, inverse, w < 0.0
 
 
 def _step_gain(phase, d, step, g1, gm, g2):
@@ -252,16 +254,17 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
 
     Element (j, k) obeys d rho_jk/dt = (-i w - g d) rho_jk, so an RK4
     step multiplies it by a scalar gain.  Each sample interval is cut at
-    the breakpoints into segments of ceil(span / dt_target) equal steps
-    (over ``MAX_STEPS``: ValidationError).  The rate is linear between
-    breakpoints, so a segment with one rate g at both ends is one factor
-    row, R(z)^n with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at
-    z = dt (-i w - g d); any other segment is one row per step.  The rows
-    are formed a block at a time, each block about ``GAIN_BLOCK`` entries
-    (a row holds a gain per pair and its step's times and rates, about
-    four more), and multiplied into the running gain in time order, so
-    memory stays near one block whatever the step count (the block size
-    can move a gain at round-off)."""
+    the breakpoints into segments of n = ceil(span / dt_target) steps of
+    width dt = span / n (over ``MAX_STEPS``: ValidationError).  The rate
+    is linear in between, so the schedule is read only at a segment's
+    ends, g after its start and g_end before its end; step i takes
+    g + sigma (i + x) at x = 0, 1/2, 1, sigma = (g_end - g) / n, and the
+    last step ends on g_end.  A segment with g = g_end is one factor row,
+    R(z)^n, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 at z = dt (-i w - g d);
+    any other is one row per step.  Rows are formed a block of about
+    ``GAIN_BLOCK`` entries at a time and folded into the running gain in
+    time order, by a running product only where a sample reads inside
+    the block (the block size can move a gain at round-off)."""
     edges = np.array(sorted({*times.tolist(), *(
         p for p in schedule.breakpoints(float(times[-1])) if p > times[0])}))
     lo, hi = edges[:-1], edges[1:]
@@ -272,36 +275,32 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     n = np.maximum(1, np.ceil(count - 1e-12)).astype(np.int64)
     dt, phase = (hi - lo) / n, -1j * w
     g, g_end = schedule.rate_right(lo), schedule.rate(hi)
-    const = g == g_end
+    const, sigma = g == g_end, (g_end - g) / n
     rows = np.where(const, 1, n)
     ends = np.cumsum(rows)
     # sample i + 1 reads the running gain after the first read[i] rows
     read = np.append(0, ends)[np.searchsorted(hi, times[1:], side="right")]
     out = np.empty((len(times) - 1, w.size), dtype=complex)
-    running = np.ones((1, w.size), dtype=complex)
+    running = np.ones(w.size, dtype=complex)
     block = max(2, GAIN_BLOCK // (w.size + 4))
     for a in range(0, ends[-1], block):
-        r = np.arange(a, min(a + block, ends[-1]))
+        b = min(a + block, ends[-1])
+        r = np.arange(a, b)
         s = ends.searchsorted(r, "right")
-        # step i of segment s, rates at its start, midpoint and end (the
-        # left limit at a segment's end); a constant segment's one row
-        # takes the nominal step and the rate g
-        i = r - (ends - rows)[s]
-        ta, tb = lo[s] + np.array([i, i + 1]) * dt[s]
-        end, c = i + 1 == rows[s], const[s]
-        tb[end] = hi[s[end]]
-        rates = schedule.rate_right(np.stack([ta, 0.5 * (ta + tb), tb]))
-        rates[2, end] = g_end[s[end]]
-        rates[:, c] = g[s[c]]
-        step = tb - ta
-        step[c] = dt[s[c]]
-        gain = _step_gain(phase, d, step[:, None], *rates[..., None])
-        gain[c] **= n[s[c], None]
-        gains = np.vstack([running, gain])
-        np.multiply.accumulate(gains, axis=0, out=gains)
-        running = gains[-1:]
-        first, last = np.searchsorted(read, [a, a + len(r) + 1])
-        out[first:last] = gains[read[first:last] - a]
+        # row r is step r - (ends - rows)[s] of its segment s
+        rates = sigma[s] * (r - (ends - rows)[s] + [[0], [0.5], [1]]) + g[s]
+        done = np.arange(s[0], s[-1] + (ends[s[-1]] == b))  # ending here
+        rates[2, ends[done] - 1 - a] = g_end[done]
+        gain = _step_gain(phase, d, dt[s, None], *rates[..., None])
+        c = done[const[done]]
+        gain[ends[c] - 1 - a] **= n[c, None]  # a constant segment: R^n
+        gain[0] *= running
+        first, last = read.searchsorted([a + 1, b + 1])
+        if first == last:  # no sample reads inside the block
+            running = np.multiply.reduce(gain, axis=0)
+        else:
+            running = np.multiply.accumulate(gain, axis=0, out=gain)[-1]
+            out[first:last] = gain[read[first:last] - a - 1]
     return out
 
 
@@ -346,7 +345,6 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
         return rho0
     dt = spec.dt if spec.dt is not None else default_step(
         model, schedule, spec.t_final)
-
     pairs = _pair_table(model, support)
 
     def run(step):

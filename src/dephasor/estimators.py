@@ -102,7 +102,9 @@ def signal_statistics(spec: CatSpec, schedule: NoiseSchedule, t,
     mean = signal_law(spec, integral, ts)
     d_mean = signal_derivative_law(spec, parameter, rate, integral, ts)
     var_o = 1.0 - mean * mean
-    var_est = np.where(d_mean == 0.0, np.inf, var_o / (d_mean * d_mean))
+    d2 = d_mean * d_mean  # below the normal range: divide by d_mean twice
+    var_est = np.where(d_mean == 0.0, np.inf, np.where(
+        d2 < np.finfo(float).tiny, var_o / d_mean / d_mean, var_o / d2))
     return tuple(scalar_or_array(t, v) for v in
                  (integral, mean, var_o, d_mean, var_est))
 

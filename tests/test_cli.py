@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -25,6 +26,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
 GHZ2 = str(MODELS / "ghz2.json")
 NOON2 = str(MODELS / "noon2.json")
+GHZ3 = str(MODELS / "ghz3.json")
 
 
 def child_env():
@@ -226,6 +228,35 @@ def test_evolve_overflow_prints_one_stderr_line():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: numerical-contract:")
+
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    # the trapezoid of a knot segment after t overflows, and is discarded
+    (["bound", "--model", GHZ3, "--schedule", "pw:-0.0:1.7e308;1e20:-0.0",
+      "--t", "0", "--param", "omega"], 0, ""),
+    # a ramp rate beyond the float range: no RK4 step can resolve it
+    (["qfi", "--model", GHZ2, "--schedule", "ramp:1.7e308", "--t", "1e150",
+      "--param", "time", "--method", "numeric"], 1, "error: validation:"),
+    # d<O>/dt = -4.4e-323 squares to 0, and so does var(O): not 0/0
+    (["estimate", "--model", GHZ3, "--schedule", "const:1.7e308,t0=5e-324",
+      "--t", "5e-324", "--param", "time"], 0, ""),
+])
+def test_extreme_floats_end_in_the_contract_without_warnings(capsys, argv,
+                                                             code, err):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = parse_and_run(argv)
+    captured = capsys.readouterr()
+    assert got == code
+    assert [str(w.message) for w in seen] == []
+    assert "NaN" not in captured.out
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith(err)
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert captured.err == ""
 
 
 # --------------------------------------------------------------------- qfi

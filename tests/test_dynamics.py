@@ -337,6 +337,26 @@ def test_one_pass_gains_match_the_per_interval_loop(sch, times, dt):
         assert np.all(np.abs(g - h) <= 1e-13 * np.abs(h))
 
 
+@pytest.mark.parametrize("sch, samples", [
+    (NoiseSchedule.linear_ramp(1.0, t0=0.2), 2),
+    (NoiseSchedule.piecewise_linear([(0.1, 0.0), (0.4, 2.0), (0.9, 0.5)]),
+     11),
+])
+def test_rk4_reads_the_schedule_per_segment(monkeypatch, sch, samples):
+    # 10^5 steps: each step takes its rates from its segment's linear
+    # law, so the schedule is read at the two ends of each segment (the
+    # sample intervals cut at the breakpoints), never per step
+    evaluated = []
+    rate = NoiseSchedule._rate
+    monkeypatch.setattr(NoiseSchedule, "_rate", lambda self, t, right: (
+        evaluated.append(np.size(t)) or rate(self, t, right)))
+    times = np.linspace(0.0, 1.0, samples)
+    gains = _rk4_gains(W3, D3, sch, times, 1e-5)
+    assert gains.shape == (samples - 1, len(W3))
+    segments = samples - 1 + len(sch.breakpoints(1.0))
+    assert 0 < sum(evaluated) <= 2 * segments
+
+
 def test_one_pass_trajectory_matches_the_per_interval_loop():
     # every sample of a 101-sample ramp trajectory of a dim-8 model:
     # a cat state has one pair, a dense state all of them

@@ -83,6 +83,18 @@ def test_stationary_signal_diverges_cleanly():
     assert not near.diverged
 
 
+
+@pytest.mark.parametrize("t", [5e-324, 1e-200, 1e-170])
+def test_estimator_variance_survives_an_underflowing_slope(t):
+    # d<O>/dt = -dE^2 t is nonzero but its square leaves the normal
+    # range, and var(O) = 1 - <O>^2 rounds to 0: the quotient is 0, not
+    # 0/0 (a NaN) or 0/subnormal
+    spec = CatSpec(delta_e=3.0, delta_l=3.0, omega=1.0)
+    rep = estimator_variance(spec, NoiseSchedule.constant(0.0), t, "time")
+    assert rep.d_mean != 0.0 and rep.d_mean ** 2 < 2.3e-308
+    assert rep.variance_o == 0.0 and rep.variance_estimator == 0.0
+    assert not rep.diverged
+
 def test_frequency_estimation_requires_energy_dephasing():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     with pytest.raises(ValidationError, match="energy dephasing"):

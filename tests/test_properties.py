@@ -39,6 +39,7 @@ the one a double loop over neighbouring cells finds.
 
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -774,6 +775,28 @@ def test_qubit_network_has_one_pair_per_energy_gap(n_qubits, omega):
         np.where(negative, -1.0, 1.0) * w[inverse],
         model.omega * (eps[j] - eps[k]))
 
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 64), st.integers(1, 5), st.floats(0.1, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_pair_table_matches_the_unique_columns(dim, values, omega, seed):
+    # levels drawn from a few values, so (|w|, d) columns tie often (and
+    # w and -w give one |w|): the sorted table equals np.unique's, with
+    # the same inverse, bit for bit
+    rng = np.random.default_rng(seed)
+    eps, lam = rng.choice(rng.normal(size=(2, values)).ravel(), (2, dim))
+    model = types.SimpleNamespace(spectrum=eps, lindblad_spectrum=lam,
+                                  omega=omega)
+    w_abs, d, (j, k), inverse, negative = _pair_table(model)
+    w = omega * (eps[j] - eps[k])
+    (want_w, want_d), want_inverse = np.unique(
+        np.stack([np.abs(w), (lam[j] - lam[k]) ** 2]), axis=1,
+        return_inverse=True)
+    assert bits(w_abs) == bits(want_w) and bits(d) == bits(want_d)
+    np.testing.assert_array_equal(inverse, want_inverse.ravel())
+    assert inverse.dtype == want_inverse.dtype
+    np.testing.assert_array_equal(negative, w < 0.0)
 
 @settings(max_examples=40)
 @given(commuting_models(), schedules(rate=st.floats(0.0, 5.0)),
