@@ -230,7 +230,6 @@ def test_evolve_overflow_prints_one_stderr_line():
     assert lines[0].startswith("error: numerical-contract:")
 
 
-
 @pytest.mark.parametrize("argv, code, err", [
     # the trapezoid of a knot segment after t overflows, and is discarded
     (["bound", "--model", GHZ3, "--schedule", "pw:-0.0:1.7e308;1e20:-0.0",

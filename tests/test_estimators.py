@@ -83,7 +83,6 @@ def test_stationary_signal_diverges_cleanly():
     assert not near.diverged
 
 
-
 @pytest.mark.parametrize("t", [5e-324, 1e-200, 1e-170])
 def test_estimator_variance_survives_an_underflowing_slope(t):
     # d<O>/dt = -dE^2 t is nonzero but its square leaves the normal
@@ -94,6 +93,7 @@ def test_estimator_variance_survives_an_underflowing_slope(t):
     assert rep.d_mean != 0.0 and rep.d_mean ** 2 < 2.3e-308
     assert rep.variance_o == 0.0 and rep.variance_estimator == 0.0
     assert not rep.diverged
+
 
 def test_frequency_estimation_requires_energy_dephasing():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)

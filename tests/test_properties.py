@@ -27,6 +27,8 @@ matches ``evolve_exact`` to 1e-12, and a central difference of
 equation of motion.  Random (w, d) pairs, schedules and runs check
 that the RK4 gain, which takes a segment of equal step rates as one
 step gain raised to its step count, matches a plain per-step loop.
+Random level sets with many ties check that the sorted pair table
+equals the ``np.unique`` columns and inverse bit for bit.
 Random supports of random models, in a Haar frame or an identity basis,
 check that a state on its support block evolves, differentiates and
 gives the SLD QFI as the same state built dense.
@@ -776,7 +778,6 @@ def test_qubit_network_has_one_pair_per_energy_gap(n_qubits, omega):
         model.omega * (eps[j] - eps[k]))
 
 
-
 @settings(max_examples=60)
 @given(st.integers(2, 64), st.integers(1, 5), st.floats(0.1, 3.0),
        st.integers(0, 2 ** 32 - 1))
@@ -797,6 +798,7 @@ def test_pair_table_matches_the_unique_columns(dim, values, omega, seed):
     np.testing.assert_array_equal(inverse, want_inverse.ravel())
     assert inverse.dtype == want_inverse.dtype
     np.testing.assert_array_equal(negative, w < 0.0)
+
 
 @settings(max_examples=40)
 @given(commuting_models(), schedules(rate=st.floats(0.0, 5.0)),
