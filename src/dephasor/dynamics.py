@@ -138,14 +138,12 @@ class NoiseSchedule:
             ks = self.knots
             total = np.zeros_like(ts)
             for (ta, ga), (tb, gb) in zip(ks, ks[1:]):
-                hi = np.minimum(ts, tb)
-                # exact trapezoid of the linear segment, cut at t
+                hi = np.clip(ts, ta, tb)
+                # exact trapezoid of the linear segment, cut at t (empty
+                # where t <= ta), from halves: a sum of two rates can overflow
                 ghi = ga + (gb - ga) * (hi - ta) / (tb - ta)
-                with np.errstate(all="ignore"):  # discarded where t <= ta
-                    cut = 0.5 * (ga + ghi) * (hi - ta)
-                total = total + np.where(ts > ta, cut, 0.0)
-            total = total + np.where(ts > ks[-1][0],
-                                     ks[-1][1] * (ts - ks[-1][0]), 0.0)
+                total = total + (0.5 * ga + 0.5 * ghi) * (hi - ta)
+            total = total + ks[-1][1] * np.maximum(0.0, ts - ks[-1][0])
         return scalar_or_array(t, total)
 
     def max_rate(self, t_final: float) -> float:
@@ -156,8 +154,10 @@ class NoiseSchedule:
 
     def breakpoints(self, t_final: float) -> list[float]:
         """Times in (0, t_final) where the rate is not smooth."""
-        pts = ([tk for tk, _ in self.knots]
-               if self.variant == "piecewise_linear" else [self.t0])
+        if self.variant == "piecewise_linear":
+            pts = [tk for tk, _ in self.knots]
+        else:
+            pts = [self.t0]
         return sorted({p for p in pts if 0.0 < p < t_final})
 
 
@@ -223,16 +223,15 @@ def _pair_table(model: SensorModel, support=None):
     conjugate of the gain of (w, d), exactly)."""
     levels = slice(None) if support is None else list(support)
     eps, lam = model.spectrum[levels], model.lindblad_spectrum[levels]
-    upper = j, k = np.triu_indices(len(eps), 1)
+    upper = np.triu_indices(len(eps), 1)
+    j, k = upper
     w = model.omega * (eps[j] - eps[k])
-    w_abs, d = np.abs(w), (lam[j] - lam[k]) ** 2
-    order = np.lexsort((d, w_abs))
-    w_abs, d = w_abs[order], d[order]
-    new = np.ones(order.size, dtype=bool)  # where a distinct pair starts
-    new[1:] = (w_abs[1:] != w_abs[:-1]) | (d[1:] != d[:-1])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    return w_abs[new], d[new], upper, inverse, w < 0.0
+    # one complex key |w| + i d: np.unique sorts it by |w|, then by d
+    key = np.empty(w.size, dtype=complex)
+    key.real, key.imag = np.abs(w), (lam[j] - lam[k]) ** 2
+    pairs, inverse = np.unique(key, return_inverse=True)
+    # contiguous copies: the RK4 loop reads them once per block
+    return pairs.real.copy(), pairs.imag.copy(), upper, inverse, w < 0.0
 
 
 def _step_gain(phase, d, step, g1, gm, g2):
@@ -345,6 +344,7 @@ def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
         return rho0
     dt = spec.dt if spec.dt is not None else default_step(
         model, schedule, spec.t_final)
+
     pairs = _pair_table(model, support)
 
     def run(step):

@@ -7,7 +7,6 @@ test modules were produced by these oracles.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -21,13 +20,11 @@ else:
     # deterministic and free of flaky deadline failures on a slow host.
     settings.register_profile("tier1", derandomize=True, deadline=None,
                               database=None)
-    # Random draws that ``pytest --hypothesis-seed N`` fixes (a
-    # derandomized profile ignores the seed), chosen with
-    # DEPHASOR_HYPOTHESIS_PROFILE=explore.
+    # Random draws that ``--hypothesis-seed N`` fixes (a derandomized
+    # profile ignores the seed): ``pytest --hypothesis-profile explore``.
     settings.register_profile("explore", derandomize=False, deadline=None,
                               database=None)
-    settings.load_profile(os.environ.get("DEPHASOR_HYPOTHESIS_PROFILE",
-                                         "tier1"))
+    settings.load_profile("tier1")
 
 from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, branch_model,
                       cat_initial_state, evolve_exact, evolve_lindblad_numeric)

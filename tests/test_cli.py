@@ -234,6 +234,10 @@ def test_evolve_overflow_prints_one_stderr_line():
     # the trapezoid of a knot segment after t overflows, and is discarded
     (["bound", "--model", GHZ3, "--schedule", "pw:-0.0:1.7e308;1e20:-0.0",
       "--t", "0", "--param", "omega"], 0, ""),
+    # knot rates near the float maximum: a finite dose (8.5e307) whose
+    # decay exponent overflows in the closed form
+    (["qfi", "--model", GHZ2, "--schedule", "pw:0:1.7e308;1:1.7e308",
+      "--t", "0.5", "--param", "time"], 2, "error: numerical-contract:"),
     # a ramp rate beyond the float range: no RK4 step can resolve it
     (["qfi", "--model", GHZ2, "--schedule", "ramp:1.7e308", "--t", "1e150",
       "--param", "time", "--method", "numeric"], 1, "error: validation:"),

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ def test_integral_zero_before_onset():
     for sch in make_schedules():
         assert sch.integral(0.0) == 0.0
         assert sch.integral(min(sch.t0, 0.0) + 0.0) == 0.0
+
+
+
+@pytest.mark.parametrize("knots, t, want", [
+    # two knot rates near the float maximum: their sum overflows, the
+    # dose does not
+    ([(0.0, 1.7e308), (1.0, 1.7e308)], 0.5, 8.5e307),
+    # the tail after a far last knot and the segment after t are empty
+    ([(0.0, 1.7e308), (1e20, 1.7e308)], 1.0, 1.7e308),
+    ([(-0.0, 1.7e308), (1e20, -0.0)], 0.0, 0.0),
+])
+def test_integral_near_the_float_maximum(knots, t, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert NoiseSchedule.piecewise_linear(knots).integral(t) == want
 
 
 def test_max_rate_and_breakpoints():
