@@ -223,8 +223,9 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"malformed sweep: {exc}") from exc
-    if steps < 2 or not lo < hi or lo < 0.0:
-        raise ValidationError("sweep needs 0 <= t_min < t_max and steps >= 2")
+    if steps < 2 or not 0.0 <= lo < hi < np.inf:
+        raise ValidationError("sweep needs 0 <= t_min < t_max < inf and "
+                              "steps >= 2")
     return lo, hi, steps
 
 

@@ -122,7 +122,7 @@ class NoiseSchedule:
             i = np.searchsorted(kt[1:-1], ts, side="right")
             ta, tb, ga, gb = kt[i], kt[i + 1], kg[i], kg[i + 1]
             g = np.where(ts >= kt[-1], kg[-1],
-                         ga + (gb - ga) * (ts - ta) / (tb - ta))
+                         ga + (gb - ga) * ((ts - ta) / (tb - ta)))
         on = ts >= self.t0 if right else ts > self.t0
         return scalar_or_array(t, np.where(on, g, 0.0))
 
@@ -141,7 +141,7 @@ class NoiseSchedule:
                 hi = np.clip(ts, ta, tb)
                 # exact trapezoid of the linear segment, cut at t (empty
                 # where t <= ta), from halves: a sum of two rates can overflow
-                ghi = ga + (gb - ga) * (hi - ta) / (tb - ta)
+                ghi = ga + (gb - ga) * ((hi - ta) / (tb - ta))
                 total = total + (0.5 * ga + 0.5 * ghi) * (hi - ta)
             total = total + ks[-1][1] * np.maximum(0.0, ts - ks[-1][0])
         return scalar_or_array(t, total)
@@ -371,6 +371,7 @@ def _contract_state(model: SensorModel, block: np.ndarray, support,
     wasn't), with a smaller-dt hint after RK4."""
     try:
         return DensityMatrix.stack(block, basis=model.basis, support=support,
+                                   dim=model.dim,
                                    positivity_tol=-POSITIVITY_FLOOR)
     except ValidationError as exc:
         hint = "" if dt is None else \

@@ -66,19 +66,15 @@ def optimal_observable(model: SensorModel) -> ObservableSpec:
     the computational basis is the bit-complement exchange matrix.  Any
     two-level model measures the branch swap, sigma_x in its eigenbasis.
     """
-    if model.kind == "qubit_network":
-        dim = model.dim
-        op = np.zeros((dim, dim), dtype=complex)
-        for b in range(dim):
-            op[b, dim - 1 - b] = 1.0
-        return ObservableSpec(kind="parity",
-                              operator=Operator(op, hermitian=True))
-    if model.dim == 2:
-        op = model.basis[:, ::-1] @ model.basis.conj().T
-        return ObservableSpec(kind="branch_swap",
-                              operator=Operator(op, hermitian=True))
-    raise ValidationError(
-        "custom models need an explicitly chosen observable")
+    parity = model.kind == "qubit_network"
+    if not parity and model.dim != 2:
+        raise ValidationError(
+            "custom models need an explicitly chosen observable")
+    op, v = np.eye(model.dim, dtype=complex)[::-1], model.basis
+    if not parity and v is not None:
+        op = v @ op @ v.conj().T
+    return ObservableSpec(kind="parity" if parity else "branch_swap",
+                          operator=Operator(op, hermitian=True))
 
 
 def observable_expectation(spec: CatSpec, schedule: NoiseSchedule,

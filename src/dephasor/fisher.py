@@ -113,9 +113,8 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     truncated = off + int(np.sum(2.0 * w < SLD_PAIR_CUTOFF))
 
     sld = v @ lam @ v.conj().T
-    result = SldResult(sld=SupportBlock(0.5 * (sld + sld.conj().T),
-                                        basis=basis, support=support),
-                       truncated_rank=truncated)
+    sld = SupportBlock(0.5 * (sld + sld.conj().T), basis, support, rho.dim)
+    result = SldResult(sld=sld, truncated_rank=truncated)
     report = QfiReport(value=qfi, method="numeric_sld", parameter=parameter,
                        diagnostics={"truncated_rank": truncated,
                                     "min_eigenvalue": min(
@@ -145,7 +144,7 @@ def drho_dt(model: SensorModel, schedule: NoiseSchedule, rho: DensityMatrix,
     out = -1j * c_h
     if rate != 0.0:
         out = out - rate * c_ll
-    return SupportBlock(out, basis=model.basis, support=support)
+    return SupportBlock(out, model.basis, support, model.dim)
 
 
 def drho_domega(model: SensorModel, schedule: NoiseSchedule,
@@ -165,7 +164,7 @@ def drho_domega(model: SensorModel, schedule: NoiseSchedule,
     out = -1j * (t / model.omega) * c_h
     if integral != 0.0:
         out = out - (2.0 * integral / model.omega) * c_hh
-    return SupportBlock(out, basis=model.basis, support=support)
+    return SupportBlock(out, model.basis, support, model.dim)
 
 
 def qfi_time_lower_bound(model: SensorModel, schedule: NoiseSchedule,
@@ -234,13 +233,29 @@ def baseline_law(spec: CatSpec, parameter: str, t):
     return spec.delta_e * spec.delta_e / (spec.omega ** 2) * (t * t)
 
 
-def _omega_ratio(spec: CatSpec, x, dose, t):
+def _decayed(x, term, log_value, base=1.0):
+    """base (e^{-x} term); where the dose is positive and e^{-x}
+    underflows or the product is not finite, a factor left the float
+    range (0 x inf = NaN): there exp(log_value() - x), from logs."""
+    decay = np.exp(-x)
+    value = base * (decay * term)
+    out = ((decay == 0.0) | ~np.isfinite(value)) & (x > 0.0)
+    if not out.any():
+        return value
+    return np.where(out, np.exp(log_value() - x), value)
+
+
+def _omega_ratio(spec: CatSpec, x, dose, t, base=1.0, log_base=0.0):
     """Omega QFI over its baseline, e^{-x} (1 + 4 dE^2 (Gamma/t)^2 /
     (1 - e^{-x})), written without t^2 and Gamma^2, which underflow at
-    small t.  NaN at zero dose, where the caller puts the limit 1."""
+    small t; times ``base``, of log ``log_base``.  NaN at zero dose,
+    where the caller puts the limit 1."""
     per_t = np.asarray(dose, dtype=float) / t
-    return np.exp(-x) * (1.0 + 4.0 * spec.delta_e ** 2 * per_t * per_t
-                         / (-np.expm1(-x)))
+    c = 4.0 * spec.delta_e ** 2
+    return _decayed(x, 1.0 + c * per_t * per_t / (-np.expm1(-x)),
+                    lambda: log_base + np.logaddexp(0.0, np.log(c) + 2.0 * (
+                        np.log(dose) - np.log(t)) - np.log(-np.expm1(-x))),
+                    base)
 
 
 def _qfi(spec, parameter, rate, dose, t, onset_rate):
@@ -248,10 +263,13 @@ def _qfi(spec, parameter, rate, dose, t, onset_rate):
     x = decay_exponent(spec, dose)
     if parameter == "time":
         noise = rate * rate * spec.delta_l ** 4 / (-np.expm1(-x))
-        value = np.exp(-x) * (spec.delta_e ** 2 + noise)
+        value = _decayed(x, spec.delta_e ** 2 + noise, lambda: np.logaddexp(
+            2.0 * np.log(spec.delta_e), 2.0 * np.log(rate) + 4.0 * np.log(
+                spec.delta_l) - np.log(-np.expm1(-x))))
     else:
-        value = baseline_law(spec, parameter, t) * _omega_ratio(
-            spec, x, dose, t)
+        value = _omega_ratio(spec, x, dose, t, baseline_law(
+            spec, parameter, t), 2.0 * (np.log(spec.delta_e / spec.omega)
+                                        + np.log(t)))
     zero, onset = x == 0.0, False
     if zero.any():
         value = np.where(zero, baseline_law(spec, parameter, t), value)

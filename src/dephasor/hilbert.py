@@ -1,7 +1,7 @@
 """Operators, density matrices, and sensor models on small dense Hilbert spaces.
 
-Operators and models are dense complex128, capped at dimension 4096, so
-no sparse machinery is used anywhere; a state is its block on the basis
+Operators are dense complex128, capped at dimension 4096; a model
+diagonal as built is its spectra, and a state its block on the basis
 columns it lives on (a cat state: 2 x 2 at any dimension).  The state
 checks are written once, over a stack of blocks, so a trajectory's
 samples are checked a stack at a time and a lone state as a stack of one.
@@ -81,47 +81,64 @@ class Operator:
         return self.matrix.shape[0]
 
 
+class _Diagonal(Operator):
+    """diag(levels), Hermitian, held as its real levels until read."""
+
+    def __init__(self, levels):
+        self.__dict__.update(levels=np.asarray(levels, float), hermitian=True)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        m = np.diag(self.levels.astype(complex))
+        m.flags.writeable = False
+        return m
+
+
 @dataclass(frozen=True, eq=False)
 class SupportBlock:
     """A matrix as its k x k block ``array`` on the columns ``support``
     (distinct; None: all n, in order) of the orthonormal ``basis``
-    (None: the computational one), zero elsewhere.  ``matrix``, also
-    what numpy reads, is the n x n matrix, formed on first use."""
+    (None: the computational one) of the dim-n space, zero elsewhere; n
+    is needed only for a support without a basis.  ``matrix``, also what
+    numpy reads, is the n x n matrix, formed on first use."""
 
     array: np.ndarray
     basis: np.ndarray | None = None
     support: tuple[int, ...] | None = None
+    dim: int | None = None
 
     def __post_init__(self):
         a = _as_complex_matrix(self.array)
-        if self.support is not None:
-            s = tuple(int(j) for j in self.support)
-            n = -1 if self.basis is None else self.basis.shape[0]
+        n = self.dim if self.dim is not None else \
+            len(a if self.basis is None else self.basis)
+        s = self.support
+        if s is not None:
+            s = tuple(int(j) for j in s)
             if len(s) != len(a) or len(set(s)) < len(s) or min(s) < 0 \
                     or max(s) >= n:
                 raise ValidationError("support must be distinct columns "
                                       "of a basis, one per row")
-            object.__setattr__(self, "support",
-                               None if s == tuple(range(n)) else s)
-        a.flags.writeable = False
-        object.__setattr__(self, "array", a)
-        if self.basis is not None and \
-                self.basis.shape != (self.dim, self.dim):
+            s = None if s == tuple(range(n)) else s
+        if (s is None and len(a) != n) or (
+                self.basis is not None and self.basis.shape != (n, n)):
             raise ValidationError("basis dimension does not match the state")
-
-    @property
-    def dim(self) -> int:
-        return len(self.array if self.support is None else self.basis)
+        a.flags.writeable = False
+        for name, value in (("array", a), ("support", s), ("dim", n)):
+            object.__setattr__(self, name, value)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         """basis array basis^dag on the support, re-symmetrized."""
-        if self.basis is None:
+        if self.support is None and self.basis is None:
             return self.array
-        v = self.basis if self.support is None \
-            else self.basis[:, list(self.support)]
-        m = v @ self.array @ v.conj().T
-        m = 0.5 * (m + m.conj().T)
+        if self.basis is None:
+            m = np.zeros((self.dim, self.dim), dtype=complex)
+            m[np.ix_(self.support, self.support)] = self.array
+        else:
+            v = self.basis if self.support is None \
+                else self.basis[:, list(self.support)]
+            m = v @ self.array @ v.conj().T
+            m = 0.5 * (m + m.conj().T)
         m.flags.writeable = False
         return m
 
@@ -189,14 +206,14 @@ class DensityMatrix(SupportBlock):
 
     @classmethod
     def stack(cls, blocks, *, basis: np.ndarray | None = None,
-              support=None, positivity_tol: float = POSITIVITY_TOL) -> list:
+              support=None, dim=None, positivity_tol=POSITIVITY_TOL) -> list:
         """States from a nonempty (samples, k, k) stack of blocks on one
         basis and support, checked once as a stack."""
         a = np.array(blocks, dtype=complex)
         # the block's shape, its support and the basis, checked once
-        head = SupportBlock(a[0], basis=basis, support=support)
+        head = SupportBlock(a[0], basis=basis, support=support, dim=dim)
         a.flags.writeable = False
-        fields = {"basis": basis, "support": head.support,
+        fields = {"basis": basis, "support": head.support, "dim": head.dim,
                   "positivity_tol": positivity_tol}
         states = []
         for block, low in zip(a, _check_states(a, head.dim, positivity_tol)):
@@ -248,7 +265,8 @@ class CatSpec:
 class SensorModel:
     """A sensor: generator h (H = omega*h), commuting noise operator L.
 
-    ``basis`` holds a joint eigenbasis of h and L in its columns;
+    ``basis`` holds a joint eigenbasis of h and L in its columns (None:
+    the computational one, where energy dephasing keeps h and L diagonal);
     ``spectrum`` and ``lindblad_spectrum`` are the matching eigenvalues.
     ``branch_indices`` points at the two basis states used to form cat
     states, ordered so the first has the lower energy.
@@ -261,13 +279,13 @@ class SensorModel:
     lindblad: Operator
     spectrum: np.ndarray
     lindblad_spectrum: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | None
     energy_lindblad: bool
     branch_indices: tuple[int, int]
 
     @property
     def dim(self) -> int:
-        return self.h.dim
+        return len(self.spectrum)
 
     def hamiltonian(self) -> np.ndarray:
         return self.omega * self.h.matrix
@@ -288,13 +306,19 @@ class SensorModel:
             raise ValidationError("state dimension does not match the model")
         if rho.basis is self.basis:
             return rho.array, rho.support
-        return self.basis.conj().T @ rho.matrix @ self.basis, None
+        return _in_basis(self.basis, rho.matrix), None
 
 
 def _qubit_diagonal(n: int) -> np.ndarray:
     # Collective half-spin: basis state with k excited qubits sits at (n-2k)/2.
-    k = np.array([bin(b).count("1") for b in range(2 ** n)])
-    return 0.5 * (n - 2 * k)
+    return 0.5 * n - np.bitwise_count(np.arange(2 ** n))
+
+
+def _hermitian(op: Operator, name: str) -> Operator:
+    """``op``, checked and flagged Hermitian unless it is flagged so."""
+    if not op.hermitian and hermiticity_defect(op.matrix) > HERMITICITY_TOL:
+        raise ValidationError(f"{name} must be Hermitian")
+    return op if op.hermitian else Operator(op.matrix, hermitian=True)
 
 
 def _resolve_lindblad(h: Operator, omega: float, lindblad) -> Operator | None:
@@ -307,14 +331,10 @@ def _resolve_lindblad(h: Operator, omega: float, lindblad) -> Operator | None:
         return None
     if not isinstance(lindblad, Operator):
         raise ValidationError("lindblad must be 'energy' or an Operator")
-    lmat = lindblad.matrix
-    if lmat.shape != h.matrix.shape:
+    if lindblad.dim != h.dim:
         raise ValidationError("lindblad dimension does not match h")
-    if not lindblad.hermitian:
-        if hermiticity_defect(lmat) > HERMITICITY_TOL:
-            raise ValidationError("lindblad operator must be Hermitian")
-        lindblad = Operator(lmat, hermitian=True)
-    hmat = omega * h.matrix
+    lindblad = _hermitian(lindblad, "lindblad operator")
+    lmat, hmat = lindblad.matrix, omega * h.matrix
     norm = np.linalg.norm  # Hilbert-Schmidt
     comm = norm(hmat @ lmat - lmat @ hmat)
     bound = COMMUTATOR_TOL * norm(hmat) * norm(lmat)
@@ -342,11 +362,13 @@ def build_sensor_model(kind: str, size: int, omega: float,
     kind 'custom': explicit Hermitian generator ``h`` (checked unless
     flagged Hermitian); branches default to the extreme eigenvalues of h.
 
-    Each kind builds only its h and branch pair; the rest is one path.
-    ``lindblad`` is 'energy' (L = omega h) or an explicit L, which must
-    be Hermitian and commute with H.  One eigensolve gives the basis:
-    ``linalg.eigenbasis`` for energy dephasing, ``joint_eigenbasis`` for
-    an explicit L, whose spectrum is then diag(basis^dag h basis).
+    Each kind builds only its h (the first two as its spectrum) and
+    branch pair; the rest is one path.  ``lindblad`` is 'energy' (L =
+    omega h) or an explicit L, which must be Hermitian and commute with
+    H.  One eigensolve of a dense h gives the basis, None for diagonal
+    input: ``linalg.eigenbasis`` for energy dephasing,
+    ``joint_eigenbasis`` for an explicit L, whose spectrum is then
+    diag(basis^dag h basis).
     """
     if kind not in MODEL_KINDS:
         raise ValidationError(f"unknown model kind {kind!r}")
@@ -358,8 +380,7 @@ def build_sensor_model(kind: str, size: int, omega: float,
             raise ValidationError(
                 f"qubit_network size must be in 1..{QUBIT_CAP} "
                 f"(dimension cap {DIM_CAP})")
-        h = Operator(np.diag(_qubit_diagonal(size)).astype(complex),
-                     hermitian=True)
+        h = _Diagonal(_qubit_diagonal(size))
         # all-excited state has the lower collective energy
         branches = (2 ** size - 1, 0)
     elif kind == "photonic_two_mode":
@@ -369,49 +390,45 @@ def build_sensor_model(kind: str, size: int, omega: float,
         if not (gap > 0.0) or not math.isfinite(gap):
             raise ValidationError("branch gap must be positive and finite")
         deps = gap / omega
-        h = Operator(np.diag([-0.5 * deps, 0.5 * deps]).astype(complex),
-                     hermitian=True)
+        h = _Diagonal([-0.5 * deps, 0.5 * deps])
         branches = (0, 1)
     else:
         if h is None:
             raise ValidationError("custom models require an explicit h")
-        if not h.hermitian:
-            if hermiticity_defect(h.matrix) > HERMITICITY_TOL:
-                raise ValidationError("custom h must be Hermitian")
-            h = Operator(h.matrix, hermitian=True)
+        h = _hermitian(h, "custom h")
         size = h.dim
 
     lop = _resolve_lindblad(h, omega, lindblad)
     energy = lop is None
     h_rot = None  # basis^dag h basis, formed once
     if energy:
-        eps, basis = eigenbasis(h.matrix)
+        eps, basis = (h.levels, None) if isinstance(h, _Diagonal) else \
+            eigenbasis(h.matrix)
         lam = omega * eps
-        lop = Operator(omega * h.matrix, hermitian=True)
+        lop = _Diagonal(lam) if basis is None else \
+            Operator(omega * h.matrix, hermitian=True)
     else:
         _, lam, basis = joint_eigenbasis(h.matrix, lop.matrix)
-        h_rot = basis.conj().T @ h.matrix @ basis
+        h_rot = _in_basis(basis, h.matrix)
         eps = np.diag(h_rot).real.copy()
     if branches is None:  # a 1x1 or flat h leaves no distinct pair
         branches = (int(np.argmin(eps)), int(np.argmax(eps)))
     b0, b1 = int(branches[0]), int(branches[1])
-    if not (0 <= b0 < h.dim and 0 <= b1 < h.dim) or b0 == b1:
+    if not (0 <= b0 < len(eps) and 0 <= b1 < len(eps)) or b0 == b1:
         raise ValidationError(
             "branch indices out of range or not two distinct levels")
 
     model = SensorModel(kind=kind, size=size, omega=omega, h=h, lindblad=lop,
                         spectrum=eps, lindblad_spectrum=lam, basis=basis,
                         energy_lindblad=energy, branch_indices=(b0, b1))
-    _check_spectrum(model, h_rot)
+    if basis is not None or not energy:  # else h and L are the spectra
+        _check_spectrum(model, h_rot)
     return model
 
 
-def _in_basis(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """v^dag m v, or m itself when v is exactly the identity (a diagonal
-    model's basis), where the dense products give m up to signed zeros."""
-    if np.count_nonzero(v) == len(v) and (v.diagonal() == 1.0).all():
-        return m
-    return v.conj().T @ m @ v
+def _in_basis(v: np.ndarray | None, m: np.ndarray) -> np.ndarray:
+    """v^dag m v, or m itself for v None (the computational basis)."""
+    return m if v is None else v.conj().T @ m @ v
 
 
 def _check_spectrum(model: SensorModel, h_rot: np.ndarray | None = None):
@@ -453,12 +470,10 @@ def branch_model(spec: CatSpec) -> SensorModel:
     The full dynamics of a cat state live on its two branch states, so
     this is the model every analytic formula is cross-checked against.
     """
-    h_op = Operator(np.diag([-0.5 * spec.delta_eps, 0.5 * spec.delta_eps])
-                    .astype(complex), hermitian=True)
+    h_op = _Diagonal([-0.5 * spec.delta_eps, 0.5 * spec.delta_eps])
     lind: object = "energy"
     if not spec.energy_like or spec.delta_e == 0.0:
-        lind = Operator(np.diag([-0.5 * spec.delta_l, 0.5 * spec.delta_l])
-                        .astype(complex), hermitian=True)
+        lind = _Diagonal([-0.5 * spec.delta_l, 0.5 * spec.delta_l])
     return build_sensor_model("custom", 2, spec.omega, lind, h=h_op,
                               branches=(0, 1))
 
@@ -479,8 +494,8 @@ def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
     if not isinstance(model, SensorModel):
         raise ValidationError("expected a CatSpec or SensorModel")
     if branch_vectors is None:
-        return DensityMatrix(np.full((2, 2), 0.5, dtype=complex),
-                             basis=model.basis, support=model.branch_indices)
+        return DensityMatrix(np.full((2, 2), 0.5, dtype=complex), model.basis,
+                             model.branch_indices, model.dim)
     v0 = np.asarray(branch_vectors[0], dtype=complex).reshape(-1)
     v1 = np.asarray(branch_vectors[1], dtype=complex).reshape(-1)
     if v0.shape != (model.dim,) or v1.shape != (model.dim,):

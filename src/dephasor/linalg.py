@@ -32,14 +32,14 @@ def _clusters(levels: np.ndarray, tol: float) -> list[list[int]]:
     return [sorted(g) for g in groups]
 
 
-def eigenbasis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(eps, v)`` of a Hermitian ``h``: its diagonal and the identity
-    when ``h`` is already diagonal (off-diagonal Frobenius norm within
-    1e-14, relative), so basis positions keep their meaning; else LAPACK
-    ``eigh``, ascending."""
+def eigenbasis(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(eps, v)`` of a Hermitian ``h``: its diagonal and None (the
+    computational basis) when ``h`` is already diagonal (off-diagonal
+    Frobenius norm within 1e-14, relative), so basis positions keep
+    their meaning; else LAPACK ``eigh``, ascending."""
     h = np.asarray(h, dtype=complex)  # a complex rotation fits into v
     if _is_diagonal(h, 1e-14):
-        return np.diag(h).real.copy(), np.eye(h.shape[0], dtype=complex)
+        return np.diag(h).real.copy(), None
     return np.linalg.eigh(h)
 
 
@@ -61,11 +61,13 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray
     takes the spectrum as diag(v^dag h v) instead, which meets 1e-12.
 
     Returns ``(eps, lam, v)``: eigenvalues of ``h``, eigenvalues of
-    ``l`` in the matching order, and the common eigenvector columns.
+    ``l`` in the matching order, and the common eigenvector columns, or
+    None for the computational basis (diagonal ``h`` and no cluster of
+    it rotated).
     """
     eps, v = eigenbasis(h)
     scale = max(1.0, float(np.max(np.abs(h))))
-    lmat = v.conj().T @ l @ v
+    lmat = l if v is None else v.conj().T @ l @ v
     lam = np.diag(lmat).real.copy()
     lscale = max(1.0, float(np.max(np.abs(lam))))
     for idx in [g for g in _clusters(eps, 1e-4 * scale) if len(g) > 1]:
@@ -88,6 +90,8 @@ def joint_eigenbasis(h: np.ndarray, l: np.ndarray
         own = level[np.argmin(np.abs(e_new[:, None] - e), axis=1)]
         perm = np.empty(len(idx), dtype=int)
         perm[np.argsort(level, kind="stable")] = np.lexsort((wl, own))
+        if v is None:
+            v = np.eye(len(eps), dtype=complex)
         v[:, idx] = v[:, idx] @ u[:, perm]
         lam[idx] = wl[perm]
     return eps, lam, v

@@ -148,6 +148,8 @@ class GridSpec:
                                      self.y_steps)):
             if steps < 2:
                 raise ValidationError(f"{name} axis needs at least 2 steps")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"{name} axis bounds must be finite")
             if not (lo < hi):
                 raise ValidationError(f"{name} axis range is empty")
             if self.scale == "log" and lo <= 0.0:
@@ -240,8 +242,9 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
         raise ValidationError(f"{rate_key} must be nonnegative and finite")
     ts = times(ts)
     rate, dose = schedule_eval(unit, ts)
-    return ratio_law(spec, parameter, g * rate, g * dose, ts,
-                     g * (unit.rate_right(ts) - rate))
+    jump = unit.rate_right(ts) - rate
+    with np.errstate(over="ignore"):  # a dose past the float range: inf
+        return ratio_law(spec, parameter, g * rate, g * dose, ts, g * jump)
 
 
 def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:

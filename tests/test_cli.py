@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -27,6 +28,7 @@ MODELS = ROOT / "models"
 GHZ2 = str(MODELS / "ghz2.json")
 NOON2 = str(MODELS / "noon2.json")
 GHZ3 = str(MODELS / "ghz3.json")
+Q12 = str(MODELS / "q12.json")
 
 
 def child_env():
@@ -195,6 +197,30 @@ def test_evolve_never_forms_a_dense_matrix(capsys, tmp_path, monkeypatch):
         pathlib.Path(plain).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["evolve", "--schedule", "const:1", "--t", "1", "--samples", "101"],
+    ["qfi", "--schedule", "ramp:2", "--t", "1", "--param", "time",
+     "--method", "numeric"],
+    ["qfi", "--schedule", "ramp:2", "--t", "1", "--param", "omega",
+     "--method", "numeric"],
+    ["bound", "--schedule", "ramp:2", "--t", "1", "--param", "time"],
+])
+def test_twelve_qubit_commands_hold_no_dense_array(capsys, tmp_path, argv):
+    # a 12-qubit network is its spectra: one dense 4096 x 4096 complex
+    # array would be 256 MB, and every command stays below 16 MB
+    argv = [argv[0], "--model", Q12, *argv[1:], "--out",
+            str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = parse_and_run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 16 * 2 ** 20
+
+
 def test_evolve_output_is_byte_deterministic(capsys, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (a, b):
@@ -235,18 +261,40 @@ def test_evolve_overflow_prints_one_stderr_line():
     (["bound", "--model", GHZ3, "--schedule", "pw:-0.0:1.7e308;1e20:-0.0",
       "--t", "0", "--param", "omega"], 0, ""),
     # knot rates near the float maximum: a finite dose (8.5e307) whose
-    # decay exponent overflows in the closed form
+    # decay exponent overflows, so e^{-x} rate^2 is 0, taken from logs
     (["qfi", "--model", GHZ2, "--schedule", "pw:0:1.7e308;1:1.7e308",
-      "--t", "0.5", "--param", "time"], 2, "error: numerical-contract:"),
+      "--t", "0.5", "--param", "time"], 0, ""),
     # a ramp rate beyond the float range: no RK4 step can resolve it
     (["qfi", "--model", GHZ2, "--schedule", "ramp:1.7e308", "--t", "1e150",
       "--param", "time", "--method", "numeric"], 1, "error: validation:"),
     # d<O>/dt = -4.4e-323 squares to 0, and so does var(O): not 0/0
     (["estimate", "--model", GHZ3, "--schedule", "const:1.7e308,t0=5e-324",
       "--t", "5e-324", "--param", "time"], 0, ""),
+    # e^{-x} underflows where rate^2 or (dose / t)^2 overflows: the laws
+    # take that product from logs, not as 0 x inf
+    (["qfi", "--model", GHZ2, "--schedule", "const:1e200", "--t", "1",
+      "--param", "omega"], 0, ""),
+    (["qfi", "--model", GHZ2, "--schedule", "const:1e200", "--t", "1",
+      "--param", "time"], 0, ""),
+    (["qfi", "--model", GHZ2, "--schedule", "const:1e308", "--t", "1",
+      "--param", "time"], 0, ""),
+    (["qfi", "--model", NOON2, "--schedule", "const:1", "--t", "1e300",
+      "--param", "omega"], 0, ""),
+    # rate times time beyond the float range: an infinite dose
+    (["optimize", "--model", NOON2, "--param", "omega", "--box",
+      "t=3.7:1e300;gamma=1e3:1e20", "--schedule-kind", "constant"], 2,
+     "error: numerical-contract:"),
+    # non-finite bounds are rejected where they are parsed
+    (["scan", "--param", "omega", "--grid", "x=omega_t:-inf:1e20:3;"
+      "y=gamma_dot:0:1e-310:2;scale=linear;deltaE=1e20;omega=3.7",
+      "--out", "{tmp}/o.csv"], 1, "error: validation:"),
+    (["estimate", "--model", GHZ2, "--schedule", "const:1", "--sweep",
+      "0:inf:3", "--param", "time"], 1, "error: validation:"),
 ])
 def test_extreme_floats_end_in_the_contract_without_warnings(capsys, argv,
-                                                             code, err):
+                                                             code, err,
+                                                             tmp_path):
+    argv = [a.format(tmp=tmp_path) for a in argv]
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         got = parse_and_run(argv)
@@ -335,9 +383,10 @@ def test_qfi_omega_on_random_energy_custom_models(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("qfi", "--model", GHZ2, "--schedule", "const:1e308", "--t", "1",
+    # x = 8: e^{-x} rate^2 ~ 1e396 and e^{-x} t^2 ~ 1e596 overflow
+    ("qfi", "--model", GHZ2, "--schedule", "const:1e200", "--t", "1e-200",
      "--param", "time"),
-    ("qfi", "--model", NOON2, "--schedule", "const:1", "--t", "1e300",
+    ("qfi", "--model", NOON2, "--schedule", "const:1e-300", "--t", "1e300",
      "--param", "omega"),
     ("estimate", "--model", GHZ2, "--schedule", "const:1e308", "--t", "1",
      "--param", "time"),
@@ -367,7 +416,7 @@ def test_step_count_beyond_the_cap_exits_1(capsys, argv):
 def test_scan_overflow_exits_2_without_output(capsys, tmp_path):
     out = tmp_path / "scan.csv"
     code, _, err = run_cli(capsys, "scan", "--param", "time", "--grid",
-                           "x=t:1:10:3;y=gamma:1e300:1e307:3",
+                           "x=t:1e-300:1e-299:3;y=gamma:1e299:1e300:3",
                            "--out", str(out))
     assert code == 2
     assert err.startswith("error: numerical-contract:")

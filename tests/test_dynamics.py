@@ -115,6 +115,15 @@ def test_integral_near_the_float_maximum(knots, t, want):
         assert NoiseSchedule.piecewise_linear(knots).integral(t) == want
 
 
+def test_knot_segment_rate_far_from_its_knots():
+    # (t - ta) / (tb - ta) first: (gb - ga) (t - ta) alone would overflow
+    sch = NoiseSchedule.piecewise_linear([(0, 0), (1e10, 1e300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sch.rate(5e9) == 5e299
+        assert sch.integral(1e9) == 5e307
+
+
 def test_max_rate_and_breakpoints():
     sch = NoiseSchedule.piecewise_linear(
         [(0.0, 0.0), (0.2, 1.0), (0.5, 0.5)])
@@ -413,7 +422,7 @@ def per_sample_trajectory(run, rho0, samples):
         out[j, k] *= gain
         out[k, j] *= gain.conj()
         states.append(DensityMatrix(out, basis=model.basis, support=support,
-                                    positivity_tol=1e-7))
+                                    dim=model.dim, positivity_tol=1e-7))
     return list(zip(times.tolist(), states))
 
 

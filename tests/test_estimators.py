@@ -250,6 +250,14 @@ def test_branch_swap_observable_on_photonic_model(make):
                                  abs=1e-10)
 
 
+def test_parity_is_the_bit_complement_exchange():
+    model = build_sensor_model("qubit_network", 3, omega=1.0)
+    want = np.zeros((8, 8), dtype=complex)
+    for b in range(8):
+        want[b, 7 - b] = 1.0
+    assert np.array_equal(optimal_observable(model).operator.matrix, want)
+
+
 def test_optimal_observable_rejects_big_custom_models():
     from dephasor import Operator
     h = Operator(np.diag([-1.0, 0.0, 1.0]).astype(complex), hermitian=True)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dephasor import (CatSpec, NoiseSchedule, Operator, ValidationError,
-                      branch_model, build_sensor_model, cat_initial_state)
+from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
+                      Operator, ValidationError, branch_model,
+                      build_sensor_model, cat_initial_state)
 from dephasor.fisher import (drho_domega, drho_dt, qfi_closed, qfi_freq_cat,
-                             qfi_freq_lower_bound, qfi_time_cat,
-                             qfi_time_lower_bound, sld_and_qfi)
+                             qfi_freq_lower_bound, qfi_law, qfi_time_cat,
+                             qfi_time_lower_bound, ratio_law, sld_and_qfi)
 
 from conftest import (evolved_branch_state, exact_cat_state, fd_qfi_time,
                       numeric_qfi, rel)
@@ -242,3 +243,38 @@ def test_drho_dt_matches_trajectory_difference():
     minus = exact_cat_state(model, sch, t - h)
     fd = (plus.matrix - minus.matrix) / (2.0 * h)
     assert np.max(np.abs(ana - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("rate, dose, t", [
+    (1e200, 1e200, 1.0),    # e^{-x} underflows, rate^2 overflows
+    (1.0, 1.0, 1e-200),     # (dose / t)^2 overflows, t^2 underflows
+    (1e160, 100.0, 1.0),    # e^{-x} underflows, rate^2 does not
+    (1e100, 1e100, 1.0),    # e^{-x} underflows, the true value is 0
+])
+@pytest.mark.parametrize("parameter", ["time", "omega"])
+def test_closed_forms_past_the_float_range_match_high_precision(
+        rate, dose, t, parameter):
+    # the plain laws in 50-digit arithmetic: where e^{-x} or a rate term
+    # leaves the float range, the product is still the rounded value
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.5)
+    de, dl, w = (mp.mpf(v) for v in (2.0, 2.0, 1.5))
+    g, dose_, t_ = (mp.mpf(v) for v in (rate, dose, t))
+    decay = mp.exp(-2 * dl ** 2 * dose_)
+    if parameter == "time":
+        want = decay * (de ** 2 + g ** 2 * dl ** 4 / (1 - decay))
+        base = de ** 2
+    else:
+        base = (de / w) ** 2 * t_ ** 2
+        want = (de / w) ** 2 * decay * (4 * de ** 2 * dose_ ** 2
+                                         / (1 - decay) + t_ ** 2)
+    got = qfi_law(spec, parameter, rate, dose, t)
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+    if want / base > np.finfo(float).max:  # a ratio past the float range
+        with pytest.raises(NumericalContractError, match="non-finite"):
+            ratio_law(spec, parameter, rate, dose, t)
+    else:
+        assert ratio_law(spec, parameter, rate, dose, t) == pytest.approx(
+            float(want / base), rel=1e-12, abs=1e-300)

@@ -66,14 +66,16 @@ def test_density_matrix_tolerates_tiny_negative_eigenvalue():
 
 
 def test_density_matrix_frame_is_checked_and_kept_read_only():
-    model = build_sensor_model("photonic_two_mode", 1, omega=1.0)
+    # a model whose eigenbasis is not the computational one (sigma_x)
+    sx = Operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    model = build_sensor_model("custom", 2, omega=1.0, h=sx)
     m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
     rho = DensityMatrix(m, basis=model.basis)
     block, support = model.eigenbasis_block(rho)
     assert block is rho.array and support is None
     # an array in another basis object is rotated in through the matrix
     other = DensityMatrix(m, basis=model.basis.copy())
-    assert np.array_equal(model.eigenbasis_block(other)[0], m)
+    assert np.max(np.abs(model.eigenbasis_block(other)[0] - m)) <= 1e-15
     with pytest.raises(ValueError):
         rho.array[0, 0] = 1.0
     with pytest.raises(ValueError):
@@ -126,13 +128,13 @@ def test_stacked_least_eigenvalues_equal_each_blocks_eigvalsh(rng):
     model = build_sensor_model("qubit_network", 3, omega=1.0)
     for k, support in ((2, (7, 0)), (3, None), (8, None), (3, (1, 4, 2))):
         blocks = random_states(rng, 9, k)
-        basis = None if support is None else model.basis
-        states = DensityMatrix.stack(blocks, basis=basis, support=support)
+        dim = None if support is None else model.dim
+        states = DensityMatrix.stack(blocks, support=support, dim=dim)
         for rho, block in zip(states, blocks):
             low = float(np.linalg.eigvalsh(block)[0])
             want = low if support is None else min(low, 0.0)
             assert rho.min_eigenvalue() == want  # bit for bit
-            single = DensityMatrix(block, basis=basis, support=support)
+            single = DensityMatrix(block, support=support, dim=dim)
             assert single.min_eigenvalue() == want
             assert np.array_equal(rho.array, block)
             assert rho.support == single.support and rho.dim == single.dim
@@ -140,7 +142,7 @@ def test_stacked_least_eigenvalues_equal_each_blocks_eigvalsh(rng):
                 rho.array[0, 0] = 1.0
     # the support and basis are checked once for the stack, as for one
     with pytest.raises(ValidationError, match="support"):
-        DensityMatrix.stack(random_states(rng, 3, 2), basis=model.basis,
+        DensityMatrix.stack(random_states(rng, 3, 2), dim=model.dim,
                             support=(0, 0))
 
 
@@ -231,9 +233,9 @@ def test_spectrum_check_covers_an_explicit_lindblad():
 
 
 def test_spectrum_check_on_an_identity_basis_matches_the_dense_route():
-    # an identity basis is checked elementwise, any other through
-    # basis^dag h basis; a diagonal sign flip is one that keeps every
-    # residual, so both routes must report the same one
+    # the computational basis (None) is checked on h itself, any other
+    # through basis^dag h basis; a diagonal sign flip is one that keeps
+    # every residual, so both routes must report the same one
     levels = np.arange(8.0) / 7.0
     lind = Operator(np.diag(levels).astype(complex), hermitian=True)
     model = build_sensor_model("qubit_network", 3, omega=1.0, lindblad=lind)
@@ -253,6 +255,15 @@ def test_spectrum_check_on_an_identity_basis_matches_the_dense_route():
             text.append(str(exc.value))
         assert text[0] == text[1]
     _check_spectrum(dataclasses.replace(model, basis=flip))
+
+
+def test_qubit_levels_match_the_popcount_loop():
+    # the collective half-spin (n - 2k) / 2 of a basis state with k
+    # excited qubits, against the Python loop over the states
+    for n in range(1, 13):
+        want = [0.5 * (n - 2 * bin(b).count("1")) for b in range(2 ** n)]
+        model = build_sensor_model("qubit_network", n, omega=1.0)
+        assert model.spectrum.tolist() == want and model.basis is None
 
 
 def test_unknown_kind_rejected():
@@ -309,8 +320,8 @@ def test_cat_state_carries_its_eigenbasis_form(rng):
 
 def test_cat_state_with_explicit_vectors():
     model = build_sensor_model("qubit_network", 2, omega=1.0)
-    v0 = model.basis[:, 1]
-    v1 = model.basis[:, 2]
+    assert model.basis is None  # the computational basis
+    v0, v1 = np.eye(4)[1], np.eye(4)[2]
     rho = cat_initial_state(model, branch_vectors=(v0, v1))
     assert rho.matrix[1, 2] == pytest.approx(0.5)
     assert rho.basis is None and rho.matrix is rho.array
@@ -318,15 +329,15 @@ def test_cat_state_with_explicit_vectors():
 
 def test_cat_state_rejects_nonorthonormal_vectors():
     model = build_sensor_model("qubit_network", 2, omega=1.0)
-    v = model.basis[:, 0]
+    v = np.eye(4)[0]
     with pytest.raises(ValidationError, match="orthonormal"):
         cat_initial_state(model, branch_vectors=(v, v))
 
 
 def test_cat_state_rejects_non_eigenvectors():
     model = build_sensor_model("qubit_network", 2, omega=1.0)
-    v0 = (model.basis[:, 0] + model.basis[:, 1]) / math.sqrt(2.0)
-    v1 = model.basis[:, 3]
+    v0 = (np.eye(4)[0] + np.eye(4)[1]) / math.sqrt(2.0)
+    v1 = np.eye(4)[3]
     with pytest.raises(ValidationError, match="eigenvector"):
         cat_initial_state(model, branch_vectors=(v0, v1))
 

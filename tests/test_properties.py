@@ -29,9 +29,9 @@ that the RK4 gain, which takes a segment of equal step rates as one
 step gain raised to its step count, matches a plain per-step loop.
 Random level sets with many ties check that the sorted pair table
 equals the ``np.unique`` columns and inverse bit for bit.
-Random supports of random models, in a Haar frame or an identity basis,
-check that a state on its support block evolves, differentiates and
-gives the SLD QFI as the same state built dense.
+Random supports of random models, in a Haar frame or the computational
+basis, check that a state on its support block evolves, differentiates
+and gives the SLD QFI as the same state built dense.
 Inputs that broke a property once are pinned as explicit examples.
 
 Random log-ratios and region grids check the array scan renderer: every
@@ -451,8 +451,8 @@ def test_state_in_a_basis_equals_the_state_built_dense(model, seed):
 @st.composite
 def block_states(draw):
     """(model, block, support): a commuting model of dim 2..8, in a
-    Haar-random frame or already diagonal (an identity basis), and a
-    random state block on a random support of its eigenbasis; a sorted
+    Haar-random frame or already diagonal (the computational basis), and
+    a random state block on a random support of its eigenbasis; a sorted
     support of all levels is the full one."""
     dim = draw(st.integers(2, 8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
@@ -492,7 +492,8 @@ def test_block_route_equals_the_dense_route(case, sch, t):
     # the evolved state, its derivatives, the SLD QFI and min_eig agree,
     # and so does the truncated rank
     model, block, support = case
-    rho0 = DensityMatrix(block, basis=model.basis, support=support)
+    rho0 = DensityMatrix(block, basis=model.basis, support=support,
+                         dim=model.dim)
     dense0 = DensityMatrix(np.array(rho0.matrix))
     full = support == tuple(range(model.dim))
     assert (rho0.support is None) == full
@@ -945,6 +946,69 @@ def test_numeric_qfi_above_commutator_bound(data, parameter, sch, t):
         bound = qfi_freq_lower_bound(model, sch, rho_t, t).value
     _, report = sld_and_qfi(rho_t, drho, parameter)
     assert report.value >= bound * (1.0 - 1e-9)
+
+
+# ------------------------------------------ diagonal models and their twins
+
+@st.composite
+def diagonal_twins(draw):
+    """(model, twin): a custom model of dim 2..64 given diagonal, with
+    distinct h levels in a drawn order and energy dephasing or an
+    explicit L on a grid of levels (ties included), so it is held as its
+    spectra; and its dense twin, the same levels in a Haar-random frame."""
+    dim = draw(st.integers(2, 64))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=dim - 1,
+                         max_size=dim - 1))
+    order = list(draw(st.permutations(range(dim))))
+    eps = (np.cumsum([0.0, *gaps]) - draw(st.floats(0.0, 5.0)))[order]
+    lam = None if draw(st.booleans()) else np.array(draw(st.lists(
+        st.integers(-4, 4), min_size=dim, max_size=dim))) / 4.0
+    omega = draw(st.floats(0.5, 2.0))
+    q = haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                     dim)
+
+    def build(frame):
+        lind = "energy" if lam is None else Operator(frame(lam))
+        return build_sensor_model("custom", dim, omega, lind,
+                                  h=Operator(frame(eps)))
+
+    model = build(lambda d: np.diag(d).astype(complex))
+    return model, build(lambda d: framed(q, d))
+
+
+@settings(max_examples=30)
+@given(diagonal_twins(), st.floats(0.2, 2.0), st.floats(0.3, 1.5))
+def test_a_diagonal_model_agrees_with_its_dense_twin(twins, rate, t):
+    # the spectra alone against eigh of the same levels in a Haar frame:
+    # the cat spec, the exact and RK4 branch blocks, the numeric SLD QFI
+    # and the commutator bounds agree within 1e-12 relative
+    model, twin = twins
+    assert model.basis is None and twin.basis is not None
+    want, got = cat_spec_for(twin), cat_spec_for(model)
+    for name in ("delta_e", "delta_l", "omega"):
+        assert rel_gap(getattr(got, name), getattr(want, name)) <= 1e-12
+    sch = NoiseSchedule.constant(rate)
+    states = []
+    for m in (model, twin):
+        run = EvolutionSpec(model=m, schedule=sch, t_final=t)
+        rho0 = cat_initial_state(m)
+        assert rho0.array.shape == (2, 2)
+        states.append((evolve_exact(run, rho0),
+                       [rho for _, rho in trajectory(run, rho0, 5)]))
+    (exact, path), (twin_exact, twin_path) = states
+    assert rel_gap(exact.array, twin_exact.array) <= 1e-12
+    for rho, twin_rho in zip(path, twin_path):
+        assert rel_gap(rho.array, twin_rho.array) <= 1e-12
+    laws = [(drho_dt, qfi_time_lower_bound, "time")]
+    if model.energy_lindblad:
+        laws.append((drho_domega, qfi_freq_lower_bound, "omega"))
+    for derivative, bound, parameter in laws:
+        got, want = ([sld_and_qfi(rho, derivative(m, sch, rho, t),
+                                  parameter)[1].value,
+                      bound(m, sch, rho, t).value]
+                     for m, rho in ((model, path[-1]),
+                                    (twin, twin_path[-1])))
+        assert rel_gap(got, want) <= 1e-12
 
 
 # ----------------------------------------------------- scan SVG rendering

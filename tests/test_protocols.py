@@ -74,15 +74,23 @@ def test_underflowed_dose_is_not_the_onset_divergence():
 
 def test_ratio_overflow_raises_not_nan():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    # x = 8, and e^{-x} g^2 ~ 1e396 (time) or e^{-x} (dose / t)^2 (omega)
+    # lies past the float range
     with pytest.raises(NumericalContractError, match="non-finite"):
-        advantage_ratio(spec, NoiseSchedule.constant(1e308), 1.0, "time")
+        advantage_ratio(spec, NoiseSchedule.constant(1e200), 1e-200, "time")
     with pytest.raises(NumericalContractError):
-        advantage_ratio(spec, NoiseSchedule.constant(1e200), 1.0, "omega")
+        advantage_ratio(spec, NoiseSchedule.constant(1e200), 1e-200,
+                        "omega")
+    # e^{-x} underflows where g^2 or (dose / t)^2 overflows: the product
+    # is an exact 0, taken from logs, not 0 x inf = NaN
+    for rate, parameter in ((1e308, "time"), (1e200, "omega")):
+        assert advantage_ratio(spec, NoiseSchedule.constant(rate), 1.0,
+                               parameter) == 0.0
     # e^{-8e300} * 17 underflows to an exact 0; no t^2 overflows on the way
     assert advantage_ratio(spec, NoiseSchedule.constant(1.0), 1e300,
                            "omega") == 0.0
-    grid = GridSpec(x_name="t", x_min=1.0, x_max=10.0, x_steps=3,
-                    y_name="gamma", y_min=1e300, y_max=1e307, y_steps=3,
+    grid = GridSpec(x_name="t", x_min=1e-300, x_max=1e-299, x_steps=3,
+                    y_name="gamma", y_min=1e299, y_max=1e300, y_steps=3,
                     scale="log", spec=spec)
     with pytest.raises(NumericalContractError):
         heatmap_scan(grid, "time")
