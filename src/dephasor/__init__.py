@@ -12,9 +12,9 @@ from .dynamics import (EvolutionSpec, NoiseSchedule, default_step,
 from .estimators import (EstimateReport, ObservableSpec, estimator_variance,
                          observable_expectation, optimal_observable,
                          saturation_ratio)
-from .fisher import (QfiReport, SldResult, drho_domega, drho_dt, qfi_closed,
-                     qfi_freq_cat, qfi_freq_lower_bound, qfi_time_cat,
-                     qfi_time_lower_bound, sld_and_qfi)
+from .fisher import (QfiReport, SldResult, derivative_coefficients,
+                     qfi_closed, qfi_freq_cat, qfi_lower_bound, qfi_time_cat,
+                     sld_and_qfi, state_derivative)
 from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
                       Operator, SensorModel, SupportBlock, ValidationError,
                       branch_model, build_sensor_model, cat_initial_state,
@@ -37,14 +37,14 @@ __all__ = [
     "SensingTime", "SensorModel", "SldResult", "SupportBlock",
     "ValidationError", "advantage_ratio", "branch_model", "build_sensor_model",
     "cat_initial_state", "cat_spec_for",
-    "constant_rate_gain", "default_fig_grid", "default_step", "drho_domega",
-    "drho_dt", "estimator_variance", "evolve_exact", "evolve_lindblad_numeric",
+    "constant_rate_gain", "default_fig_grid", "default_step",
+    "derivative_coefficients", "estimator_variance", "evolve_exact",
+    "evolve_lindblad_numeric",
     "heatmap_scan", "joint_eigenbasis", "load_model", "maximize_ratio",
     "model_from_json", "model_to_json",
     "observable_expectation", "operator_expectation", "optimal_observable",
     "optimal_time_constant", "optimal_window_ramp", "qfi_closed",
-    "qfi_freq_cat", "qfi_freq_lower_bound", "qfi_time_cat",
-    "qfi_time_lower_bound", "ramp_window_gain",
+    "qfi_freq_cat", "qfi_lower_bound", "qfi_time_cat", "ramp_window_gain",
     "render_heatmap_svg", "saturation_ratio", "schedule_eval", "sld_and_qfi",
-    "trajectory",
+    "state_derivative", "trajectory",
 ]

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,21 +27,15 @@ from .hilbert import (CatSpec, NumericalContractError, SensorModel,
 from .svgmap import render_heatmap_svg
 
 
-@dataclass
-class RunManifest:
-    """What a run is about to touch, checked before any computation."""
-
-    command: str
-    model_path: str | None = None
-    outputs: list = field(default_factory=list)  # (format, path)
-
-    def validate(self):
-        if self.model_path is not None and not os.path.isfile(self.model_path):
-            raise ValidationError(f"model file not found: {self.model_path}")
-        for _, path in self.outputs:
-            parent = os.path.dirname(os.path.abspath(path))
-            if not os.path.isdir(parent):
-                raise ValidationError(f"output directory missing: {parent}")
+def _check_paths(model_path: str | None, outputs):
+    """Check what a run will touch before any computation: the model
+    file, then the directory of each output path given."""
+    if model_path is not None and not os.path.isfile(model_path):
+        raise ValidationError(f"model file not found: {model_path}")
+    for path in filter(None, outputs):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise ValidationError(f"output directory missing: {parent}")
 
 
 def write_atomic(path: str, text: str):
@@ -108,15 +101,14 @@ def _emit(text: str, out: str | None):
         write_atomic(out, text)
 
 
-def _load_model(command: str, args) -> SensorModel:
+def _load_model(args) -> SensorModel:
     """Check what the run will touch, then load its model."""
-    RunManifest(command, model_path=args.model,
-                outputs=_outputs(args)).validate()
+    _check_paths(args.model, [args.out])
     return load_model(args.model)
 
 
 def _cmd_validate(args) -> int:
-    model = _load_model("validate", args)
+    model = _load_model(args)
     spec = cat_spec_for(model)
     doc = {
         "kind": model.kind,
@@ -135,7 +127,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    model = _load_model("evolve", args)
+    model = _load_model(args)
     schedule = parse_schedule(args.schedule)
     spec = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
                          dt=args.dt)
@@ -155,24 +147,22 @@ def _cmd_evolve(args) -> int:
 
 def _qfi_report(args, model: SensorModel, schedule: NoiseSchedule,
                 method: str) -> fisher.QfiReport:
-    by_time = args.param == "time"
     if method == "analytic":
-        return (fisher.qfi_time_cat if by_time else fisher.qfi_freq_cat)(
-            cat_spec_for(model), schedule, args.t)
+        cat = fisher.qfi_time_cat if args.param == "time" else \
+            fisher.qfi_freq_cat
+        return cat(cat_spec_for(model), schedule, args.t)
     run = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
                         dt=args.dt)
     rho_t = dynamics.evolve_lindblad_numeric(run, cat_initial_state(model))
-    if method == "numeric":
-        drho = (fisher.drho_dt if by_time else fisher.drho_domega)(
-            model, schedule, rho_t, args.t)
-        return fisher.sld_and_qfi(rho_t, drho, parameter=args.param)[1]
-    bound = fisher.qfi_time_lower_bound if by_time else \
-        fisher.qfi_freq_lower_bound
-    return bound(model, schedule, rho_t, args.t)
+    if method == "bound":
+        return fisher.qfi_lower_bound(model, schedule, rho_t, args.t,
+                                      args.param)
+    drho = fisher.state_derivative(model, schedule, rho_t, args.t, args.param)
+    return fisher.sld_and_qfi(rho_t, drho, parameter=args.param)[1]
 
 
 def _cmd_qfi(args, method: str | None = None) -> int:
-    model = _load_model("qfi", args)
+    model = _load_model(args)
     schedule = parse_schedule(args.schedule)
     report = _qfi_report(args, model, schedule,
                          method if method else args.method)
@@ -185,7 +175,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    model = _load_model("estimate", args)
+    model = _load_model(args)
     schedule = parse_schedule(args.schedule)
     spec = cat_spec_for(model)
     if args.sweep:
@@ -275,10 +265,7 @@ def parse_grid(text: str) -> protocols.GridSpec:
 
 
 def _cmd_scan(args) -> int:
-    outputs = [("csv", args.out)]
-    if args.svg:
-        outputs.append(("svg", args.svg))
-    RunManifest("scan", outputs=outputs).validate()
+    _check_paths(None, [args.out, args.svg])
     grid = parse_grid(args.grid)
     table = protocols.heatmap_scan(grid, args.param)
     write_atomic(args.out, table.to_csv())
@@ -306,17 +293,13 @@ def _parse_box(text: str) -> dict:
 
 
 def _cmd_optimize(args) -> int:
-    model = _load_model("optimize", args)
+    model = _load_model(args)
     spec = cat_spec_for(model)
     box = _parse_box(args.box)
     report = protocols.maximize_ratio(
         spec, args.param, box, schedule_kind=args.schedule_kind, t0=args.t0)
     _emit(_json_text(report.to_dict()), args.out)
     return 0
-
-
-def _outputs(args) -> list:
-    return [("file", args.out)] if getattr(args, "out", None) else []
 
 
 class _Parser(argparse.ArgumentParser):

@@ -6,9 +6,11 @@ logarithmic derivative Lam defined by d rho / d lambda =
 are Lam[j][k] = 2 (d rho)[j][k] / (p_j + p_k), and eigenvalue pairs
 whose sum falls below a cutoff are dropped.
 
-Derivatives are written like the state, on its block in the model's
-eigenbasis, and vanish off it, so the SLD is solved on the block (Liu,
-Yuan, Lu and Wang, J. Phys. A 53, 023001 (2020)); dense is the oracle.
+One derivative serves both parameters, -i a [H, rho] - b [L, [L, rho]]
+with (a, b) from ``derivative_coefficients``, written like the state on
+its block in the model's eigenbasis and zero off it, so the SLD is
+solved on the block (Liu, Yuan, Lu and Wang, J. Phys. A 53, 023001
+(2020)); dense is the oracle.  ``qfi_lower_bound`` is its squared norm.
 
 Closed forms for the two-branch cat state and the noiseless baselines
 sit next to the generic numeric route so every analytic claim can be
@@ -123,9 +125,25 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     return result, report
 
 
-def _commutators(model: SensorModel, rho: DensityMatrix):
+def derivative_coefficients(parameter: str, omega: float, rate, dose, t):
+    """(a, b) of d rho / d lambda = -i a [H, rho] - b [L, [L, rho]]: each
+    coherence rho_jk moves at -i a w_jk - b (l_j - l_k)^2, w_jk = omega
+    (e_j - e_k).  (1, gamma_t) for time; (t/omega, 2 Gamma/omega) for
+    omega under L = H, where the phase and the decay both carry omega.
+    The b term is the incoherent one, which the noise adds."""
+    check_parameter(parameter)
+    if parameter == "time":
+        return 1.0, rate
+    return t / omega, 2.0 * dose / omega
+
+
+def _commutators(model: SensorModel, rho: DensityMatrix, parameter: str):
     """([H, rho], [L, [L, rho]], support) on the state's block in the
-    model's eigenbasis, where a tiny coherence keeps its accuracy."""
+    model's eigenbasis, where a tiny coherence keeps its accuracy; omega
+    needs L = H, checked before the state is read."""
+    if parameter == "omega" and not model.energy_lindblad:
+        raise ValidationError(
+            "frequency derivatives require energy dephasing (L = H)")
     r, support = model.eigenbasis_block(rho)
     levels = slice(None) if support is None else list(support)
     h = model.omega * model.spectrum[levels]
@@ -135,71 +153,43 @@ def _commutators(model: SensorModel, rho: DensityMatrix):
     return c_h, lm[:, None] * c_l - c_l * lm[None, :], support
 
 
-def drho_dt(model: SensorModel, schedule: NoiseSchedule, rho: DensityMatrix,
-            t: float) -> SupportBlock:
-    """Equation-of-motion derivative -i[H, rho] - gamma_t [L, [L, rho]],
-    written like the state in the model's eigenbasis."""
-    c_h, c_ll, support = _commutators(model, rho)
-    rate, _ = schedule_eval(schedule, t)
-    out = -1j * c_h
-    if rate != 0.0:
-        out = out - rate * c_ll
+def state_derivative(model: SensorModel, schedule: NoiseSchedule,
+                     rho: DensityMatrix, t: float,
+                     parameter: str) -> SupportBlock:
+    """d rho / d lambda = -i a [H, rho] - b [L, [L, rho]], with (a, b)
+    from ``derivative_coefficients``, written like the state in the
+    model's eigenbasis."""
+    c_h, c_ll, support = _commutators(model, rho, parameter)
+    rate, dose = schedule_eval(schedule, t)
+    a, b = derivative_coefficients(parameter, model.omega, rate, dose, t)
+    out = -1j * a * c_h
+    if b != 0.0:
+        out = out - b * c_ll
     return SupportBlock(out, model.basis, support, model.dim)
 
 
-def drho_domega(model: SensorModel, schedule: NoiseSchedule,
-                rho_t: DensityMatrix, t: float) -> SupportBlock:
-    """Frequency derivative of the evolved state, valid for L = H,
-    written like the state in the model's eigenbasis.
-
-    Every element carries a phase exp(-i omega (e_j - e_k) t) and a
-    decay exp(-omega^2 (e_j - e_k)^2 Gamma); differentiating in omega
-    gives -i (t/omega) [H, rho] - (2 Gamma / omega) [H, [H, rho]].
-    """
-    if not model.energy_lindblad:
-        raise ValidationError(
-            "frequency derivatives require energy dephasing (L = H)")
-    c_h, c_hh, support = _commutators(model, rho_t)  # L = H
-    _, integral = schedule_eval(schedule, t)
-    out = -1j * (t / model.omega) * c_h
-    if integral != 0.0:
-        out = out - (2.0 * integral / model.omega) * c_hh
-    return SupportBlock(out, model.basis, support, model.dim)
-
-
-def qfi_time_lower_bound(model: SensorModel, schedule: NoiseSchedule,
-                         rho: DensityMatrix, t: float) -> QfiReport:
-    """||[H, rho]||_2^2 + gamma_t^2 ||[L, [L, rho]]||_2^2."""
-    c_h, c_ll, _ = _commutators(model, rho)
-    rate, integral = schedule_eval(schedule, t)
+def qfi_lower_bound(model: SensorModel, schedule: NoiseSchedule,
+                    rho: DensityMatrix, t: float, parameter: str
+                    ) -> QfiReport:
+    """a^2 ||[H, rho]||_2^2 + b^2 ||[L, [L, rho]]||_2^2, which is
+    ||d rho / d lambda||_2^2: the cross term vanishes, as both
+    commutators scale each coherence by a real factor."""
+    c_h, c_ll, _ = _commutators(model, rho, parameter)
+    rate, dose = schedule_eval(schedule, t)
+    a, b = derivative_coefficients(parameter, model.omega, rate, dose, t)
     n_h, n_ll = (float(np.vdot(c, c).real) for c in (c_h, c_ll))
-    value = n_h + rate * rate * n_ll
-    return QfiReport(value=value, method="lower_bound", parameter="time",
-                     diagnostics={"rate": rate, "integral": integral,
-                                  "norm_h_sq": n_h, "norm_ll_sq": n_ll})
-
-
-def qfi_freq_lower_bound(model: SensorModel, schedule: NoiseSchedule,
-                         rho: DensityMatrix, t: float) -> QfiReport:
-    """(t^2/w^2) ||[H, rho]||_2^2 + (4 Gamma^2/w^2) ||[H, [H, rho]]||_2^2."""
-    if not model.energy_lindblad:
-        raise ValidationError(
-            "the frequency bound requires energy dephasing (L = H)")
-    c_h, c_hh, _ = _commutators(model, rho)  # L = H
-    _, integral = schedule_eval(schedule, t)
-    w = model.omega
-    n_h, n_hh = (float(np.vdot(c, c).real) for c in (c_h, c_hh))
-    value = (t * t / (w * w)) * n_h + \
-        (4.0 * integral * integral / (w * w)) * n_hh
-    return QfiReport(value=value, method="lower_bound", parameter="omega",
-                     diagnostics={"integral": integral, "norm_h_sq": n_h,
-                                  "norm_hh_sq": n_hh})
+    diagnostics = {"rate": rate} if parameter == "time" else {}
+    diagnostics.update(integral=dose, norm_h_sq=n_h)
+    diagnostics["norm_ll_sq" if parameter == "time" else "norm_hh_sq"] = n_ll
+    return QfiReport(value=a * a * n_h + b * b * n_ll, method="lower_bound",
+                     parameter=parameter, diagnostics=diagnostics)
 
 
 # Cat-state closed forms, written once: numpy-broadcasting laws of
 # (rate, dose, t).  A non-finite value other than the onset divergence of
 # the time QFI is an overflow: NumericalContractError, no numpy warning.
 _quiet = np.errstate(all="ignore")
+_TINY = np.finfo(float).tiny
 
 
 def require_law(spec: CatSpec, parameter: str):
@@ -233,16 +223,18 @@ def baseline_law(spec: CatSpec, parameter: str, t):
     return spec.delta_e * spec.delta_e / (spec.omega ** 2) * (t * t)
 
 
-def _decayed(x, term, log_value, base=1.0):
-    """base (e^{-x} term); where the dose is positive and e^{-x}
-    underflows or the product is not finite, a factor left the float
-    range (0 x inf = NaN): there exp(log_value() - x), from logs."""
+def _decayed(x, term, from_logs, base=1.0):
+    """base (e^{-x} term).  Where the dose is positive and e^{-x}
+    underflows, the product is not finite or ``base`` is below the normal
+    range, a factor left the float range (0 x inf = NaN, or a baseline
+    lost to underflow): there from_logs(), the same product formed from
+    logs, and 0 where x itself is inf, which outruns any log."""
     decay = np.exp(-x)
     value = base * (decay * term)
-    out = ((decay == 0.0) | ~np.isfinite(value)) & (x > 0.0)
+    out = ((decay == 0.0) | ~np.isfinite(value) | (base < _TINY)) & (x > 0.0)
     if not out.any():
         return value
-    return np.where(out, np.exp(log_value() - x), value)
+    return np.where(out, np.where(x == np.inf, 0.0, from_logs()), value)
 
 
 def _omega_ratio(spec: CatSpec, x, dose, t, base=1.0, log_base=0.0):
@@ -253,9 +245,9 @@ def _omega_ratio(spec: CatSpec, x, dose, t, base=1.0, log_base=0.0):
     per_t = np.asarray(dose, dtype=float) / t
     c = 4.0 * spec.delta_e ** 2
     return _decayed(x, 1.0 + c * per_t * per_t / (-np.expm1(-x)),
-                    lambda: log_base + np.logaddexp(0.0, np.log(c) + 2.0 * (
-                        np.log(dose) - np.log(t)) - np.log(-np.expm1(-x))),
-                    base)
+                    lambda: np.exp(log_base + np.logaddexp(0.0, np.log(
+                        c) + 2.0 * (np.log(dose) - np.log(t)) - np.log(
+                            -np.expm1(-x))) - x), base)
 
 
 def _qfi(spec, parameter, rate, dose, t, onset_rate):
@@ -263,9 +255,10 @@ def _qfi(spec, parameter, rate, dose, t, onset_rate):
     x = decay_exponent(spec, dose)
     if parameter == "time":
         noise = rate * rate * spec.delta_l ** 4 / (-np.expm1(-x))
-        value = _decayed(x, spec.delta_e ** 2 + noise, lambda: np.logaddexp(
-            2.0 * np.log(spec.delta_e), 2.0 * np.log(rate) + 4.0 * np.log(
-                spec.delta_l) - np.log(-np.expm1(-x))))
+        value = _decayed(x, spec.delta_e ** 2 + noise, lambda: np.exp(
+            np.logaddexp(2.0 * np.log(spec.delta_e), 2.0 * np.log(rate)
+                         + 4.0 * np.log(spec.delta_l)
+                         - np.log(-np.expm1(-x))) - x))
     else:
         value = _omega_ratio(spec, x, dose, t, baseline_law(
             spec, parameter, t), 2.0 * (np.log(spec.delta_e / spec.omega)
@@ -323,17 +316,24 @@ def signal_law(spec: CatSpec, dose, t):
 
 @_quiet
 def signal_derivative_law(spec: CatSpec, parameter: str, rate, dose, t):
-    """d<O>/dt, or d<O>/d omega for energy dephasing (dL = dE), where the
-    envelope picks up its omega dependence through dE = w d_eps."""
+    """d<O>/d lambda = -e^{-dL^2 Gamma} (a dE sin(dE t) + b dL^2 cos(dE t))
+    with (a, b) from ``derivative_coefficients``; for omega dL = dE, and
+    the envelope picks up its omega dependence through dE = w d_eps.
+    Past the float range each term is taken from logs (see ``_decayed``).
+    """
     t = np.asarray(t, dtype=float)
-    de, phase = spec.delta_e, spec.delta_e * t
-    envelope = np.exp(-spec.delta_l ** 2 * np.asarray(dose))
-    if parameter == "time":
-        return require_finite(-envelope * (
-            de * np.sin(phase) + rate * spec.delta_l ** 2 * np.cos(phase)))
-    return require_finite(-envelope * (
-        (de * t / spec.omega) * np.sin(phase)
-        + (2.0 * de * de * dose / spec.omega) * np.cos(phase)))
+    a, b = derivative_coefficients(parameter, spec.omega, rate, dose, t)
+    de, dl2, phase = spec.delta_e, spec.delta_l ** 2, spec.delta_e * t
+    sin, cos = np.sin(phase), np.cos(phase)
+    x = dl2 * np.asarray(dose)
+
+    def from_logs():
+        return sum(np.sign(wave) * np.exp(np.log(c) + np.log(np.abs(wave))
+                                          + np.log(f) - x)
+                   for c, f, wave in ((a, de, sin), (b, dl2, cos)))
+
+    return require_finite(-_decayed(x, a * de * sin + b * dl2 * cos,
+                                    from_logs))
 
 
 @_quiet

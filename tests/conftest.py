@@ -80,11 +80,8 @@ def evolved_branch_state(spec, schedule, t, dt=2.5e-4):
 
 def numeric_qfi(model, schedule, rho_t, t, parameter):
     """RK4 state + analytic equation-of-motion derivative + SLD."""
-    from dephasor.fisher import drho_domega, drho_dt
-    if parameter == "time":
-        drho = drho_dt(model, schedule, rho_t, t)
-    else:
-        drho = drho_domega(model, schedule, rho_t, t)
+    from dephasor.fisher import state_derivative
+    drho = state_derivative(model, schedule, rho_t, t, parameter)
     _, report = sld_and_qfi(rho_t, drho, parameter=parameter)
     return report
 

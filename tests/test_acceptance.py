@@ -34,9 +34,8 @@ from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, advantage_ratio,
                       trajectory)
 from dephasor.estimators import (estimator_variance, optimal_observable,
                                  saturation_ratio)
-from dephasor.fisher import (drho_dt, qfi_closed, qfi_freq_cat,
-                             qfi_freq_lower_bound, qfi_time_cat,
-                             qfi_time_lower_bound, sld_and_qfi)
+from dephasor.fisher import (qfi_closed, qfi_freq_cat, qfi_lower_bound,
+                             qfi_time_cat, sld_and_qfi, state_derivative)
 
 from conftest import (evolved_branch_state, exact_cat_state,
                       kpi_window_schedule, numeric_qfi)
@@ -79,13 +78,13 @@ def qfi_grid():
                     label = f"dE={de} dL={dl} {sch.variant} t={t}"
                     exact = qfi_time_cat(spec, sch, t).value
                     num = numeric_qfi(model, sch, rho, t, "time").value
-                    bound = qfi_time_lower_bound(model, sch, rho, t).value
+                    bound = qfi_lower_bound(model, sch, rho, t, "time").value
                     records["time"].append((label, exact, num, bound))
                     if dl == de:
                         exact = qfi_freq_cat(spec, sch, t).value
                         num = numeric_qfi(model, sch, rho, t, "omega").value
-                        bound = qfi_freq_lower_bound(model, sch, rho,
-                                                     t).value
+                        bound = qfi_lower_bound(model, sch, rho, t,
+                                                "omega").value
                         records["omega"].append((label, exact, num, bound))
     return records
 
@@ -126,7 +125,7 @@ def test_criterion_2_closed_baselines():
     for n in (2, 3):
         model = build_sensor_model("qubit_network", n, omega=1.0)
         rho = exact_cat_state(model, quiet, 0.6)
-        drho = drho_dt(model, quiet, rho, 0.6)
+        drho = state_derivative(model, quiet, rho, 0.6, "time")
         _, report = sld_and_qfi(rho, drho, parameter="time")
         worst = max(worst, abs(report.value - n * n) / (n * n))
         assert abs(report.value - n * n) <= 1e-10 * n * n
@@ -250,8 +249,8 @@ def test_criterion_5_bounds_stay_below_qfi():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.constant(0.1)
     model, rho = evolved_branch_state(spec, sch, 1.0, dt=2e-4)
-    tb = qfi_time_lower_bound(model, sch, rho, 1.0).value
-    fb = qfi_freq_lower_bound(model, sch, rho, 1.0).value
+    tb = qfi_lower_bound(model, sch, rho, 1.0, "time").value
+    fb = qfi_lower_bound(model, sch, rho, 1.0, "omega").value
     # quoted 7-digit reference values
     assert tb == pytest.approx(0.9346041, rel=5e-7)
     assert fb == pytest.approx(1.0424430, rel=5e-7)

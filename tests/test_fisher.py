@@ -8,12 +8,12 @@ import pytest
 from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
                       Operator, ValidationError, branch_model,
                       build_sensor_model, cat_initial_state)
-from dephasor.fisher import (drho_domega, drho_dt, qfi_closed, qfi_freq_cat,
-                             qfi_freq_lower_bound, qfi_law, qfi_time_cat,
-                             qfi_time_lower_bound, ratio_law, sld_and_qfi)
+from dephasor.fisher import (qfi_closed, qfi_freq_cat, qfi_law,
+                             qfi_lower_bound, qfi_time_cat, ratio_law,
+                             sld_and_qfi, state_derivative)
 
 from conftest import (evolved_branch_state, exact_cat_state, fd_qfi_time,
-                      numeric_qfi, rel)
+                      framed, haar_unitary, numeric_qfi, rel)
 
 SCHEDULES = [
     NoiseSchedule.constant(0.1),
@@ -30,7 +30,7 @@ def test_sld_defining_equation():
     sch = NoiseSchedule.constant(0.3)
     t = 0.9
     model, rho = evolved_branch_state(spec, sch, t)
-    drho = drho_dt(model, sch, rho, t)
+    drho = state_derivative(model, sch, rho, t, "time")
     sld, report = sld_and_qfi(rho, drho, parameter="time")
     lam = sld.sld.matrix
     resid = 0.5 * (lam @ rho.matrix + rho.matrix @ lam) - drho
@@ -61,7 +61,7 @@ def test_sld_truncation_counts_dark_levels():
                                branches=(0, 2))
     sch = NoiseSchedule.constant(0.0)
     rho = exact_cat_state(model, sch, 0.4)
-    drho = drho_dt(model, sch, rho, 0.4)
+    drho = state_derivative(model, sch, rho, 0.4, "time")
     sld, report = sld_and_qfi(rho, drho, parameter="time")
     assert report.diagnostics["truncated_rank"] == 2
     # pure-state unitary QFI is 4 var(H) = (e_hi - e_lo)^2
@@ -151,6 +151,15 @@ def test_time_qfi_divergence_at_hard_onset():
     assert not ramp.diverged
 
 
+@pytest.mark.parametrize("t", [1e-160, 1e-170, 1e-250, 1e-300])
+def test_freq_qfi_survives_the_underflow_of_its_baseline(t):
+    # F = 4 e^{-8t} (16 t^2 / (1 - e^{-8t}) + t^2), about 8t, while the
+    # baseline (dE t / w)^2 it is formed on is subnormal or 0
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+    value = qfi_freq_cat(spec, NoiseSchedule.constant(1.0), t).value
+    assert value == pytest.approx(8.0 * t, rel=1e-12, abs=0.0)
+
+
 def test_freq_qfi_requires_energy_dephasing():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     with pytest.raises(ValidationError, match="energy dephasing"):
@@ -158,7 +167,8 @@ def test_freq_qfi_requires_energy_dephasing():
     model = branch_model(spec)
     rho = cat_initial_state(model)
     with pytest.raises(ValidationError, match="energy dephasing"):
-        drho_domega(model, NoiseSchedule.constant(0.1), rho, 1.0)
+        state_derivative(model, NoiseSchedule.constant(0.1), rho, 1.0,
+                         "omega")
 
 
 # ------------------------------------------------------------------- bounds
@@ -170,8 +180,8 @@ def test_time_bound_doubles_into_the_qfi_of_a_pure_state():
     model = branch_model(spec)
     sch = NoiseSchedule.constant(0.0)
     rho = exact_cat_state(model, sch, 0.5)
-    drho = drho_dt(model, sch, rho, 0.5)
-    bound = qfi_time_lower_bound(model, sch, rho, 0.5)
+    drho = state_derivative(model, sch, rho, 0.5, "time")
+    bound = qfi_lower_bound(model, sch, rho, 0.5, "time")
     assert bound.value == pytest.approx(
         float(np.sum(np.abs(np.asarray(drho)) ** 2)), rel=1e-12)
     _, exact = sld_and_qfi(rho, drho, parameter="time")
@@ -183,8 +193,8 @@ def test_time_bound_doubles_into_the_qfi_of_a_pure_state():
 def test_commutator_bounds_never_exceed_qfi(sch, t):
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     model, rho = evolved_branch_state(spec, sch, t, dt=1e-3)
-    tb = qfi_time_lower_bound(model, sch, rho, t).value
-    fb = qfi_freq_lower_bound(model, sch, rho, t).value
+    tb = qfi_lower_bound(model, sch, rho, t, "time").value
+    fb = qfi_lower_bound(model, sch, rho, t, "omega").value
     assert tb <= qfi_time_cat(spec, sch, t).value * (1.0 + 1e-9)
     assert fb <= qfi_freq_cat(spec, sch, t).value * (1.0 + 1e-9)
 
@@ -195,8 +205,8 @@ def test_bounds_frozen_spot():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.constant(0.1)
     model, rho = evolved_branch_state(spec, sch, 1.0, dt=2e-4)
-    tb = qfi_time_lower_bound(model, sch, rho, 1.0).value
-    fb = qfi_freq_lower_bound(model, sch, rho, 1.0).value
+    tb = qfi_lower_bound(model, sch, rho, 1.0, "time").value
+    fb = qfi_lower_bound(model, sch, rho, 1.0, "omega").value
     coher_sq = (0.5 * math.exp(-0.4)) ** 2
     tb_exact = 2.0 * coher_sq * (4.0 + 0.01 * 16.0)
     fb_exact = 2.0 * coher_sq * (4.0 + 4.0 * 0.01 * 16.0)
@@ -211,7 +221,8 @@ def test_freq_bound_requires_energy_dephasing():
     model = branch_model(spec)
     rho = cat_initial_state(model)
     with pytest.raises(ValidationError, match="energy dephasing"):
-        qfi_freq_lower_bound(model, NoiseSchedule.constant(0.1), rho, 1.0)
+        qfi_lower_bound(model, NoiseSchedule.constant(0.1), rho, 1.0,
+                        "omega")
 
 
 # ---------------------------------------------------------------- baselines
@@ -231,14 +242,44 @@ def test_closed_baseline_rejects_mixed_state():
         qfi_closed(model, rho, parameter="time")
 
 
-def test_drho_dt_matches_trajectory_difference():
+def haar_energy_model(omega):
+    """A 4-level custom model, L = H, in a seeded Haar-random frame."""
+    q = haar_unitary(np.random.default_rng(11), 4)
+    return build_sensor_model("custom", 4, omega, h=Operator(
+        framed(q, np.array([-1.0, 0.3, 0.5, 1.0])), hermitian=True))
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: build_sensor_model("qubit_network", 2, w), haar_energy_model,
+], ids=["qubit-network", "haar-custom"])
+@pytest.mark.parametrize("parameter", ["time", "omega"])
+def test_state_derivative_matches_exact_flow_difference(build, parameter):
+    # -i a [H, rho] - b [L, [L, rho]] against a central difference of the
+    # exact flow: in t, or in omega by rebuilding the model at w +- h,
+    # which moves H = w h and L = w h together
+    sch = NoiseSchedule.linear_ramp(0.8, t0=0.1)
+    t, w, h = 0.7, 1.3, 1e-5
+    model = build(w)
+    if parameter == "time":
+        plus, minus = (exact_cat_state(model, sch, t + s) for s in (h, -h))
+    else:
+        plus, minus = (exact_cat_state(build(w + s), sch, t)
+                       for s in (h, -h))
+    fd = (plus.matrix - minus.matrix) / (2.0 * h)
+    got = np.asarray(state_derivative(
+        model, sch, exact_cat_state(model, sch, t), t, parameter))
+    assert np.max(np.abs(fd)) > 0.1
+    assert np.max(np.abs(got - fd)) < 1e-8
+
+
+def test_time_derivative_matches_trajectory_difference():
     # equation-of-motion derivative vs a central difference of the
     # integrated flow
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     sch = NoiseSchedule.linear_ramp(0.8, t0=0.1)
     t, h = 0.7, 1e-5
     model, rho = evolved_branch_state(spec, sch, t, dt=2e-4)
-    ana = drho_dt(model, sch, rho, t)
+    ana = state_derivative(model, sch, rho, t, "time")
     plus = exact_cat_state(model, sch, t + h)
     minus = exact_cat_state(model, sch, t - h)
     fd = (plus.matrix - minus.matrix) / (2.0 * h)
@@ -278,3 +319,17 @@ def test_closed_forms_past_the_float_range_match_high_precision(
     else:
         assert ratio_law(spec, parameter, rate, dose, t) == pytest.approx(
             float(want / base), rel=1e-12, abs=1e-300)
+
+
+def test_package_exports_resolve_once():
+    import dephasor
+    import dephasor.fisher as fisher
+    names = dephasor.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(dephasor, n)] == []
+    # one derivative and one bound serve both parameters
+    stale = [n for n in dir(fisher) if n.startswith("drho_") or (
+        n.endswith("_lower_bound") and n != "qfi_lower_bound")]
+    assert stale == []
+    assert {"state_derivative", "qfi_lower_bound",
+            "derivative_coefficients"} <= set(names)

@@ -12,7 +12,7 @@ from dephasor import (CatSpec, DensityMatrix, NoiseSchedule, Operator,
                       ValidationError, branch_model, build_sensor_model,
                       cat_initial_state, cat_spec_for, load_model,
                       model_from_json, model_to_json, operator_expectation,
-                      qfi_time_lower_bound)
+                      qfi_lower_bound)
 from dephasor.hilbert import _check_spectrum
 
 from conftest import random_hermitian
@@ -369,8 +369,8 @@ def test_commutator_norms_dephasing_structure():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     model = branch_model(spec)
     rho = cat_initial_state(model)
-    norms = qfi_time_lower_bound(model, NoiseSchedule.constant(0.0), rho,
-                                 0.0).diagnostics
+    norms = qfi_lower_bound(model, NoiseSchedule.constant(0.0), rho, 0.0,
+                            "time").diagnostics
     first, second = norms["norm_h_sq"], norms["norm_ll_sq"]
     # |rho01|^2 * gap^2 * 2 with h gap = delta_eps = 2
     assert first == pytest.approx(2.0 * 0.25 * 4.0, abs=1e-14)

@@ -11,7 +11,7 @@ and random scan grids check the table rows against per-row ratios.
 Random commuting models (H and L both diagonal in one Haar-random frame)
 check the RK4 integrator: it matches a dense-matmul RK4 reference, keeps
 trace and positivity along trajectories, its state fed through
-``drho_dt`` or ``drho_domega`` and the SLD reproduces the closed-form
+``state_derivative`` and the SLD reproduces the closed-form
 time or frequency QFI (also deep in the tail, where the branch coherence
 is far below the populations' round-off), and that numeric QFI sits
 above its commutator bound.  The derivatives and bounds, formed in the
@@ -50,15 +50,15 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
                       NoiseSchedule, NumericalContractError, Operator,
                       ValidationError, advantage_ratio, branch_model,
                       build_sensor_model, cat_initial_state, cat_spec_for,
-                      drho_dt, estimator_variance,
-                      evolve_exact, evolve_lindblad_numeric, heatmap_scan,
+                      estimator_variance, evolve_exact,
+                      evolve_lindblad_numeric, heatmap_scan,
                       maximize_ratio, observable_expectation,
                       saturation_ratio, sld_and_qfi, trajectory)
 from dephasor.dynamics import _pair_table, _rk4_gains
 from dephasor.estimators import signal_statistics
-from dephasor.fisher import (decay_exponent, drho_domega, law_at, qfi_closed,
-                             qfi_freq_cat, qfi_freq_lower_bound, qfi_law,
-                             qfi_time_cat, qfi_time_lower_bound)
+from dephasor.fisher import (decay_exponent, law_at, qfi_closed, qfi_freq_cat,
+                             qfi_law, qfi_lower_bound, qfi_time_cat,
+                             state_derivative)
 from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, X_AXES, HeatmapTable
 from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
                              _POS_LO, HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT,
@@ -219,7 +219,7 @@ def test_ratio_tends_to_one_with_the_dose(data, parameter, span):
 def test_time_qfi_above_commutator_bound(spec, sch, t):
     model = branch_model(spec)
     rho = exact_cat_state(model, sch, t)
-    bound = qfi_time_lower_bound(model, sch, rho, t).value
+    bound = qfi_lower_bound(model, sch, rho, t, "time").value
     assert qfi_time_cat(spec, sch, t).value >= bound
 
 
@@ -503,12 +503,11 @@ def test_block_route_equals_the_dense_route(case, sch, t):
     assert rho.support == rho0.support and dense.support is None
     assert rel_gap(rho.matrix, dense.matrix) <= 1e-12
     assert abs(rho.min_eigenvalue() - dense.min_eigenvalue()) <= 1e-12
-    derivatives = [(drho_dt, "time")]
-    if model.energy_lindblad:
-        derivatives.append((drho_domega, "omega"))
-    for derivative, parameter in derivatives:
-        d_block = derivative(model, sch, rho, t)
-        d_dense = np.asarray(derivative(model, sch, dense, t))
+    parameters = ["time", "omega"] if model.energy_lindblad else ["time"]
+    for parameter in parameters:
+        d_block = state_derivative(model, sch, rho, t, parameter)
+        d_dense = np.asarray(state_derivative(model, sch, dense, t,
+                                              parameter))
         assert d_block.support == rho.support
         assert rel_gap(d_block, d_dense) <= 1e-12
         _, got = sld_and_qfi(rho, d_block, parameter)
@@ -826,7 +825,8 @@ def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
         cat_initial_state(model))
-    _, report = sld_and_qfi(rho_t, drho_dt(model, sch, rho_t, t), "time")
+    drho = state_derivative(model, sch, rho_t, t, "time")
+    _, report = sld_and_qfi(rho_t, drho, "time")
     want = qfi_time_cat(cat_spec_for(model), sch, t).value
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
@@ -841,7 +841,8 @@ def test_numeric_time_qfi_in_the_deep_tail(rate):
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
         cat_initial_state(model))
-    _, report = sld_and_qfi(rho_t, drho_dt(model, sch, rho_t, t), "time")
+    drho = state_derivative(model, sch, rho_t, t, "time")
+    _, report = sld_and_qfi(rho_t, drho, "time")
     want = qfi_time_cat(cat_spec_for(model), sch, t).value
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
@@ -889,23 +890,23 @@ def test_eigenbasis_derivatives_match_dense_commutators(model, sch, t,
         m = rho.matrix
         n_h, n_ll = commutator_norms(h, l, m)
         for state in (rho, DensityMatrix(m, positivity_tol=1e-7)):
-            np.testing.assert_allclose(drho_dt(model, sch, state, t),
-                                       _dense_rhs(h, l, rate, m),
-                                       rtol=0.0, atol=tol)
+            np.testing.assert_allclose(
+                state_derivative(model, sch, state, t, "time"),
+                _dense_rhs(h, l, rate, m), rtol=0.0, atol=tol)
             assert math.isclose(
-                qfi_time_lower_bound(model, sch, state, t).value,
+                qfi_lower_bound(model, sch, state, t, "time").value,
                 n_h + rate * rate * n_ll, rel_tol=1e-9, abs_tol=tol)
             if not model.energy_lindblad:
                 continue
             w = model.omega
             k = h @ m - m @ h
             np.testing.assert_allclose(
-                drho_domega(model, sch, state, t),
+                state_derivative(model, sch, state, t, "omega"),
                 -1j * (t / w) * k - (2.0 * dose / w) * (h @ k - k @ h),
                 rtol=0.0, atol=tol)
             _, n_hh = commutator_norms(h, h, m)  # L = H
             assert math.isclose(
-                qfi_freq_lower_bound(model, sch, state, t).value,
+                qfi_lower_bound(model, sch, state, t, "omega").value,
                 (t * t * n_h + 4.0 * dose * dose * n_hh) / (w * w),
                 rel_tol=1e-9, abs_tol=tol)
 
@@ -921,10 +922,30 @@ def test_numeric_sld_route_matches_closed_freq_qfi(model, sch, t):
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
         cat_initial_state(model))
-    _, report = sld_and_qfi(rho_t, drho_domega(model, sch, rho_t, t),
-                            "omega")
+    drho = state_derivative(model, sch, rho_t, t, "omega")
+    _, report = sld_and_qfi(rho_t, drho, "omega")
     want = qfi_freq_cat(cat_spec_for(model), sch, t).value
     assert math.isclose(report.value, want, rel_tol=1e-6)
+
+
+@settings(max_examples=40)
+@given(commuting_models(), schedules(rate=st.floats(0.0, 2.0)),
+       st.floats(0.1, 1.5))
+@example(DEEP_TAIL, NoiseSchedule.constant(5.0), 1.0)
+@example(NEAR_DEGENERATE, KNOTS_INSIDE, 1.0)
+@example(COMPLEX_LIFT, NoiseSchedule.constant(1.0, t0=0.5), 1.0)
+def test_bound_is_the_squared_norm_of_the_state_derivative(model, sch, t):
+    # the bound and d rho / d lambda share (a, b); the cross term of
+    # ||-i a [H, rho] - b [L, [L, rho]]||_2^2 vanishes, since both
+    # commutators scale a coherence by a real factor
+    rho = evolve_exact(EvolutionSpec(model=model, schedule=sch, t_final=t),
+                       cat_initial_state(model))
+    for parameter in ["time", "omega"] if model.energy_lindblad else \
+            ["time"]:
+        drho = np.asarray(state_derivative(model, sch, rho, t, parameter))
+        assert math.isclose(
+            qfi_lower_bound(model, sch, rho, t, parameter).value,
+            float(np.sum(np.abs(drho) ** 2)), rel_tol=1e-12, abs_tol=1e-300)
 
 
 @settings(max_examples=40)
@@ -938,12 +959,8 @@ def test_numeric_qfi_above_commutator_bound(data, parameter, sch, t):
     rho_t = evolve_lindblad_numeric(
         EvolutionSpec(model=model, schedule=sch, t_final=t),
         cat_initial_state(model))
-    if parameter == "time":
-        drho = drho_dt(model, sch, rho_t, t)
-        bound = qfi_time_lower_bound(model, sch, rho_t, t).value
-    else:
-        drho = drho_domega(model, sch, rho_t, t)
-        bound = qfi_freq_lower_bound(model, sch, rho_t, t).value
+    drho = state_derivative(model, sch, rho_t, t, parameter)
+    bound = qfi_lower_bound(model, sch, rho_t, t, parameter).value
     _, report = sld_and_qfi(rho_t, drho, parameter)
     assert report.value >= bound * (1.0 - 1e-9)
 
@@ -999,13 +1016,12 @@ def test_a_diagonal_model_agrees_with_its_dense_twin(twins, rate, t):
     assert rel_gap(exact.array, twin_exact.array) <= 1e-12
     for rho, twin_rho in zip(path, twin_path):
         assert rel_gap(rho.array, twin_rho.array) <= 1e-12
-    laws = [(drho_dt, qfi_time_lower_bound, "time")]
-    if model.energy_lindblad:
-        laws.append((drho_domega, qfi_freq_lower_bound, "omega"))
-    for derivative, bound, parameter in laws:
-        got, want = ([sld_and_qfi(rho, derivative(m, sch, rho, t),
+    parameters = ["time", "omega"] if model.energy_lindblad else ["time"]
+    for parameter in parameters:
+        got, want = ([sld_and_qfi(rho, state_derivative(m, sch, rho, t,
+                                                        parameter),
                                   parameter)[1].value,
-                      bound(m, sch, rho, t).value]
+                      qfi_lower_bound(m, sch, rho, t, parameter).value]
                      for m, rho in ((model, path[-1]),
                                     (twin, twin_path[-1])))
         assert rel_gap(got, want) <= 1e-12
