@@ -36,6 +36,10 @@ GRID_9X7 = "x=t:0.01:2:9;y=gamma:0.05:20:7;deltaE=2"
 GRID_RAMP = "x=omega_t:0.02:3:9;y=gamma_dot:0.1:30:7;deltaE=1.5;omega=1.5"
 GRID_TALL = "x=t:0.05:2:12;y=gamma_dot:0.1:30:30;deltaE=1.5"
 GRID_2X2 = "x=t:0.2:1.2:2;y=gamma:0.05:2:2;deltaE=1"
+# the onset divergence (inf) in the first column, exactly 1.0 on the
+# zero-rate row, both regions and the ceiling color
+GRID_ONSET = ("x=t:0.5:2:4;y=gamma:0:1:3;scale=linear;deltaE=1;deltaL=1.5;"
+              "t0=0.5")
 
 # case name -> argv without the output flags; the extensions are the
 # files the case writes (the first through --out, an .svg through --svg)
@@ -120,6 +124,8 @@ CASES = {
         ["scan", "--param", "time", "--grid", GRID_TALL], ("csv", "svg")),
     "scan-2x2-omega": (
         ["scan", "--param", "omega", "--grid", GRID_2X2], ("csv", "svg")),
+    "scan-onset-time": (
+        ["scan", "--param", "time", "--grid", GRID_ONSET], ("csv", "svg")),
     "scan-fig1-omega": (
         ["scan", "--param", "omega", "--grid", "default_fig1"],
         ("csv", "svg")),
