@@ -24,7 +24,7 @@ from .dynamics import EvolutionSpec, NoiseSchedule
 from .hilbert import (CatSpec, NumericalContractError, SensorModel,
                       ValidationError, cat_initial_state, cat_spec_for,
                       load_model)
-from .svgmap import render_heatmap_svg
+from .svgmap import join_rows, render_heatmap_svg
 
 
 def _check_paths(model_path: str | None, outputs):
@@ -90,6 +90,15 @@ def parse_schedule(text: str) -> NoiseSchedule:
     raise ValidationError(f"unknown schedule variant {head!r}")
 
 
+def _csv(header: str, columns) -> str:
+    """The header line, then a line of comma-separated ``repr`` per row
+    of the float columns."""
+    commas = [","] * len(columns[0])
+    reprs = [list(map(repr, np.asarray(c, float).tolist())) for c in columns]
+    return join_rows([s for col in reprs for s in (col, commas)][:-1],
+                     head=header + "\n")
+
+
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
@@ -127,6 +136,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    protocols.check_rows(args.samples, "--samples")
     model = _load_model(args)
     schedule = parse_schedule(args.schedule)
     spec = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
@@ -135,13 +145,10 @@ def _cmd_evolve(args) -> int:
                                           args.samples))
     # the branch blocks: (lo, hi) in the model's eigenbasis
     m = np.array([rho.array for rho in states])
-    columns = [ts, *(x.tolist() for x in (
-        m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real, m[:, 0, 1].imag,
-        m.trace(axis1=1, axis2=2).real)),
-        [rho.min_eigenvalue() for rho in states]]
-    lines = ["t,pop_lo,pop_hi,coher_re,coher_im,trace,min_eig"]
-    lines += [",".join(map(repr, row)) for row in zip(*columns)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv("t,pop_lo,pop_hi,coher_re,coher_im,trace,min_eig", [
+        ts, m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real,
+        m[:, 0, 1].imag, m.trace(axis1=1, axis2=2).real,
+        [rho.min_eigenvalue() for rho in states]]), args.out)
     return 0
 
 
@@ -175,19 +182,17 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    sweep = _parse_sweep(args.sweep) if args.sweep else None
     model = _load_model(args)
     schedule = parse_schedule(args.schedule)
     spec = cat_spec_for(model)
-    if args.sweep:
-        lo, hi, steps = _parse_sweep(args.sweep)
-        ts = np.linspace(lo, hi, steps)
+    if sweep:
+        ts = np.linspace(*sweep)
         columns = estimators.signal_statistics(spec, schedule, ts,
                                                args.param)[1:]
         columns += (_one_over_qfi(spec, schedule, ts, args.param),)
-        lines = ["t,mean,var_O,d_mean,var_estimator,one_over_qfi"]
-        for row in zip(ts.tolist(), *(c.tolist() for c in columns)):
-            lines.append(",".join(repr(v) for v in row))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv("t,mean,var_O,d_mean,var_estimator,one_over_qfi",
+                   (ts, *columns)), args.out)
         return 0
     rep = estimators.estimator_variance(spec, schedule, args.t, args.param)
     doc = rep.to_dict()
@@ -216,6 +221,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
     if steps < 2 or not 0.0 <= lo < hi < np.inf:
         raise ValidationError("sweep needs 0 <= t_min < t_max < inf and "
                               "steps >= 2")
+    protocols.check_rows(steps, "the sweep")
     return lo, hi, steps
 
 

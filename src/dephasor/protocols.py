@@ -26,11 +26,20 @@ import numpy as np
 from .dynamics import NoiseSchedule, schedule_eval, times
 from .fisher import law_at, ratio_law, require_law
 from .hilbert import CatSpec, ValidationError
+from .svgmap import join_rows
 
 LN2 = math.log(2.0)
 
 X_AXES = ("t", "omega_t")
 Y_AXES = ("gamma", "gamma_dot")
+MAX_ROWS = 2 ** 20  # per output; an evolve at the cap peaks near 1.7 GB
+
+
+def check_rows(rows: int, what: str):
+    """Reject an output of more than MAX_ROWS rows before it is built."""
+    if rows > MAX_ROWS:
+        raise ValidationError(f"{what} asks for {rows} rows; one output "
+                              f"holds at most MAX_ROWS = {MAX_ROWS}")
 
 
 def advantage_ratio(spec: CatSpec, schedule: NoiseSchedule, t,
@@ -154,6 +163,7 @@ class GridSpec:
                 raise ValidationError(f"{name} axis range is empty")
             if self.scale == "log" and lo <= 0.0:
                 raise ValidationError("log scale requires positive bounds")
+        check_rows(self.x_steps * self.y_steps, "the grid")
         if self.t0 < 0.0:
             raise ValidationError("t0 must be nonnegative")
 
@@ -194,7 +204,7 @@ class HeatmapTable:
     def rows(self) -> list:
         """(x, y, ratio, region) per cell, y-major order."""
         xs = self.x_values.tolist()
-        return [(x, y, ratio, _region(ratio))
+        return [(x, y, ratio, ("hindered", "enhanced")[ratio >= 1.0])
                 for y, row in zip(self.y_values.tolist(),
                                   self.ratios.tolist())
                 for x, ratio in zip(xs, row)]
@@ -202,20 +212,16 @@ class HeatmapTable:
     def to_csv(self) -> str:
         # Fixed header; the axis meaning travels in a comment line so the
         # four column names stay stable for downstream parsers.
-        lines = [
-            f"# parameter={self.parameter} x={self.x_name} y={self.y_name}",
-            "x,y,ratio,region",
-        ]
-        xs = [f"{x!r}," for x in self.x_values.tolist()]
-        for y, row in zip(self.y_values.tolist(), self.ratios):
-            y_col = f"{y!r},"
-            lines.extend(f"{x}{y_col}{ratio!r},{_region(ratio)}"
-                         for x, ratio in zip(xs, row.tolist()))
-        return "\n".join(lines) + "\n"
-
-
-def _region(ratio: float) -> str:
-    return "enhanced" if ratio >= 1.0 else "hindered"
+        ny, nx = self.ratios.shape
+        ys = np.array([f"{y!r}," for y in self.y_values.tolist()], object)
+        regions = np.array([",hindered", ",enhanced"], object)
+        return join_rows(
+            [[f"{x!r}," for x in self.x_values.tolist()] * ny,
+             np.repeat(ys, nx).tolist(),
+             list(map(repr, self.ratios.ravel().tolist())),
+             regions.take(self.ratios.ravel() >= 1.0).tolist()],
+            head=f"# parameter={self.parameter} x={self.x_name} "
+                 f"y={self.y_name}\nx,y,ratio,region\n")
 
 
 def _rate_schedule(rate_key: str, value: float, t0: float) -> NoiseSchedule:

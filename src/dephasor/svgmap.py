@@ -10,8 +10,10 @@ ratio >= 1 is 'enhanced').
 The whole table is rendered as arrays: one numpy pass maps every cell
 to its color, each distinct color and each column and row coordinate is
 formatted once, and the boundary edges come from ``np.nonzero`` on the
-shifted region masks.  A ratio of +inf (the onset divergence of the
-time QFI) takes the ceiling color; a ratio of 0 the floor color.
+shifted region masks.  The cell grid is interleaved from its x, y and
+fill strings and joined once with the rest (``join_rows``, which also
+writes the CSVs).  A ratio of +inf (the onset divergence of the time
+QFI) takes the ceiling color; a ratio of 0 the floor color.
 """
 
 from __future__ import annotations
@@ -54,12 +56,8 @@ def _color_codes(logs: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _hex(code: int) -> str:
-    return f"#{code:06x}"
-
-
 def _color(log_ratio: float) -> str:
-    return _hex(int(_color_codes(np.asarray(float(log_ratio)))))
+    return f"#{int(_color_codes(np.asarray(float(log_ratio)))):06x}"
 
 
 def _log_ratios(grid: np.ndarray) -> np.ndarray:
@@ -68,6 +66,17 @@ def _log_ratios(grid: np.ndarray) -> np.ndarray:
     positive = grid > 0.0
     logs[positive] = np.log10(grid[positive])
     return logs
+
+
+def join_rows(columns, head: str = "", tail: str = "") -> str:
+    """``head``, then per row each column's string and a newline, then
+    ``tail``, as one ``str.join``; no Python code runs per cell."""
+    k, n = len(columns) + 1, len(columns[0])
+    out = ["\n"] * (k * n + 2)
+    out[0], out[-1] = head, tail
+    for i, col in enumerate(columns):
+        out[1 + i:-1:k] = col
+    return "".join(out)
 
 
 def _fmt(v: float) -> str:
@@ -102,20 +111,20 @@ def render_heatmap_svg(table, title: str = "") -> str:
         # y grows upward on the plot
         return MARGIN_TOP + plot_h - (j + 1) * cell_h
 
-    parts = [
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
+        head.append(
             f'<text x="{WIDTH / 2:.0f}" y="28" font-family="monospace" '
             f'font-size="16" text-anchor="middle">{title}</text>')
 
     codes = _color_codes(_log_ratios(grid))
     distinct, which = np.unique(codes, return_inverse=True)
-    fills = [_hex(code) for code in distinct.tolist()]
-    which = which.reshape(ny, nx)
+    fills = np.array([f'#{code:06x}"/>' for code in distinct.tolist()],
+                     dtype=object)
 
     x_left = [_fmt(cx(i)) for i in range(nx)]
     x_right = [_fmt(cx(i) + cell_w) for i in range(nx)]
@@ -124,11 +133,9 @@ def render_heatmap_svg(table, title: str = "") -> str:
 
     size = (f'" width="{_fmt(cell_w + 0.5)}" '
             f'height="{_fmt(cell_h + 0.5)}" fill="')
-    cell_x = [f'<rect x="{x}" y="' for x in x_left]
-    for y, row in zip(y_top, which):
-        y_size = y + size
-        parts.extend(f'{x}{y_size}{fills[k]}"/>'
-                     for x, k in zip(cell_x, row.tolist()))
+    cell_y = np.array([y + size for y in y_top], dtype=object)
+    cells = [[f'<rect x="{x}" y="' for x in x_left] * ny,
+             np.repeat(cell_y, nx).tolist(), fills[which.ravel()].tolist()]
 
     # ratio = 1 boundary: draw shared edges of adjacent cells on opposite
     # sides of ratio 1, vertical edges row-major, then horizontal ones
@@ -139,46 +146,46 @@ def render_heatmap_svg(table, title: str = "") -> str:
     js, is_ = np.nonzero(enhanced[1:] != enhanced[:-1])
     segs += [(x_left[i], y_top[j], x_right[i], y_top[j])
              for j, i in zip(js.tolist(), is_.tolist())]
-    for x1, y1, x2, y2 in segs:
-        parts.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
-            f'y2="{y2}" stroke="#000000" stroke-width="1.2"/>')
-
-    parts.append(
+    tail = [
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" '
+        f'y2="{y2}" stroke="#000000" stroke-width="1.2"/>'
+        for x1, y1, x2, y2 in segs]
+    tail.append(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#000000"/>')
 
     for i in _tick_indices(nx):
         x = cx(i) + cell_w / 2
-        parts.append(
+        tail.append(
             f'<line x1="{_fmt(x)}" y1="{MARGIN_TOP + plot_h}" '
             f'x2="{_fmt(x)}" y2="{MARGIN_TOP + plot_h + 5}" '
             f'stroke="#000000"/>')
-        parts.append(
+        tail.append(
             f'<text x="{_fmt(x)}" y="{MARGIN_TOP + plot_h + 20}" '
             f'font-family="monospace" font-size="11" text-anchor="middle">'
             f'{_tick_label(float(xs[i]))}</text>')
     for j in _tick_indices(ny):
         y = cy(j) + cell_h / 2
-        parts.append(
+        tail.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(y)}" '
             f'x2="{MARGIN_LEFT}" y2="{_fmt(y)}" stroke="#000000"/>')
-        parts.append(
+        tail.append(
             f'<text x="{MARGIN_LEFT - 10}" y="{_fmt(y + 4)}" '
             f'font-family="monospace" font-size="11" text-anchor="end">'
             f'{_tick_label(float(ys[j]))}</text>')
 
-    parts.append(
+    tail.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 15}" '
         f'font-family="monospace" font-size="13" text-anchor="middle">'
         f'{table.x_name}</text>')
-    parts.append(
+    tail.append(
         f'<text x="20" y="{MARGIN_TOP + plot_h / 2:.0f}" '
         f'font-family="monospace" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.0f})">'
         f'{table.y_name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    tail.append("</svg>")
+    return join_rows(cells, head="\n".join(head) + "\n",
+                     tail="\n".join(tail) + "\n")
 
 
 def _tick_indices(n: int, want: int = 6) -> list[int]:

@@ -18,7 +18,7 @@ from dephasor import (CatSpec, DensityMatrix, NoiseSchedule, ValidationError,
 from dephasor import cli
 from dephasor.cli import parse_and_run, parse_grid, parse_schedule
 from dephasor.fisher import qfi_time_cat
-from dephasor.protocols import GridSpec
+from dephasor.protocols import MAX_ROWS, GridSpec
 from dephasor.svgmap import render_heatmap_svg
 
 from conftest import framed, haar_unitary
@@ -418,6 +418,42 @@ def test_step_count_beyond_the_cap_exits_1(capsys, argv):
     assert len(lines) == 1
     assert lines[0].startswith("error: validation: step count ")
     assert "exceeds the cap of 1.000e+08" in lines[0]
+
+
+@pytest.mark.parametrize("argv, what, rows", [
+    (("scan", "--param", "time", "--grid",
+      "x=t:0.1:1:100000;y=gamma:0.1:1:100000"), "the grid", 10 ** 10),
+    (("estimate", "--model", GHZ2, "--schedule", "const:1", "--param",
+      "time", "--sweep", "0:1:1000000000"), "the sweep", 10 ** 9),
+    (("evolve", "--model", GHZ2, "--schedule", "const:1", "--t", "1",
+      "--samples", "1000000000"), "--samples", 10 ** 9),
+], ids=["scan-grid", "estimate-sweep", "evolve-samples"])
+def test_outputs_beyond_the_row_cap_exit_1_at_parse_time(capsys, tmp_path,
+                                                        argv, what, rows):
+    # 74.5 GiB of ratios, 7.45 GiB of sweep times or sample times: the
+    # cap rejects each where it is parsed, before any array exists
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: validation: {what} asks for {rows} rows; one "
+                   f"output holds at most MAX_ROWS = {MAX_ROWS}\n")
+    assert peak < 2 ** 20
+    assert not out.exists()
+
+
+def test_row_cap_admits_outputs_of_exactly_max_rows():
+    assert MAX_ROWS == 2 ** 20
+    assert cli._parse_sweep(f"0:1:{MAX_ROWS}") == (0.0, 1.0, MAX_ROWS)
+    with pytest.raises(ValidationError, match="MAX_ROWS"):
+        cli._parse_sweep(f"0:1:{MAX_ROWS + 1}")
+    assert parse_grid("x=t:0.1:1:1024;y=gamma:0.1:1:1024").x_steps == 1024
+    with pytest.raises(ValidationError, match="the grid asks for 1049600"):
+        parse_grid("x=t:0.1:1:1024;y=gamma:0.1:1:1025")
 
 
 def test_scan_overflow_exits_2_without_output(capsys, tmp_path):

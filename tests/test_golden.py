@@ -7,7 +7,8 @@ purpose regenerates them with
     PYTHONPATH=src python tests/test_golden.py
 
 and says in CHANGES.md which files moved and by how much, as printed by
-the read-only diff mode (it writes nothing):
+the read-only diff mode (it writes nothing, and exits 1 when any file
+would move, 0 when none would):
 
     PYTHONPATH=src python tests/test_golden.py --diff
 """
@@ -223,8 +224,9 @@ def describe_move(old: bytes, new: bytes) -> str:
     return "; ".join(parts)
 
 
-def print_diff():
-    """Print each fixture the current code would move; writes nothing."""
+def print_diff() -> int:
+    """Print each fixture the current code would move and return their
+    count; writes nothing."""
     moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
@@ -237,6 +239,27 @@ def print_diff():
                 what = "new file" if old is None else describe_move(old, data)
                 sys.stdout.write(f"{fname}: {what}\n")
     sys.stdout.write(f"{moved} files would move\n")
+    return moved
+
+
+def test_diff_mode_counts_the_files_that_would_move(tmp_path, monkeypatch,
+                                                    capsys):
+    # the count is the exit status of --diff: 0 only when nothing moves
+    name = "scan-2x2-omega"
+    for ext in ("csv", "svg"):
+        (tmp_path / f"{name}.{ext}").write_bytes(
+            (GOLDEN / f"{name}.{ext}").read_bytes())
+    monkeypatch.setattr(sys.modules[__name__], "CASES",
+                        {name: CASES[name]})
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    assert print_diff() == 0
+    assert capsys.readouterr().out == "0 files would move\n"
+    csv = tmp_path / f"{name}.csv"
+    csv.write_bytes(csv.read_bytes().replace(b"enhanced", b"hindered", 1))
+    assert print_diff() == 1
+    assert capsys.readouterr().out == \
+        f"{name}.csv: text ',hindered\\n' -> ',enhanced\\n'\n" \
+        "1 files would move\n"
 
 
 def test_describe_move_counts_numbers_and_largest_change():
@@ -259,8 +282,7 @@ def test_describe_move_counts_numbers_and_largest_change():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        print_diff()
-        sys.exit(0)
+        sys.exit(1 if print_diff() else 0)
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
         run_case(case, GOLDEN)

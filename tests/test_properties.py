@@ -54,6 +54,7 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
                       evolve_lindblad_numeric, heatmap_scan,
                       maximize_ratio, observable_expectation,
                       saturation_ratio, sld_and_qfi, trajectory)
+from dephasor.cli import _csv
 from dephasor.dynamics import _pair_table, _rk4_gains
 from dephasor.estimators import signal_statistics
 from dephasor.fisher import (decay_exponent, law_at, qfi_closed, qfi_freq_cat,
@@ -1117,3 +1118,93 @@ def test_svg_boundary_and_fills_match_cell_loops(data, shape):
     assert LINE.findall(svg) == brute_force_boundary(ratios >= 1.0)
     logs = [math.log10(r) if r > 0.0 else LOG_FLOOR for r in cells]
     assert FILL.findall(svg) == [reference_color(v) for v in logs]
+
+
+# ------------------------------------------------ scan, sweep, evolve text
+
+# both sides of ratio 1 down to the subnormals, 1 itself, the largest
+# finite magnitudes and the onset divergence
+TEXT_VALUES = (0.0, 5e-324, 1e-310, math.nextafter(1.0, 0.0), 1.0, 1.7e308,
+               math.inf)
+text_ratios = st.sampled_from(TEXT_VALUES) | st.floats(0.0, math.inf)
+table_shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+def reference_table_csv(table):
+    """``HeatmapTable.to_csv`` as a loop over rows and cells."""
+    lines = [f"# parameter={table.parameter} x={table.x_name} "
+             f"y={table.y_name}", "x,y,ratio,region"]
+    xs = [f"{x!r}," for x in table.x_values.tolist()]
+    for y, row in zip(table.y_values.tolist(), table.ratios):
+        y_col = f"{y!r},"
+        lines.extend(f"{x}{y_col}{ratio!r},"
+                     f"{'enhanced' if ratio >= 1.0 else 'hindered'}"
+                     for x, ratio in zip(xs, row.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def reference_svg_cells(ratios):
+    """The heatmap's cell rects as a loop over rows and cells."""
+    ny, nx = ratios.shape
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    cell_w, cell_h = plot_w / nx, plot_h / ny
+    rects = []
+    for j in range(ny):
+        for i in range(nx):
+            r = ratios[j, i]
+            log = float(np.log10(r)) if r > 0.0 else LOG_FLOOR
+            rects.append(
+                f'<rect x="{MARGIN_LEFT + i * cell_w:.2f}" '
+                f'y="{MARGIN_TOP + plot_h - (j + 1) * cell_h:.2f}" '
+                f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}" '
+                f'fill="{reference_color(log)}"/>')
+    return rects
+
+
+@st.composite
+def text_tables(draw):
+    ny, nx = draw(table_shapes)
+    axis = st.floats(allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(text_ratios, min_size=ny * nx, max_size=ny * nx))
+    return HeatmapTable(
+        parameter=draw(st.sampled_from(PARAMS)), x_name="t", y_name="gamma",
+        x_values=np.array(draw(st.lists(axis, min_size=nx, max_size=nx))),
+        y_values=np.array(draw(st.lists(axis, min_size=ny, max_size=ny))),
+        ratios=np.array(cells).reshape(ny, nx))
+
+
+@given(text_tables())
+@example(HeatmapTable(parameter="time", x_name="t", y_name="gamma",
+                      x_values=np.array([0.5]), y_values=np.array([0.0]),
+                      ratios=np.array([[1.0]])))
+def test_table_csv_equals_the_row_loop(table):
+    assert table.to_csv() == reference_table_csv(table)
+
+
+@given(text_tables(), st.sampled_from(("", "advantage ratio (time)")))
+def test_svg_cells_equal_the_cell_loop(table, title):
+    ny, nx = table.ratios.shape
+    lines = render_heatmap_svg(table, title=title).split("\n")
+    head = 3 if title else 2
+    assert lines[head:head + ny * nx] == reference_svg_cells(table.ratios)
+    assert lines[head + ny * nx].startswith(("<line ", "<rect x=\"80\""))
+    assert lines[-2:] == ["</svg>", ""]
+
+
+@given(st.integers(1, 500), st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0)
+def test_cli_csv_equals_the_row_loop(rows, width, seed):
+    # random doubles of every bit pattern (NaN, subnormals, both signs,
+    # inf) and the special values, as lists and as arrays
+    rng = np.random.default_rng(seed)
+    columns = []
+    for c in range(width):
+        bits = rng.integers(0, 2 ** 64, rows, dtype=np.uint64, endpoint=False)
+        col = np.where(rng.random(rows) < 0.5,
+                       rng.choice(TEXT_VALUES, rows), bits.view(np.float64))
+        columns.append(col.tolist() if c % 2 else col)
+    header = ",".join(f"c{c}" for c in range(width))
+    want = [header] + [",".join(map(repr, row)) for row in
+                       zip(*(np.asarray(c).tolist() for c in columns))]
+    assert _csv(header, columns) == "\n".join(want) + "\n"
