@@ -33,6 +33,7 @@ LN2 = math.log(2.0)
 X_AXES = ("t", "omega_t")
 Y_AXES = ("gamma", "gamma_dot")
 MAX_ROWS = 2 ** 20  # per output; an evolve at the cap peaks near 1.7 GB
+_REGIONS = ("hindered", "enhanced")  # by the cell rule ratio >= 1.0
 
 
 def check_rows(rows: int, what: str):
@@ -204,7 +205,7 @@ class HeatmapTable:
     def rows(self) -> list:
         """(x, y, ratio, region) per cell, y-major order."""
         xs = self.x_values.tolist()
-        return [(x, y, ratio, ("hindered", "enhanced")[ratio >= 1.0])
+        return [(x, y, ratio, _REGIONS[ratio >= 1.0])
                 for y, row in zip(self.y_values.tolist(),
                                   self.ratios.tolist())
                 for x, ratio in zip(xs, row)]
@@ -214,7 +215,7 @@ class HeatmapTable:
         # four column names stay stable for downstream parsers.
         ny, nx = self.ratios.shape
         ys = np.array([f"{y!r}," for y in self.y_values.tolist()], object)
-        regions = np.array([",hindered", ",enhanced"], object)
+        regions = np.array(["," + r for r in _REGIONS], object)
         return join_rows(
             [[f"{x!r}," for x in self.x_values.tolist()] * ny,
              np.repeat(ys, nx).tolist(),

@@ -36,7 +36,10 @@ Inputs that broke a property once are pinned as explicit examples.
 
 Random log-ratios and region grids check the array scan renderer: every
 cell color follows the scalar color law, and the ratio = 1 boundary is
-the one a double loop over neighbouring cells finds.
+the one a double loop over neighbouring cells finds.  Random tables and
+float columns (subnormals, 1 and its predecessor, the largest doubles,
+inf, every bit pattern) check that the scan CSV, the SVG cell grid and
+the sweep/evolve CSV writer give the text of a plain row and cell loop.
 """
 
 import math
