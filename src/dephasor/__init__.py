@@ -13,8 +13,8 @@ from .estimators import (EstimateReport, ObservableSpec, estimator_variance,
                          observable_expectation, optimal_observable,
                          saturation_ratio)
 from .fisher import (QfiReport, SldResult, derivative_coefficients,
-                     qfi_closed, qfi_freq_cat, qfi_lower_bound, qfi_time_cat,
-                     sld_and_qfi, state_derivative)
+                     qfi_cat, qfi_closed, qfi_lower_bound, sld_and_qfi,
+                     state_derivative)
 from .hilbert import (CatSpec, DensityMatrix, NumericalContractError,
                       Operator, SensorModel, SupportBlock, ValidationError,
                       branch_model, build_sensor_model, cat_initial_state,
@@ -43,8 +43,8 @@ __all__ = [
     "heatmap_scan", "joint_eigenbasis", "load_model", "maximize_ratio",
     "model_from_json", "model_to_json",
     "observable_expectation", "operator_expectation", "optimal_observable",
-    "optimal_time_constant", "optimal_window_ramp", "qfi_closed",
-    "qfi_freq_cat", "qfi_lower_bound", "qfi_time_cat", "ramp_window_gain",
+    "optimal_time_constant", "optimal_window_ramp", "qfi_cat", "qfi_closed",
+    "qfi_lower_bound", "ramp_window_gain",
     "render_heatmap_svg", "saturation_ratio", "schedule_eval", "sld_and_qfi",
     "state_derivative", "trajectory",
 ]

@@ -155,9 +155,8 @@ def _cmd_evolve(args) -> int:
 def _qfi_report(args, model: SensorModel, schedule: NoiseSchedule,
                 method: str) -> fisher.QfiReport:
     if method == "analytic":
-        cat = fisher.qfi_time_cat if args.param == "time" else \
-            fisher.qfi_freq_cat
-        return cat(cat_spec_for(model), schedule, args.t)
+        return fisher.qfi_cat(cat_spec_for(model), schedule, args.t,
+                              args.param)
     run = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
                         dt=args.dt)
     rho_t = dynamics.evolve_lindblad_numeric(run, cat_initial_state(model))
@@ -203,11 +202,13 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-@np.errstate(divide="ignore")
+@np.errstate(divide="ignore", over="ignore")
 def _one_over_qfi(spec: CatSpec, schedule: NoiseSchedule, t, param: str):
-    """1/F: 0 at the onset divergence, inf where F vanishes."""
+    """1/F: 0 at the onset divergence, inf where F vanishes; a positive F
+    whose inverse overflows is a NumericalContractError."""
     qfi = fisher.law_at(fisher.qfi_law, spec, schedule, t, param)
-    return dynamics.scalar_or_array(t, np.divide(1.0, qfi))
+    return dynamics.scalar_or_array(t, fisher.require_finite(
+        np.divide(1.0, qfi), qfi == 0.0))
 
 
 def _parse_sweep(text: str) -> tuple[float, float, int]:
@@ -294,6 +295,8 @@ def _parse_box(text: str) -> dict:
             values = tuple(float(b) for b in bits)
         except ValueError as exc:
             raise ValidationError(f"malformed box value {raw!r}") from exc
+        if not np.isfinite(values).all():
+            raise ValidationError(f"box bounds must be finite, got {raw!r}")
         box[key] = values if len(values) == 2 else values[0]
     return box
 

@@ -192,8 +192,11 @@ _quiet = np.errstate(all="ignore")
 _TINY = np.finfo(float).tiny
 
 
-def require_law(spec: CatSpec, parameter: str):
-    """Reject an unknown parameter, and omega without energy dephasing."""
+def require_law(spec: CatSpec, parameter: str, ratio: bool = False):
+    """Reject an unknown parameter, omega without energy dephasing, and
+    with ``ratio`` a zero energy gap."""
+    if ratio and spec.delta_e <= 0.0:
+        raise ValidationError("the ratio needs a positive energy gap")
     check_parameter(parameter)
     if parameter == "omega" and not spec.energy_like:
         raise ValidationError(
@@ -215,96 +218,102 @@ def decay_exponent(spec: CatSpec, dose):
     return 2.0 * spec.delta_l ** 2 * np.asarray(dose, dtype=float)
 
 
-def baseline_law(spec: CatSpec, parameter: str, t):
-    """Noiseless QFI: dE^2 for time, (dE/w)^2 t^2 for omega."""
-    t = np.asarray(t, dtype=float)
-    if parameter == "time":
-        return np.full(t.shape, spec.delta_e ** 2)
-    return spec.delta_e * spec.delta_e / (spec.omega ** 2) * (t * t)
-
-
-def _decayed(x, term, from_logs, base=1.0):
-    """base (e^{-x} term).  Where the dose is positive and e^{-x}
-    underflows, the product is not finite or ``base`` is below the normal
-    range, a factor left the float range (0 x inf = NaN, or a baseline
-    lost to underflow): there from_logs(), the same product formed from
-    logs, and 0 where x itself is inf, which outruns any log."""
+def _decayed(x, term, from_logs, skip=False, lossy=False):
+    """e^{-x} term, as (e^{-x/2} term) e^{-x/2} where e^{-x} is subnormal.
+    Where e^{-x/2} is too, the product is not finite (0 x inf = NaN) or
+    ``lossy``, and not ``skip``: from_logs(pick), formed from logs of the
+    picked cells, and 0 where x itself is inf, which outruns any log."""
     decay = np.exp(-x)
-    value = base * (decay * term)
-    out = ((decay == 0.0) | ~np.isfinite(value) | (base < _TINY)) & (x > 0.0)
-    if not out.any():
+    value, deep = decay * term, decay < _TINY
+    if not deep.any() and not np.any(lossy) and np.isfinite(value).all():
         return value
-    return np.where(out, np.where(x == np.inf, 0.0, from_logs()), value)
+    value, deep = np.array(value), np.array(deep)
+
+    def pick(v, cells):
+        return np.broadcast_to(v, value.shape)[cells]
+
+    half = np.exp(-0.5 * pick(x, deep))
+    value[deep] = half * pick(term, deep) * half
+    deep[deep] = half < _TINY
+    out = (deep | ~np.isfinite(value) | lossy) & ~np.asarray(skip)
+    value[out] = np.where(pick(x, out) == np.inf, 0.0,
+                          from_logs(lambda v: pick(v, out)))
+    return value
 
 
-def _omega_ratio(spec: CatSpec, x, dose, t, base=1.0, log_base=0.0):
-    """Omega QFI over its baseline, e^{-x} (1 + 4 dE^2 (Gamma/t)^2 /
-    (1 - e^{-x})), written without t^2 and Gamma^2, which underflow at
-    small t; times ``base``, of log ``log_base``.  NaN at zero dose,
-    where the caller puts the limit 1."""
-    per_t = np.asarray(dose, dtype=float) / t
-    c = 4.0 * spec.delta_e ** 2
-    return _decayed(x, 1.0 + c * per_t * per_t / (-np.expm1(-x)),
-                    lambda: np.exp(log_base + np.logaddexp(0.0, np.log(
-                        c) + 2.0 * (np.log(dose) - np.log(t)) - np.log(
-                            -np.expm1(-x))) - x), base)
-
-
-def _qfi(spec, parameter, rate, dose, t, onset_rate):
-    """(QFI with inf at the onset, zero-dose mask, onset mask)."""
+def _cat_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate,
+             ratio: bool):
+    """(QFI F of the two-branch cat state, or with ``ratio`` F over its
+    noiseless baseline F0, onset mask).  With x = 2 dL^2 Gamma, s = x /
+    (1 - e^{-x}) and (a, b) from ``derivative_coefficients``, F = e^{-x}
+    (P + Q s) and F / F0 = e^{-x} (1 + (Q / P) s), P = (a dE)^2 = F0,
+    Q = b^2 dL^4 / x = b (b / Gamma) dL^2 / 2, built from the dose, not x:
+    it keeps its bits where x is subnormal or 0 (s = 1).  b is linear in
+    (rate, dose) and a free of both, so b / Gamma is b at (rate / Gamma,
+    1); the logs read b / sqrt(Gamma), in range wherever Q is.  Q / P
+    needs b / a alone, free of omega: the ratio reads them at omega = 1,
+    where t / omega cannot round.  At zero dose: F0 or 1, or inf where b
+    jumps (the onset of a constant rate)."""
+    dose = np.asarray(dose, dtype=float)
+    omega = 1.0 if ratio else spec.omega
+    a, b = derivative_coefficients(parameter, omega, rate, dose, t)
+    b_dose = derivative_coefficients(parameter, omega, rate / dose, 1.0,
+                                     t)[1]
+    de, dl = spec.delta_e, spec.delta_l
+    p = np.square(a * de)
     x = decay_exponent(spec, dose)
-    if parameter == "time":
-        noise = rate * rate * spec.delta_l ** 4 / (-np.expm1(-x))
-        value = _decayed(x, spec.delta_e ** 2 + noise, lambda: np.exp(
-            np.logaddexp(2.0 * np.log(spec.delta_e), 2.0 * np.log(rate)
-                         + 4.0 * np.log(spec.delta_l)
-                         - np.log(-np.expm1(-x))) - x))
-    else:
-        value = _omega_ratio(spec, x, dose, t, baseline_law(
-            spec, parameter, t), 2.0 * (np.log(spec.delta_e / spec.omega)
-                                        + np.log(t)))
-    zero, onset = x == 0.0, False
-    if zero.any():
-        value = np.where(zero, baseline_law(spec, parameter, t), value)
-        if parameter == "time":
-            onset = zero & (np.asarray(onset_rate) * spec.delta_l ** 2 > 0.0)
-            value = np.where(onset, np.inf, value)
-    return value, zero, onset
+    s = -x
+    s /= np.expm1(s)
+    flat = x == 0.0  # no dose, or x lost to underflow
+    zero = False
+    if flat.any():
+        s = np.where(flat, 1.0, s)
+        zero = flat & (dose == 0.0)
+    if ratio:  # Q / P from b / a, without P
+        h = 0.5 * np.divide(dl, de) ** 2
+        term, lossy = 1.0 + b / a * (b_dose * (h / a)) * s, False
+    else:  # b = 2 Gamma / omega loses bits below the normal range
+        term = p + b * b_dose * (0.5 * dl * dl) * s
+        lossy = (0.0 < b) & (b < _TINY)
+
+    def from_logs(pick):
+        root = np.sqrt(pick(dose))
+        c = derivative_coefficients(parameter, omega, pick(rate) / root,
+                                    root, pick(t))[1]
+        lu, lk = np.log(pick(a)) + np.log(de), np.log(c) + np.log(dl)
+        if ratio:
+            lu, lk = 0.0, lk - lu
+        return np.exp(np.logaddexp(2.0 * lu, 2.0 * lk + np.log(
+            0.5 * pick(s))) - pick(x))
+
+    value = _decayed(x, term, from_logs, zero, lossy)
+    if not np.any(zero):
+        return value, False
+    onset = zero & (derivative_coefficients(
+        parameter, spec.omega, onset_rate, 0.0, t)[1] * dl * dl > 0.0)
+    return np.where(zero, np.where(onset, np.inf, 1.0 if ratio else p),
+                    value), onset
 
 
 @_quiet
 def qfi_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
-    """Exact QFI of the two-branch cat state.
-
-    time:   F = e^{-x} (dE^2 + gamma_t^2 dL^4 / (1 - e^{-x}))
-    omega:  F = (dE/w)^2 e^{-x} (4 dE^2 Gamma^2 / (1 - e^{-x}) + t^2)
-
-    with x = 2 dL^2 Gamma.  At x = 0 the noise terms take their limit 0,
-    but the time QFI is an explicit inf where the rate jumps at t:
-    ``onset_rate``, the rate just after t minus the rate at t, is
-    positive only at the onset of a constant rate.  A dose that merely
-    underflowed to 0 after the onset takes the limit.
-    """
-    value, _, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
-    return require_finite(value, onset)
+    """Exact QFI of the two-branch cat state (``_cat_law``); for time
+    e^{-x} (dE^2 + gamma_t^2 dL^4 / (1 - e^{-x})), for omega (dE/w)^2
+    e^{-x} (4 dE^2 Gamma^2 / (1 - e^{-x}) + t^2).  At zero dose the noise
+    term takes its limit 0, but the time QFI is an explicit inf where the
+    rate jumps at t: ``onset_rate``, the rate just after t minus the rate
+    at t, is positive only at the onset of a constant rate."""
+    return require_finite(*_cat_law(spec, parameter, rate, dose, t,
+                                    onset_rate, ratio=False))
 
 
 @_quiet
 def ratio_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
-    """QFI / noiseless baseline: exactly 1 at zero dose, inf at the onset
-    divergence of the time QFI (a jump ``onset_rate`` > 0, as in
-    ``qfi_law``).  Needs dE > 0.  The omega ratio is formed directly,
-    not as QFI / baseline (see ``_omega_ratio``)."""
-    if parameter == "time":
-        qfi, zero, onset = _qfi(spec, parameter, rate, dose, t, onset_rate)
-        ratio = qfi / baseline_law(spec, parameter, t)
-    else:
-        x = decay_exponent(spec, dose)
-        ratio = _omega_ratio(spec, x, dose, t)
-        zero, onset = x == 0.0, False
-    if zero.any():
-        ratio = np.where(zero & ~np.asarray(onset), 1.0, ratio)
-    return require_finite(ratio, onset)
+    """QFI / noiseless baseline, formed directly: exactly 1 at zero dose,
+    inf at the onset divergence of the time QFI (a jump ``onset_rate``
+    > 0, as in ``qfi_law``).  Needs dE > 0."""
+    return require_finite(*_cat_law(spec, parameter, rate, dose, t,
+                                    onset_rate, ratio=True))
 
 
 @_quiet
@@ -327,10 +336,10 @@ def signal_derivative_law(spec: CatSpec, parameter: str, rate, dose, t):
     sin, cos = np.sin(phase), np.cos(phase)
     x = dl2 * np.asarray(dose)
 
-    def from_logs():
-        return sum(np.sign(wave) * np.exp(np.log(c) + np.log(np.abs(wave))
-                                          + np.log(f) - x)
-                   for c, f, wave in ((a, de, sin), (b, dl2, cos)))
+    def from_logs(pick):
+        return sum(np.sign(pick(wave)) * np.exp(
+            np.log(pick(c)) + np.log(np.abs(pick(wave))) + np.log(f)
+            - pick(x)) for c, f, wave in ((a, de, sin), (b, dl2, cos)))
 
     return require_finite(-_decayed(x, a * de * sin + b * dl2 * cos,
                                     from_logs))
@@ -341,7 +350,7 @@ def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
     """``qfi_law`` or ``ratio_law`` on a schedule, at a time or an array
     of times, with the rate's jump at t as ``onset_rate``; a scalar time
     gives a float."""
-    require_law(spec, parameter)
+    require_law(spec, parameter, law is ratio_law)
     ts = times(t)
     rate, dose = schedule_eval(schedule, ts)
     return scalar_or_array(t, law(spec, parameter, rate, dose, ts,
@@ -349,9 +358,10 @@ def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
 
 
 @_quiet
-def _cat_qfi_report(spec: CatSpec, schedule: NoiseSchedule, t: float,
-                   parameter: str) -> QfiReport:
-    """``qfi_law`` at one time, with its schedule inputs as diagnostics."""
+def qfi_cat(spec: CatSpec, schedule: NoiseSchedule, t: float,
+            parameter: str) -> QfiReport:
+    """Exact QFI of the two-branch cat state at one time (``qfi_law``,
+    omega needing L = H), with its schedule inputs as diagnostics."""
     value = law_at(qfi_law, spec, schedule, t, parameter)
     rate, dose = schedule_eval(schedule, t)
     diagnostics = {"rate": rate} if parameter == "time" else {}
@@ -363,45 +373,32 @@ def _cat_qfi_report(spec: CatSpec, schedule: NoiseSchedule, t: float,
                      diagnostics=diagnostics)
 
 
-def qfi_time_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
-    """Exact time-estimation QFI of the two-branch cat state."""
-    return _cat_qfi_report(spec, schedule, t, "time")
-
-
-def qfi_freq_cat(spec: CatSpec, schedule: NoiseSchedule, t: float) -> QfiReport:
-    """Exact frequency-estimation QFI of the cat state, for L = H."""
-    return _cat_qfi_report(spec, schedule, t, "omega")
-
-
 def qfi_closed(spec_or_model, rho: DensityMatrix | None = None,
                t: float = 0.0, parameter: str = "time") -> QfiReport:
-    """Noiseless baselines: 4 var(H), and (t^2/w^2) 4 var(H) for omega.
+    """Noiseless baselines (a dE)^2 = 4 a^2 var(H), with a from
+    ``derivative_coefficients``: 4 var(H), and (t/w)^2 4 var(H) for omega.
 
     Accepts a CatSpec (var(H) = dE^2/4 exactly) or a SensorModel with a
     pure state, whose var(H) is sum_j p_j (e_j - mean)^2 over the
     populations p_j of its block in the model's eigenbasis.
     """
-    check_parameter(parameter)
-    if isinstance(spec_or_model, CatSpec):
-        spec = spec_or_model
-        return QfiReport(value=float(baseline_law(spec, parameter, t)),
-                         method="closed_baseline", parameter=parameter,
-                         diagnostics={"var_h": 0.25 * spec.delta_e ** 2})
-    if not isinstance(spec_or_model, SensorModel):
+    if not isinstance(spec_or_model, (CatSpec, SensorModel)):
         raise ValidationError("expected a CatSpec or SensorModel")
-    if rho is None:
+    a = derivative_coefficients(parameter, spec_or_model.omega, 0, 0, t)[0]
+    if isinstance(spec_or_model, CatSpec):
+        var_h = 0.25 * spec_or_model.delta_e ** 2
+    elif rho is None:
         raise ValidationError("a state is required with a model")
-    purity = rho.purity()
-    if purity < 1.0 - PURITY_TOL:
-        raise ValidationError(
-            f"closed-evolution baseline needs a pure state "
-            f"(purity {purity:.12f})")
-    omega, eps = spec_or_model.omega, spec_or_model.spectrum
-    block, support = spec_or_model.eigenbasis_block(rho)
-    h = omega * (eps if support is None else eps[list(support)])
-    p = block.diagonal().real
-    var_h = float(p @ (h - p @ h) ** 2)
-    value = 4.0 * var_h if parameter == "time" else \
-        4.0 * var_h * t * t / (omega * omega)
-    return QfiReport(value=value, method="closed_baseline",
+    else:
+        purity = rho.purity()
+        if purity < 1.0 - PURITY_TOL:
+            raise ValidationError(
+                f"closed-evolution baseline needs a pure state "
+                f"(purity {purity:.12f})")
+        block, support = spec_or_model.eigenbasis_block(rho)
+        levels = slice(None) if support is None else list(support)
+        h = spec_or_model.omega * spec_or_model.spectrum[levels]
+        p = block.diagonal().real
+        var_h = float(p @ (h - p @ h) ** 2)
+    return QfiReport(value=4.0 * var_h * a * a, method="closed_baseline",
                      parameter=parameter, diagnostics={"var_h": var_h})

@@ -49,8 +49,6 @@ def advantage_ratio(spec: CatSpec, schedule: NoiseSchedule, t,
 
     Values above 1 mean the noise helps; ``fisher.ratio_law`` gives the
     limits.  Takes a time or an array of times (``fisher.law_at``)."""
-    if spec.delta_e <= 0.0:
-        raise ValidationError("the ratio needs a positive energy gap")
     return law_at(ratio_law, spec, schedule, t, parameter)
 
 
@@ -239,18 +237,16 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
 
     A constant rate and a linear ramp are linear in their rate value g:
     their rate, dose and right rate are g times those at g = 1.  So the
-    unit schedule is evaluated once and scaled by each row's g."""
-    if spec.delta_e <= 0.0:
-        raise ValidationError("the ratio needs a positive energy gap")
-    require_law(spec, parameter)
+    unit schedule is evaluated once and scaled by each row's g.  The
+    caller checks ``require_law(spec, parameter, ratio=True)``."""
     unit = _rate_schedule(rate_key, 1.0, t0)
     g = np.asarray(rates, dtype=float)[:, None]
     if not ((g >= 0.0) & (g < math.inf)).all():
         raise ValidationError(f"{rate_key} must be nonnegative and finite")
     ts = times(ts)
-    rate, dose = schedule_eval(unit, ts)
-    jump = unit.rate_right(ts) - rate
     with np.errstate(over="ignore"):  # a dose past the float range: inf
+        rate, dose = schedule_eval(unit, ts)
+        jump = unit.rate_right(ts) - rate
         return ratio_law(spec, parameter, g * rate, g * dose, ts, g * jump)
 
 
@@ -260,9 +256,11 @@ def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:
     Cells at or above ratio 1 are classified 'enhanced', below it
     'hindered'.
     """
+    require_law(grid.spec, parameter, ratio=True)
     xs = grid.x_values()
     ys = grid.y_values()
-    ts = xs / grid.spec.omega if grid.x_name == "omega_t" else xs
+    with np.errstate(over="ignore"):  # t = inf, which schedule_eval rejects
+        ts = xs / grid.spec.omega if grid.x_name == "omega_t" else xs
     ratios = _ratio_table(grid.spec, parameter, grid.y_name, grid.t0, ts, ys)
     ratios.flags.writeable = False
     return HeatmapTable(parameter=parameter, x_name=grid.x_name,
@@ -359,6 +357,7 @@ def maximize_ratio(spec: CatSpec, parameter: str, box: dict, *,
             fixed[key] = float(val)
     if not ranged:
         raise ValidationError("at least one axis must be a range")
+    require_law(spec, parameter, ratio=True)
 
     brackets, best_val, best_at, evaluations = ranged, -math.inf, {}, 0
     for round_ in range(MAX_ROUNDS):

@@ -34,8 +34,8 @@ from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, advantage_ratio,
                       trajectory)
 from dephasor.estimators import (estimator_variance, optimal_observable,
                                  saturation_ratio)
-from dephasor.fisher import (qfi_closed, qfi_freq_cat, qfi_lower_bound,
-                             qfi_time_cat, sld_and_qfi, state_derivative)
+from dephasor.fisher import (qfi_cat, qfi_closed, qfi_lower_bound,
+                             sld_and_qfi, state_derivative)
 
 from conftest import (evolved_branch_state, exact_cat_state,
                       kpi_window_schedule, numeric_qfi)
@@ -76,12 +76,12 @@ def qfi_grid():
                 for t in GRID_T:
                     model, rho = evolved_branch_state(spec, sch, t, dt=1e-3)
                     label = f"dE={de} dL={dl} {sch.variant} t={t}"
-                    exact = qfi_time_cat(spec, sch, t).value
+                    exact = qfi_cat(spec, sch, t, "time").value
                     num = numeric_qfi(model, sch, rho, t, "time").value
                     bound = qfi_lower_bound(model, sch, rho, t, "time").value
                     records["time"].append((label, exact, num, bound))
                     if dl == de:
-                        exact = qfi_freq_cat(spec, sch, t).value
+                        exact = qfi_cat(spec, sch, t, "omega").value
                         num = numeric_qfi(model, sch, rho, t, "omega").value
                         bound = qfi_lower_bound(model, sch, rho, t,
                                                 "omega").value
@@ -136,7 +136,7 @@ def test_criterion_2_closed_baselines():
         expect = de * de * t * t / (w * w)
         got = qfi_closed(spec, t=t, parameter="omega").value
         assert abs(got - expect) <= 1e-10 * expect
-        got = qfi_freq_cat(spec, quiet, t).value
+        got = qfi_cat(spec, quiet, t, "omega").value
         assert abs(got - expect) <= 1e-10 * expect
     note("criterion 2", "PASS",
          f"N=2..6 exactly N^2 w^2; pipeline gap {worst:.2e}; "
@@ -227,7 +227,7 @@ def test_criterion_4_matched_time_gain():
     model, rho = evolved_branch_state(spec, sch, t_star, dt=2e-4)
     f_num = numeric_qfi(model, sch, rho, t_star, "omega").value
     assert f_num == pytest.approx(0.5405097, rel=1e-6)
-    assert qfi_freq_cat(spec, sch, t_star).value == pytest.approx(
+    assert qfi_cat(spec, sch, t_star, "omega").value == pytest.approx(
         0.5405096406579766, rel=1e-12)
     note("criterion 4", "PASS",
          f"matched-time gain exact at rel {worst:.2e}; spot ratio 4.5, "
@@ -254,7 +254,7 @@ def test_criterion_5_bounds_stay_below_qfi():
     # quoted 7-digit reference values
     assert tb == pytest.approx(0.9346041, rel=5e-7)
     assert fb == pytest.approx(1.0424430, rel=5e-7)
-    assert qfi_time_cat(spec, sch, 1.0).value == pytest.approx(1.92787,
+    assert qfi_cat(spec, sch, 1.0, "time").value == pytest.approx(1.92787,
                                                                rel=5e-6)
     note("criterion 5", "PASS",
          f"bounds below QFI on all {count} grid configs; spot bounds "
@@ -270,7 +270,7 @@ def test_criterion_5_bounds_stay_below_qfi():
 def test_criterion_5_quoted_freq_qfi_reference():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.constant(0.1)
-    value = qfi_freq_cat(spec, sch, 1.0).value
+    value = qfi_cat(spec, sch, 1.0, "omega").value
     note("criterion 5 (frequency QFI quote)", "FAIL",
          f"closed form gives {value:.10f}; quoted 2.3195596 is off by "
          f"1.1e-5 relative")

@@ -17,7 +17,7 @@ from dephasor import (CatSpec, DensityMatrix, NoiseSchedule, ValidationError,
                       advantage_ratio, cat_spec_for, heatmap_scan, load_model)
 from dephasor import cli
 from dephasor.cli import parse_and_run, parse_grid, parse_schedule
-from dephasor.fisher import qfi_time_cat
+from dephasor.fisher import qfi_cat
 from dephasor.protocols import MAX_ROWS, GridSpec
 from dephasor.svgmap import render_heatmap_svg
 
@@ -296,6 +296,25 @@ def test_evolve_overflow_prints_one_stderr_line():
       "--param", "time"], 0, ""),
     (["estimate", "--model", GHZ2, "--schedule", "const:1e308", "--t",
       "1e-300", "--param", "time"], 0, ""),
+    # box bounds are checked where they are parsed, before any linspace
+    (["optimize", "--model", GHZ3, "--param", "time", "--box",
+      "t=2:inf;gamma=0.5:1", "--schedule-kind", "constant", "--t0", "0.5"],
+     1, "error: validation:"),
+    # the scan's contract checks run before its omega_t axis division
+    (["scan", "--param", "omega", "--grid", "x=omega_t:-1:1e20:2;"
+      "y=gamma_dot:5e-324:1:2;scale=linear;deltaE=3.7;deltaL=1.7e308;"
+      "omega=1e-310;t0=0", "--out", "{tmp}/o.csv"], 1, "error: validation:"),
+    # a ramp dose past the float range is inf, without a warning
+    (["optimize", "--model", NOON2, "--param", "omega", "--box",
+      "t=0:1.7e308;gamma_dot=3.7:1e300", "--schedule-kind", "linear_ramp"],
+     0, ""),
+    # a positive QFI whose inverse overflows
+    (["estimate", "--model", GHZ2, "--schedule", "ramp:1e300", "--param",
+      "omega", "--t", "1e-310"], 2, "error: numerical-contract:"),
+    # a time ratio near 1e306 whose QFI overflows
+    (["scan", "--param", "time", "--grid", "x=t:1e-156:2e-156:2;"
+      "y=gamma:1e150:2e150:2;scale=log;deltaE=100;deltaL=100", "--out",
+      "{tmp}/r.csv"], 0, ""),
 ])
 def test_extreme_floats_end_in_the_contract_without_warnings(capsys, argv,
                                                              code, err,
@@ -479,8 +498,8 @@ def test_estimate_single_time_report(capsys):
                                               rel=1e-12)
     assert doc["parameter"] == "time"
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
-    qfi = qfi_time_cat(spec, NoiseSchedule.constant(0.25),
-                       math.pi / 2.0).value
+    qfi = qfi_cat(spec, NoiseSchedule.constant(0.25), math.pi / 2.0,
+                  "time").value
     assert doc["one_over_qfi"] == pytest.approx(1.0 / qfi, rel=1e-12)
     assert doc["saturation_ratio"] == pytest.approx(
         doc["variance_estimator"] * qfi, rel=1e-12)

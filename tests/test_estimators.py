@@ -10,7 +10,7 @@ from dephasor import (CatSpec, EvolutionSpec, NoiseSchedule, Operator,
                       evolve_lindblad_numeric, operator_expectation)
 from dephasor.estimators import (estimator_variance, observable_expectation,
                                  optimal_observable, saturation_ratio)
-from dephasor.fisher import qfi_freq_cat, qfi_time_cat
+from dephasor.fisher import qfi_cat
 
 from conftest import kpi_window_schedule
 
@@ -200,7 +200,7 @@ def test_omega_saturation_composes_variance_and_qfi():
     t = 0.7
     ratio = saturation_ratio(spec, sch, t, "omega")
     rep = estimator_variance(spec, sch, t, "omega")
-    f = qfi_freq_cat(spec, sch, t).value
+    f = qfi_cat(spec, sch, t, "omega").value
     assert ratio == pytest.approx(rep.variance_estimator * f, rel=1e-14)
     assert ratio >= 1.0
 

@@ -8,8 +8,8 @@ import pytest
 from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
                       Operator, ValidationError, branch_model,
                       build_sensor_model, cat_initial_state)
-from dephasor.fisher import (qfi_closed, qfi_freq_cat, qfi_law,
-                             qfi_lower_bound, qfi_time_cat, ratio_law,
+from dephasor.fisher import (qfi_cat, qfi_closed, qfi_law,
+                             qfi_lower_bound, ratio_law,
                              sld_and_qfi, state_derivative)
 
 from conftest import (evolved_branch_state, exact_cat_state, fd_qfi_time,
@@ -75,7 +75,7 @@ def test_sld_truncation_counts_dark_levels():
 def test_time_qfi_closed_form_matches_sld_route(sch, t):
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     model, rho = evolved_branch_state(spec, sch, t)
-    exact = qfi_time_cat(spec, sch, t).value
+    exact = qfi_cat(spec, sch, t, "time").value
     report = numeric_qfi(model, sch, rho, t, "time")
     assert rel(exact, report.value) < 5e-11
 
@@ -85,7 +85,7 @@ def test_time_qfi_closed_form_matches_sld_route(sch, t):
 def test_freq_qfi_closed_form_matches_sld_route(sch, t):
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     model, rho = evolved_branch_state(spec, sch, t)
-    exact = qfi_freq_cat(spec, sch, t).value
+    exact = qfi_cat(spec, sch, t, "omega").value
     report = numeric_qfi(model, sch, rho, t, "omega")
     assert rel(exact, report.value) < 5e-11
 
@@ -95,7 +95,7 @@ def test_time_qfi_against_finite_difference_states():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.constant(0.1)
     fd = fd_qfi_time(spec, sch, 1.0)
-    exact = qfi_time_cat(spec, sch, 1.0).value
+    exact = qfi_cat(spec, sch, 1.0, "time").value
     assert rel(fd, exact) < 1e-7
 
 
@@ -103,7 +103,7 @@ def test_time_qfi_frozen_spot():
     # delta_e = delta_l = 2, constant gamma = 0.1, t = 1
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.constant(0.1)
-    value = qfi_time_cat(spec, sch, 1.0).value
+    value = qfi_cat(spec, sch, 1.0, "time").value
     x = 2.0 * 4.0 * 0.1
     by_hand = math.exp(-x) * (4.0 + 0.01 * 16.0 / (-math.expm1(-x)))
     assert value == pytest.approx(by_hand, abs=1e-15)
@@ -113,7 +113,7 @@ def test_time_qfi_frozen_spot():
 def test_freq_qfi_frozen_spot():
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
     sch = NoiseSchedule.constant(0.1)
-    value = qfi_freq_cat(spec, sch, 1.0).value
+    value = qfi_cat(spec, sch, 1.0, "omega").value
     x = 2.0 * 4.0 * 0.1
     by_hand = 4.0 * math.exp(-x) * (4.0 * 4.0 * 0.01 / (-math.expm1(-x))
                                     + 1.0)
@@ -124,7 +124,7 @@ def test_freq_qfi_frozen_spot():
 def test_time_qfi_noise_free_reduces_to_baseline():
     spec = CatSpec(delta_e=3.0, delta_l=1.0, omega=1.0)
     quiet = NoiseSchedule.constant(0.0)
-    assert qfi_time_cat(spec, quiet, 2.0).value == pytest.approx(9.0)
+    assert qfi_cat(spec, quiet, 2.0, "time").value == pytest.approx(9.0)
     assert qfi_closed(spec).value == pytest.approx(9.0)
 
 
@@ -133,7 +133,7 @@ def test_freq_qfi_noise_free_reduces_to_baseline():
     quiet = NoiseSchedule.constant(0.0)
     t = 0.8
     expect = 9.0 * t * t / 1.5 ** 2
-    assert qfi_freq_cat(spec, quiet, t).value == pytest.approx(expect)
+    assert qfi_cat(spec, quiet, t, "omega").value == pytest.approx(expect)
     assert qfi_closed(spec, t=t, parameter="omega").value == pytest.approx(
         expect)
 
@@ -142,11 +142,13 @@ def test_time_qfi_divergence_at_hard_onset():
     # a constant rate switching on exactly at the evaluation time makes
     # the noise term 0/0; the report flags infinity instead of raising
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
-    report = qfi_time_cat(spec, NoiseSchedule.constant(0.5, t0=1.0), 1.0)
+    report = qfi_cat(spec, NoiseSchedule.constant(0.5, t0=1.0), 1.0,
+                     "time")
     assert math.isinf(report.value)
     assert report.diverged
     # a ramp starts at rate zero, no divergence
-    ramp = qfi_time_cat(spec, NoiseSchedule.linear_ramp(0.5, t0=1.0), 1.0)
+    ramp = qfi_cat(spec, NoiseSchedule.linear_ramp(0.5, t0=1.0), 1.0,
+                   "time")
     assert ramp.value == pytest.approx(4.0)
     assert not ramp.diverged
 
@@ -156,14 +158,14 @@ def test_freq_qfi_survives_the_underflow_of_its_baseline(t):
     # F = 4 e^{-8t} (16 t^2 / (1 - e^{-8t}) + t^2), about 8t, while the
     # baseline (dE t / w)^2 it is formed on is subnormal or 0
     spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
-    value = qfi_freq_cat(spec, NoiseSchedule.constant(1.0), t).value
+    value = qfi_cat(spec, NoiseSchedule.constant(1.0), t, "omega").value
     assert value == pytest.approx(8.0 * t, rel=1e-12, abs=0.0)
 
 
 def test_freq_qfi_requires_energy_dephasing():
     spec = CatSpec(delta_e=2.0, delta_l=1.0, omega=1.0)
     with pytest.raises(ValidationError, match="energy dephasing"):
-        qfi_freq_cat(spec, NoiseSchedule.constant(0.1), 1.0)
+        qfi_cat(spec, NoiseSchedule.constant(0.1), 1.0, "omega")
     model = branch_model(spec)
     rho = cat_initial_state(model)
     with pytest.raises(ValidationError, match="energy dephasing"):
@@ -195,8 +197,8 @@ def test_commutator_bounds_never_exceed_qfi(sch, t):
     model, rho = evolved_branch_state(spec, sch, t, dt=1e-3)
     tb = qfi_lower_bound(model, sch, rho, t, "time").value
     fb = qfi_lower_bound(model, sch, rho, t, "omega").value
-    assert tb <= qfi_time_cat(spec, sch, t).value * (1.0 + 1e-9)
-    assert fb <= qfi_freq_cat(spec, sch, t).value * (1.0 + 1e-9)
+    assert tb <= qfi_cat(spec, sch, t, "time").value * (1.0 + 1e-9)
+    assert fb <= qfi_cat(spec, sch, t, "omega").value * (1.0 + 1e-9)
 
 
 def test_bounds_frozen_spot():
@@ -286,39 +288,43 @@ def test_time_derivative_matches_trajectory_difference():
     assert np.max(np.abs(ana - fd)) < 1e-8
 
 
-@pytest.mark.parametrize("rate, dose, t", [
-    (1e200, 1e200, 1.0),    # e^{-x} underflows, rate^2 overflows
-    (1.0, 1.0, 1e-200),     # (dose / t)^2 overflows, t^2 underflows
-    (1e160, 100.0, 1.0),    # e^{-x} underflows, rate^2 does not
-    (1e100, 1e100, 1.0),    # e^{-x} underflows, the true value is 0
+@pytest.mark.parametrize("rate, dose, t, gap", [
+    (1e200, 1e200, 1.0, 2.0),    # e^{-x} underflows, rate^2 overflows
+    (1.0, 1.0, 1e-200, 2.0),     # (dose / t)^2 overflows, t^2 underflows
+    (1e160, 100.0, 1.0, 2.0),    # e^{-x} underflows, rate^2 does not
+    (1e100, 1e100, 1.0, 2.0),    # e^{-x} underflows, the true value is 0
+    (4e152, 1e-3, 1.0, 2.0),     # the time QFI overflows, its ratio not
+    (1e-9, 1e-318, 1e-155, 0.3),  # a subnormal dose, and x
+    (1e-5, 5e-324, 1e-162, 0.25),  # x underflows to 0 while Gamma > 0
 ])
 @pytest.mark.parametrize("parameter", ["time", "omega"])
 def test_closed_forms_past_the_float_range_match_high_precision(
-        rate, dose, t, parameter):
+        rate, dose, t, gap, parameter):
     # the plain laws in 50-digit arithmetic: where e^{-x} or a rate term
-    # leaves the float range, the product is still the rounded value
+    # leaves the float range, the product is still the rounded value; a
+    # value past the float range is NumericalContractError
     mp = pytest.importorskip("mpmath").mp
     mp.dps = 50
-    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.5)
-    de, dl, w = (mp.mpf(v) for v in (2.0, 2.0, 1.5))
+    spec = CatSpec(delta_e=gap, delta_l=gap, omega=1.5)
+    de, dl, w = (mp.mpf(v) for v in (gap, gap, 1.5))
     g, dose_, t_ = (mp.mpf(v) for v in (rate, dose, t))
-    decay = mp.exp(-2 * dl ** 2 * dose_)
+    x = 2 * dl ** 2 * dose_
+    decay = mp.exp(-x)
     if parameter == "time":
-        want = decay * (de ** 2 + g ** 2 * dl ** 4 / (1 - decay))
+        want = decay * (de ** 2 + g ** 2 * dl ** 4 / -mp.expm1(-x))
         base = de ** 2
     else:
         base = (de / w) ** 2 * t_ ** 2
         want = (de / w) ** 2 * decay * (4 * de ** 2 * dose_ ** 2
-                                         / (1 - decay) + t_ ** 2)
-    got = qfi_law(spec, parameter, rate, dose, t)
-    assert math.isfinite(got)
-    assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
-    if want / base > np.finfo(float).max:  # a ratio past the float range
-        with pytest.raises(NumericalContractError, match="non-finite"):
-            ratio_law(spec, parameter, rate, dose, t)
-    else:
-        assert ratio_law(spec, parameter, rate, dose, t) == pytest.approx(
-            float(want / base), rel=1e-12, abs=1e-300)
+                                         / -mp.expm1(-x) + t_ ** 2)
+    for law, value in ((qfi_law, want), (ratio_law, want / base)):
+        if value > np.finfo(float).max:  # past the float range
+            with pytest.raises(NumericalContractError, match="non-finite"):
+                law(spec, parameter, rate, dose, t)
+        else:
+            got = law(spec, parameter, rate, dose, t)
+            assert math.isfinite(got)
+            assert got == pytest.approx(float(value), rel=1e-12, abs=1e-300)
 
 
 def test_package_exports_resolve_once():
@@ -333,3 +339,7 @@ def test_package_exports_resolve_once():
     assert stale == []
     assert {"state_derivative", "qfi_lower_bound",
             "derivative_coefficients"} <= set(names)
+    # one cat-state QFI report serves both parameters
+    assert "qfi_cat" in names
+    assert [n for n in dir(fisher) + dir(dephasor)
+            if n in ("qfi_time_cat", "qfi_freq_cat")] == []

@@ -56,12 +56,13 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
                       estimator_variance, evolve_exact,
                       evolve_lindblad_numeric, heatmap_scan,
                       maximize_ratio, observable_expectation,
-                      saturation_ratio, sld_and_qfi, trajectory)
+                      saturation_ratio, schedule_eval, sld_and_qfi,
+                      trajectory)
 from dephasor.cli import _csv
 from dephasor.dynamics import _pair_table, _rk4_gains
 from dephasor.estimators import signal_statistics
-from dephasor.fisher import (decay_exponent, law_at, qfi_closed, qfi_freq_cat,
-                             qfi_law, qfi_lower_bound, qfi_time_cat,
+from dephasor.fisher import (decay_exponent, law_at, qfi_cat, qfi_closed,
+                             qfi_law, qfi_lower_bound, ratio_law,
                              state_derivative)
 from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, X_AXES, HeatmapTable
 from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
@@ -76,6 +77,8 @@ from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
 PARAMS = ("time", "omega")
+FLOAT_MAX = np.finfo(float).max
+TINY = np.finfo(float).tiny
 
 
 @st.composite
@@ -163,7 +166,6 @@ def test_array_kernel_equals_scalar_wrappers(data, parameter):
     spec = data.draw(specs(energy=True if parameter == "omega" else None))
     sch = data.draw(schedules())
     ts = data.draw(time_grids(sch))
-    scalar_qfi = qfi_time_cat if parameter == "time" else qfi_freq_cat
 
     def each(fn):
         return lambda: [fn(float(t)) for t in ts]
@@ -172,7 +174,7 @@ def test_array_kernel_equals_scalar_wrappers(data, parameter):
         (lambda: advantage_ratio(spec, sch, ts, parameter),
          each(lambda t: advantage_ratio(spec, sch, t, parameter))),
         (lambda: law_at(qfi_law, spec, sch, ts, parameter),
-         each(lambda t: scalar_qfi(spec, sch, t).value)),
+         each(lambda t: qfi_cat(spec, sch, t, parameter).value)),
         (lambda: saturation_ratio(spec, sch, ts, parameter),
          each(lambda t: saturation_ratio(spec, sch, t, parameter))),
         (lambda: signal_statistics(spec, sch, ts, parameter)[1],
@@ -220,11 +222,74 @@ def test_ratio_tends_to_one_with_the_dose(data, parameter, span):
 @given(specs(), schedules(), st.floats(0.0, 3.0))
 @example(CatSpec(2.0, 2.0, 1.0), NoiseSchedule.constant(1.0, t0=0.5), 0.5)
 @example(CatSpec(2.0, 2.0, 1.0), NoiseSchedule.constant(20.0), 3.0)
+@example(CatSpec(1.0, 1.0, 1.0), NoiseSchedule.constant(1.0),
+         2.225073858507203e-309)
 def test_time_qfi_above_commutator_bound(spec, sch, t):
     model = branch_model(spec)
     rho = exact_cat_state(model, sch, t)
     bound = qfi_lower_bound(model, sch, rho, t, "time").value
-    assert qfi_time_cat(spec, sch, t).value >= bound
+    try:
+        value = qfi_cat(spec, sch, t, "time").value
+    except NumericalContractError:
+        # only past the float range: the noise term gamma^2 dL^4 /
+        # (e^x - 1) alone exceeds it (just after a constant-rate onset)
+        rate, dose = schedule_eval(sch, t)
+        assert 2.0 * math.log(rate) + 4.0 * math.log(spec.delta_l) \
+            - math.log(math.expm1(decay_exponent(spec, dose))) \
+            > math.log(FLOAT_MAX)
+        return
+    assert value >= bound
+
+
+# ------------------------------------ closed forms against mpmath
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+WIDE = log_uniform(-320.0, 300.0)  # subnormals up to far past 1
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(PARAMS), st.sampled_from((qfi_law, ratio_law)),
+       log_uniform(-3.0, 3.0), log_uniform(-3.0, 3.0),
+       log_uniform(-3.0, 3.0), WIDE, st.one_of(st.just(0.0), WIDE), WIDE,
+       st.sampled_from((0.0, 1.0)))
+def test_closed_forms_match_mpmath(parameter, law, de, dl, omega, rate,
+                                   dose, t, jump):
+    # the plain laws at 60 digits, F = e^{-x} (F0 + b^2 dL^4 / (1 - e^{-x}))
+    # with x = 2 dL^2 Gamma; omega needs L = H.  A representable value
+    # within 1e-12 (a subnormal one within the smallest normal), a value
+    # past the float range NumericalContractError, and at zero dose the
+    # limit F0 (1 for the ratio), or inf at the onset of a time rate
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 60
+    if parameter == "omega":
+        dl = de
+    spec = CatSpec(delta_e=de, delta_l=dl, omega=omega)
+    e, l, w, g, big_g, tt = (mp.mpf(v) for v in (de, dl, omega, rate, dose,
+                                                   t))
+    a, b = (1, g) if parameter == "time" else (tt / w, 2 * big_g / w)
+    f0 = (a * e) ** 2
+    if dose == 0.0:
+        want = mp.inf if parameter == "time" and jump else f0
+    else:
+        x = 2 * l ** 2 * big_g
+        want = mp.exp(-x) * (f0 + b ** 2 * l ** 4 / -mp.expm1(-x))
+    if law is ratio_law:
+        want = want / f0 if want != mp.inf else want
+    assume(abs(want / FLOAT_MAX - 1) > 1e-12)  # not on the edge of range
+    if want > FLOAT_MAX and want != mp.inf:
+        with pytest.raises(NumericalContractError, match="non-finite"):
+            law(spec, parameter, rate, dose, t, jump)
+        return
+    got = law(spec, parameter, rate, dose, t, jump)
+    if want == mp.inf:
+        assert got == math.inf
+    elif want < TINY:
+        assert abs(got - want) <= TINY
+    else:
+        assert abs(got - want) <= 1e-12 * want
 
 
 # ------------------------------------ ratio tables: scan and optimizer
@@ -831,7 +896,7 @@ def test_numeric_sld_route_matches_closed_time_qfi(model, sch, t):
         cat_initial_state(model))
     drho = state_derivative(model, sch, rho_t, t, "time")
     _, report = sld_and_qfi(rho_t, drho, "time")
-    want = qfi_time_cat(cat_spec_for(model), sch, t).value
+    want = qfi_cat(cat_spec_for(model), sch, t, "time").value
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
 
@@ -847,7 +912,7 @@ def test_numeric_time_qfi_in_the_deep_tail(rate):
         cat_initial_state(model))
     drho = state_derivative(model, sch, rho_t, t, "time")
     _, report = sld_and_qfi(rho_t, drho, "time")
-    want = qfi_time_cat(cat_spec_for(model), sch, t).value
+    want = qfi_cat(cat_spec_for(model), sch, t, "time").value
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
 
@@ -928,7 +993,7 @@ def test_numeric_sld_route_matches_closed_freq_qfi(model, sch, t):
         cat_initial_state(model))
     drho = state_derivative(model, sch, rho_t, t, "omega")
     _, report = sld_and_qfi(rho_t, drho, "omega")
-    want = qfi_freq_cat(cat_spec_for(model), sch, t).value
+    want = qfi_cat(cat_spec_for(model), sch, t, "omega").value
     assert math.isclose(report.value, want, rel_tol=1e-6)
 
 

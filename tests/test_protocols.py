@@ -10,7 +10,7 @@ from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
                       default_fig_grid, heatmap_scan, maximize_ratio,
                       optimal_time_constant, optimal_window_ramp,
                       ramp_window_gain)
-from dephasor.fisher import qfi_closed, qfi_freq_cat, qfi_time_cat
+from dephasor.fisher import qfi_cat, qfi_closed
 from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, GridSpec
 
 LN2 = math.log(2.0)
@@ -25,10 +25,10 @@ def test_ratio_is_qfi_quotient(parameter):
     t = 0.8
     ratio = advantage_ratio(spec, sch, t, parameter)
     if parameter == "time":
-        open_f = qfi_time_cat(spec, sch, t).value
+        open_f = qfi_cat(spec, sch, t, "time").value
         base = qfi_closed(spec, parameter="time").value
     else:
-        open_f = qfi_freq_cat(spec, sch, t).value
+        open_f = qfi_cat(spec, sch, t, "omega").value
         base = qfi_closed(spec, t=t, parameter="omega").value
     assert ratio == pytest.approx(open_f / base, rel=1e-14)
 
