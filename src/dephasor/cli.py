@@ -204,8 +204,7 @@ def _cmd_estimate(args) -> int:
 
 @np.errstate(divide="ignore", over="ignore")
 def _one_over_qfi(spec: CatSpec, schedule: NoiseSchedule, t, param: str):
-    """1/F: 0 at the onset divergence, inf where F vanishes; a positive F
-    whose inverse overflows is a NumericalContractError."""
+    """1/F: 0 at the onset, inf where F is 0, past the range an error."""
     qfi = fisher.law_at(fisher.qfi_law, spec, schedule, t, param)
     return dynamics.scalar_or_array(t, fisher.require_finite(
         np.divide(1.0, qfi), qfi == 0.0))

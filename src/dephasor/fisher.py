@@ -218,26 +218,29 @@ def decay_exponent(spec: CatSpec, dose):
     return 2.0 * spec.delta_l ** 2 * np.asarray(dose, dtype=float)
 
 
-def _decayed(x, term, from_logs, skip=False, lossy=False):
+def _decayed(x, term, from_logs, lossy=None):
     """e^{-x} term, as (e^{-x/2} term) e^{-x/2} where e^{-x} is subnormal.
-    Where e^{-x/2} is too, the product is not finite (0 x inf = NaN) or
-    ``lossy``, and not ``skip``: from_logs(pick), formed from logs of the
-    picked cells, and 0 where x itself is inf, which outruns any log."""
+    Where e^{-x/2} is too, the product is not finite (0 x inf = NaN) or a
+    factor is ``lossy``: from_logs(pick), formed from logs of the picked
+    cells, and 0 where x itself is inf, which outruns any log."""
     decay = np.exp(-x)
     value, deep = decay * term, decay < _TINY
-    if not deep.any() and not np.any(lossy) and np.isfinite(value).all():
+    if not deep.any() and (lossy is None or not lossy.any()) \
+            and np.isfinite(value).all():
         return value
     value, deep = np.array(value), np.array(deep)
 
     def pick(v, cells):
         return np.broadcast_to(v, value.shape)[cells]
 
-    half = np.exp(-0.5 * pick(x, deep))
-    value[deep] = half * pick(term, deep) * half
-    deep[deep] = half < _TINY
-    out = (deep | ~np.isfinite(value) | lossy) & ~np.asarray(skip)
-    value[out] = np.where(pick(x, out) == np.inf, 0.0,
-                          from_logs(lambda v: pick(v, out)))
+    if deep.any():
+        half = np.exp(-0.5 * pick(x, deep))
+        value[deep] = half * pick(term, deep) * half
+        deep[deep] = half < _TINY
+    out = deep | ~np.isfinite(value) | (False if lossy is None else lossy)
+    if out.any():
+        value[out] = np.where(pick(x, out) == np.inf, 0.0,
+                              from_logs(lambda v: pick(v, out)))
     return value
 
 
@@ -260,21 +263,22 @@ def _cat_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate,
     b_dose = derivative_coefficients(parameter, omega, rate / dose, 1.0,
                                      t)[1]
     de, dl = spec.delta_e, spec.delta_l
-    p = np.square(a * de)
     x = decay_exponent(spec, dose)
     s = -x
     s /= np.expm1(s)
     flat = x == 0.0  # no dose, or x lost to underflow
-    zero = False
+    zero = None
     if flat.any():
-        s = np.where(flat, 1.0, s)
-        zero = flat & (dose == 0.0)
+        s, zero = np.where(flat, 1.0, s), dose == 0.0
     if ratio:  # Q / P from b / a, without P
-        h = 0.5 * np.divide(dl, de) ** 2
-        term, lossy = 1.0 + b / a * (b_dose * (h / a)) * s, False
+        h, p, lossy = 0.5 * np.divide(dl, de) ** 2, 1.0, None
+        term = 1.0 + b / a * (b_dose * (h / a)) * s
     else:  # b = 2 Gamma / omega loses bits below the normal range
+        p = np.square(a * de)
+        lossy = (0.0 < b) & (b < _TINY) if np.min(b) < _TINY else None
         term = p + b * b_dose * (0.5 * dl * dl) * s
-        lossy = (0.0 < b) & (b < _TINY)
+    if zero is not None:  # the limit P, not 0 x inf
+        term = np.where(zero, p, term)
 
     def from_logs(pick):
         root = np.sqrt(pick(dose))
@@ -286,13 +290,12 @@ def _cat_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate,
         return np.exp(np.logaddexp(2.0 * lu, 2.0 * lk + np.log(
             0.5 * pick(s))) - pick(x))
 
-    value = _decayed(x, term, from_logs, zero, lossy)
-    if not np.any(zero):
+    value = _decayed(x, term, from_logs, lossy)
+    if zero is None:
         return value, False
     onset = zero & (derivative_coefficients(
-        parameter, spec.omega, onset_rate, 0.0, t)[1] * dl * dl > 0.0)
-    return np.where(zero, np.where(onset, np.inf, 1.0 if ratio else p),
-                    value), onset
+        parameter, spec.omega, onset_rate, 0.0, t)[1] * (dl * dl) > 0.0)
+    return np.where(zero, np.where(onset, np.inf, p), value), onset
 
 
 @_quiet
@@ -360,8 +363,7 @@ def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
 @_quiet
 def qfi_cat(spec: CatSpec, schedule: NoiseSchedule, t: float,
             parameter: str) -> QfiReport:
-    """Exact QFI of the two-branch cat state at one time (``qfi_law``,
-    omega needing L = H), with its schedule inputs as diagnostics."""
+    """Exact cat-state QFI (``qfi_law``) at one time, with diagnostics."""
     value = law_at(qfi_law, spec, schedule, t, parameter)
     rate, dose = schedule_eval(schedule, t)
     diagnostics = {"rate": rate} if parameter == "time" else {}

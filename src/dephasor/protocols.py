@@ -237,8 +237,7 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
 
     A constant rate and a linear ramp are linear in their rate value g:
     their rate, dose and right rate are g times those at g = 1.  So the
-    unit schedule is evaluated once and scaled by each row's g.  The
-    caller checks ``require_law(spec, parameter, ratio=True)``."""
+    unit schedule is evaluated once and scaled by each row's g."""
     unit = _rate_schedule(rate_key, 1.0, t0)
     g = np.asarray(rates, dtype=float)[:, None]
     if not ((g >= 0.0) & (g < math.inf)).all():

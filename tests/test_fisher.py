@@ -288,7 +288,7 @@ def test_time_derivative_matches_trajectory_difference():
     assert np.max(np.abs(ana - fd)) < 1e-8
 
 
-@pytest.mark.parametrize("rate, dose, t, gap", [
+RANGE_CASES = [  # (rate, dose, t, dE = dL)
     (1e200, 1e200, 1.0, 2.0),    # e^{-x} underflows, rate^2 overflows
     (1.0, 1.0, 1e-200, 2.0),     # (dose / t)^2 overflows, t^2 underflows
     (1e160, 100.0, 1.0, 2.0),    # e^{-x} underflows, rate^2 does not
@@ -296,7 +296,11 @@ def test_time_derivative_matches_trajectory_difference():
     (4e152, 1e-3, 1.0, 2.0),     # the time QFI overflows, its ratio not
     (1e-9, 1e-318, 1e-155, 0.3),  # a subnormal dose, and x
     (1e-5, 5e-324, 1e-162, 0.25),  # x underflows to 0 while Gamma > 0
-])
+]
+
+
+@pytest.mark.parametrize("rate, dose, t, gap", RANGE_CASES, ids=[
+    "-".join(map(str, case[:3])) for case in RANGE_CASES])
 @pytest.mark.parametrize("parameter", ["time", "omega"])
 def test_closed_forms_past_the_float_range_match_high_precision(
         rate, dose, t, gap, parameter):
