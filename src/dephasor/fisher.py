@@ -275,7 +275,7 @@ def _cat_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate,
         term = 1.0 + b / a * (b_dose * (h / a)) * s
     else:  # b = 2 Gamma / omega loses bits below the normal range
         p = np.square(a * de)
-        lossy = (0.0 < b) & (b < _TINY) if np.min(b) < _TINY else None
+        lossy = (0.0 < b) & (b < _TINY) if np.any(b < _TINY) else None
         term = p + b * b_dose * (0.5 * dl * dl) * s
     if zero is not None:  # the limit P, not 0 x inf
         term = np.where(zero, p, term)

@@ -8,7 +8,7 @@ import pytest
 from dephasor import (CatSpec, NoiseSchedule, NumericalContractError,
                       Operator, ValidationError, branch_model,
                       build_sensor_model, cat_initial_state)
-from dephasor.fisher import (qfi_cat, qfi_closed, qfi_law,
+from dephasor.fisher import (law_at, qfi_cat, qfi_closed, qfi_law,
                              qfi_lower_bound, ratio_law,
                              sld_and_qfi, state_derivative)
 
@@ -286,6 +286,15 @@ def test_time_derivative_matches_trajectory_difference():
     minus = exact_cat_state(model, sch, t - h)
     fd = (plus.matrix - minus.matrix) / (2.0 * h)
     assert np.max(np.abs(ana - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("law", [qfi_law, ratio_law])
+@pytest.mark.parametrize("parameter", ["time", "omega"])
+def test_laws_take_an_empty_time_array(law, parameter):
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.5)
+    got = law_at(law, spec, NoiseSchedule.constant(0.3), np.array([]),
+                 parameter)
+    assert got.shape == (0,)
 
 
 RANGE_CASES = [  # (rate, dose, t, dE = dL)
