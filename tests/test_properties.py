@@ -4,6 +4,9 @@ Random gaps, schedules and time grids check that the array kernel and
 the scalar wrappers agree bit for bit, that the advantage ratio is the
 QFI over its noiseless baseline, that the ratio tends to 1 with the
 dose, and that the time QFI sits above its commutator lower bound.
+Log-uniform gaps, rates, doses and times, from subnormals to 1e300,
+check ``qfi_law`` and ``ratio_law`` against the plain laws in 60-digit
+mpmath, past the float range and at the onset too.
 Random boxes check that the optimizer's result lies in the box,
 reproduces the scalar ratio, beats the coarse grid and is stationary,
 and random scan grids check the table rows against per-row ratios.
