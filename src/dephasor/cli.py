@@ -138,17 +138,14 @@ def _cmd_validate(args) -> int:
 def _cmd_evolve(args) -> int:
     protocols.check_rows(args.samples, "--samples")
     model = _load_model(args)
-    schedule = parse_schedule(args.schedule)
-    spec = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
-                         dt=args.dt)
-    ts, states = zip(*dynamics.trajectory(spec, cat_initial_state(model),
-                                          args.samples))
-    # the branch blocks: (lo, hi) in the model's eigenbasis
-    m = np.array([rho.array for rho in states])
+    spec = EvolutionSpec(model=model, schedule=parse_schedule(args.schedule),
+                         t_final=args.t, dt=args.dt)
+    # the branch blocks: (lo, hi) in the model's eigenbasis, as arrays
+    ts, m, lows = map(np.concatenate, zip(*dynamics.rk4_samples(
+        spec, cat_initial_state(model), args.samples)[1]))
     _emit(_csv("t,pop_lo,pop_hi,coher_re,coher_im,trace,min_eig", [
         ts, m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real,
-        m[:, 0, 1].imag, m.trace(axis1=1, axis2=2).real,
-        [rho.min_eigenvalue() for rho in states]]), args.out)
+        m[:, 0, 1].imag, m.trace(axis1=1, axis2=2).real, lows]), args.out)
     return 0
 
 

@@ -14,9 +14,10 @@ A state never leaves its support block, and all work is on that block
 is the initial block times its pairs' gains: ``evolve_exact`` takes
 exp(-i w t - d Gamma(t)), Gamma the integrated rate, and the fixed-step
 RK4 the product of its step gains, their rates read from each smooth
-segment's linear law, folded into one running gain a block at a time,
-one pass for every sample of a ``trajectory``.  The states come back
-written in the model's eigenbasis, checked a stack at a time.
+segment's linear law, folded into one running gain a block at a time
+in one pass, ``rk4_samples``: its blocks and least eigenvalues, checked
+a stack at a time, are the states of ``trajectory`` (in the model's
+eigenbasis) and, read as arrays, the rows of the CLI's ``evolve``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (DensityMatrix, NumericalContractError, SensorModel,
-                      ValidationError)
+                      ValidationError, _check_states)
 
 POSITIVITY_FLOOR = -1e-7
 CONVERGENCE_TOL = 1e-8
@@ -121,8 +122,10 @@ class NoiseSchedule:
             # index of the segment [kt[i], kt[i+1]) holding t, clamped
             i = np.searchsorted(kt[1:-1], ts, side="right")
             ta, tb, ga, gb = kt[i], kt[i + 1], kg[i], kg[i + 1]
-            g = np.where(ts >= kt[-1], kg[-1],
-                         ga + (gb - ga) * ((ts - ta) / (tb - ta)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                # off its segment (discarded) the line can leave the range
+                g = np.where(ts >= kt[-1], kg[-1],
+                             ga + (gb - ga) * ((ts - ta) / (tb - ta)))
         on = ts >= self.t0 if right else ts > self.t0
         return scalar_or_array(t, np.where(on, g, 0.0))
 
@@ -264,8 +267,8 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     ``GAIN_BLOCK`` entries at a time and folded into the running gain in
     time order, by a running product only where a sample reads inside
     the block (the block size can move a gain at round-off)."""
-    edges = np.array(sorted({*times.tolist(), *(
-        p for p in schedule.breakpoints(float(times[-1])) if p > times[0])}))
+    edges = np.unique(np.append(times, [
+        p for p in schedule.breakpoints(float(times[-1])) if p > times[0]]))
     lo, hi = edges[:-1], edges[1:]
     count = (hi - lo) / dt_target
     if not (count <= MAX_STEPS).all():
@@ -280,6 +283,7 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     # sample i + 1 reads the running gain after the first read[i] rows
     read = np.append(0, ends)[np.searchsorted(hi, times[1:], side="right")]
     out = np.empty((len(times) - 1, w.size), dtype=complex)
+    out[read == 0] = 1.0  # a later sample still at times[0]
     running = np.ones(w.size, dtype=complex)
     block = max(2, GAIN_BLOCK // (w.size + 4))
     for a in range(0, ends[-1], block):
@@ -326,68 +330,37 @@ def evolve_exact(spec: EvolutionSpec, rho0: DensityMatrix) -> DensityMatrix:
     block, support = model.eigenbasis_block(rho0)
     pairs = _pair_table(model, support)
     gain = np.exp(-1j * pairs[0] * t - pairs[1] * spec.schedule.integral(t))
-    return _contract_state(model, _apply_gains(pairs, gain[None], block),
-                           support)[0]
+    try:
+        return DensityMatrix(_apply_gains(pairs, gain, block), model.basis,
+                             support, model.dim, -POSITIVITY_FLOOR)
+    except ValidationError as exc:  # valid inputs, broken propagation
+        raise NumericalContractError(
+            f"integration broke a state invariant ({exc})") from exc
 
 
 def evolve_lindblad_numeric(spec: EvolutionSpec, rho0: DensityMatrix,
                             verify_convergence: bool = False) -> DensityMatrix:
-    """Fixed-step RK4 integration of the dephasing master equation,
-    the two-sample case of ``trajectory``.  The run fails with
-    NumericalContractError if the state stops being finite, the trace
-    drifts beyond 1e-9 or the state dips below -1e-7 in its spectrum;
-    with ``verify_convergence`` the run is repeated at half the step and
-    any block entry moving by more than 1e-8 is an error."""
-    model, schedule = spec.model, spec.schedule
-    block, support = model.eigenbasis_block(rho0)
+    """Fixed-step RK4 integration of the dephasing master equation: the
+    two-sample case of ``rk4_samples``, its contracts and checks."""
     if spec.t_final == 0.0:
+        spec.model.eigenbasis_block(rho0)  # the state must fit the model
         return rho0
-    dt = spec.dt if spec.dt is not None else default_step(
-        model, schedule, spec.t_final)
-
-    pairs = _pair_table(model, support)
-
-    def run(step):
-        return _apply_gains(pairs, _rk4_gains(
-            *pairs[:2], schedule, np.array([0.0, spec.t_final]), step), block)
-
-    out = run(dt)
-    if verify_convergence:
-        fine = run(dt / 2.0)
-        gap = float(np.max(np.abs(fine - out)))
-        if gap > CONVERGENCE_TOL:
-            raise NumericalContractError(
-                f"halving dt moved entries by {gap:.3e} > {CONVERGENCE_TOL}; "
-                f"retry with a smaller dt (current {dt:.3e})")
-        out = fine
-    return _contract_state(model, out, support, dt)[0]
+    fields, chunks = rk4_samples(spec, rho0, 2, verify_convergence)
+    _, (_, blocks, lows) = chunks  # rho0's, then the state at t_final
+    return DensityMatrix._checked(blocks, lows, **fields)[0]
 
 
-def _contract_state(model: SensorModel, block: np.ndarray, support,
-                    dt: float | None = None) -> list[DensityMatrix]:
-    """A (samples, k, k) stack of evolved eigenbasis blocks as states in
-    the model's basis, checked as one stack; a broken invariant is a
-    numerical-contract failure (the inputs were valid; the propagation
-    wasn't), with a smaller-dt hint after RK4."""
-    try:
-        return DensityMatrix.stack(block, basis=model.basis, support=support,
-                                   dim=model.dim,
-                                   positivity_tol=-POSITIVITY_FLOOR)
-    except ValidationError as exc:
-        hint = "" if dt is None else \
-            f"; retry with a smaller dt (current {dt:.3e})"
-        raise NumericalContractError(
-            f"integration broke a state invariant ({exc}){hint}") from exc
-
-
-def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
-               samples: int) -> Iterator[tuple[float, DensityMatrix]]:
-    """States at ``samples`` evenly spaced times from 0 to t_final from
-    one RK4 pass, yielded one (t, state) at a time.  The arguments are
-    checked and the pass runs at the call; the states are then formed
-    and checked a chunk of at most max(1, GAIN_BLOCK // k^2) samples at
-    a time (k x k the support block), so a run holds one chunk.  A broken
-    state ends the run after the states before it, as if checked alone."""
+def rk4_samples(spec: EvolutionSpec, rho0: DensityMatrix, samples: int,
+                verify_convergence: bool = False):
+    """The one RK4 pass over ``samples`` evenly spaced times from 0 to
+    t_final: (its states' fields, chunks).  The arguments are checked and
+    the gains formed at the call; ``verify_convergence`` reruns at half
+    the step, and an entry moving by over 1e-8 is an error.  ``chunks``
+    yields (times, blocks, least eigenvalues): rho0's, then at most
+    max(1, GAIN_BLOCK // k^2) k x k blocks at a time, checked as a stack.
+    A block not finite, off unit trace by 1e-9 or below -1e-7 in its
+    spectrum ends the run after those before it.  Both errors are
+    NumericalContractError, with a smaller-dt hint."""
     if samples < 2:
         raise ValidationError("need at least 2 samples")
     model, schedule = spec.model, spec.schedule
@@ -398,18 +371,46 @@ def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
     times = np.linspace(0.0, spec.t_final, samples)
     block, support = model.eigenbasis_block(rho0)
     pairs = _pair_table(model, support)
-    gains = _rk4_gains(*pairs[:2], schedule, times, dt)
-    chunk = max(1, GAIN_BLOCK // len(block) ** 2)
+    runs = [_rk4_gains(*pairs[:2], schedule, times, step)
+            for step in (dt, dt / 2.0)[:1 + verify_convergence]]
+    if verify_convergence:
+        coarse, fine = (_apply_gains(pairs, g, block) for g in runs)
+        gap = float(np.max(np.abs(fine - coarse)))
+        if gap > CONVERGENCE_TOL:
+            raise NumericalContractError(
+                f"halving dt moved entries by {gap:.3e} > {CONVERGENCE_TOL}; "
+                f"retry with a smaller dt (current {dt:.3e})")
+    gains, chunk = runs[-1], max(1, GAIN_BLOCK // len(block) ** 2)
+
+    def checked():
+        yield times[:1], block[None], [rho0.min_eigenvalue()]
+        for c in range(1, samples, chunk):
+            blocks = _apply_gains(pairs, gains[c - 1:c - 1 + chunk], block)
+            try:
+                lows = _check_states(blocks, model.dim, -POSITIVITY_FLOOR)
+            except ValidationError as exc:  # the blocks before the broken
+                good = len(exc.lows)
+                yield times[c:c + good], blocks[:good], exc.lows
+                raise NumericalContractError(
+                    f"integration broke a state invariant ({exc}); retry "
+                    f"with a smaller dt (current {dt:.3e})") from exc
+            yield times[c:c + chunk], blocks, lows
+
+    return {"basis": model.basis, "support": support, "dim": model.dim,
+            "positivity_tol": -POSITIVITY_FLOOR}, checked()
+
+
+def trajectory(spec: EvolutionSpec, rho0: DensityMatrix,
+               samples: int) -> Iterator[tuple[float, DensityMatrix]]:
+    """The states of ``rk4_samples`` (run at the call), rho0 first, one
+    (t, state) at a time; a broken state ends the run after the others."""
+    fields, chunks = rk4_samples(spec, rho0, samples)
 
     def sampled():
-        yield rho0
-        for c in range(0, len(gains), chunk):
-            blocks = _apply_gains(pairs, gains[c:c + chunk], block)
-            try:
-                states = _contract_state(model, blocks, support, dt)
-            except NumericalContractError:  # the states before the first
-                states = (_contract_state(model, one[None], support, dt)[0]
-                          for one in blocks)
-            yield from states
+        next(chunks)
+        yield 0.0, rho0
+        for ts, blocks, lows in chunks:
+            yield from zip(ts.tolist(),
+                           DensityMatrix._checked(blocks, lows, **fields))
 
-    return zip(times.tolist(), sampled())
+    return sampled()

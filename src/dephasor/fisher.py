@@ -331,20 +331,29 @@ def signal_derivative_law(spec: CatSpec, parameter: str, rate, dose, t):
     """d<O>/d lambda = -e^{-dL^2 Gamma} (a dE sin(dE t) + b dL^2 cos(dE t))
     with (a, b) from ``derivative_coefficients``; for omega dL = dE, and
     the envelope picks up its omega dependence through dE = w d_eps.
-    Past the float range each term is taken from logs (see ``_decayed``).
+    Where b is subnormal, b dL^2 is (b / Gamma) dL^2 Gamma, with b / Gamma
+    b at (rate / Gamma, 1), as in ``_cat_law``: b = 2 Gamma / omega
+    rounds there.  Past the float range each term is taken from logs
+    (see ``_decayed``).
     """
-    t = np.asarray(t, dtype=float)
+    t, dose = np.asarray(t, dtype=float), np.asarray(dose, dtype=float)
     a, b = derivative_coefficients(parameter, spec.omega, rate, dose, t)
     de, dl2, phase = spec.delta_e, spec.delta_l ** 2, spec.delta_e * t
     sin, cos = np.sin(phase), np.cos(phase)
-    x = dl2 * np.asarray(dose)
+    x = dl2 * dose
+    noise = b * dl2
+    lossy = (0.0 < b) & (b < _TINY)
+    if np.any(lossy):
+        scaled = derivative_coefficients(parameter, spec.omega, rate / dose,
+                                         1.0, t)[1] * dl2 * dose
+        noise = np.where(lossy & np.isfinite(scaled), scaled, noise)
 
     def from_logs(pick):
         return sum(np.sign(pick(wave)) * np.exp(
             np.log(pick(c)) + np.log(np.abs(pick(wave))) + np.log(f)
             - pick(x)) for c, f, wave in ((a, de, sin), (b, dl2, cos)))
 
-    return require_finite(-_decayed(x, a * de * sin + b * dl2 * cos,
+    return require_finite(-_decayed(x, a * de * sin + noise * cos,
                                     from_logs))
 
 

@@ -3,8 +3,8 @@
 Operators are dense complex128, capped at dimension 4096; a model
 diagonal as built is its spectra, and a state its block on the basis
 columns it lives on (a cat state: 2 x 2 at any dimension).  The state
-checks are written once, over a stack of blocks, so a trajectory's
-samples are checked a stack at a time and a lone state as a stack of one.
+checks are written once, over a stack of blocks: an RK4 pass checks its
+samples a stack at a time, and a lone state is a stack of one.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
     Per block, in order: finite entries, Hermiticity defect, trace, the
     Gershgorin screen and, where it fails, the least eigenvalue; the
     first failing block raises the ValidationError of its first failing
-    check.  Returns each block's least eigenvalue, and at most 0 off a
-    full support, from one stacked ``eigvalsh``."""
+    check, with ``lows``, those before it.  Returns each block's least
+    eigenvalue (at most 0 off a full support) from one ``eigvalsh``."""
     defect = hermiticity_defect(a)
     tr = a.trace(axis1=1, axis2=2)
     d = a.diagonal(axis1=1, axis2=2)  # Gershgorin: cheap, sufficient
@@ -171,7 +171,7 @@ def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
     if bad.any():
         i = int(np.argmax(bad))
         check = next(c for c, f in enumerate(fails) if f[i])
-        raise ValidationError([
+        exc = ValidationError([
             "matrix entries must be finite",
             f"density matrix Hermiticity defect {defect[i]:.3e} > "
             f"{HERMITICITY_TOL}",
@@ -179,6 +179,8 @@ def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
             f"more than {TRACE_TOL}",
             f"density matrix minimum eigenvalue {low[i]:.3e} below "
             f"-{positivity_tol}"][check])
+        exc.lows = low[:i].tolist()
+        raise exc
     return low.tolist()
 
 
@@ -212,14 +214,17 @@ class DensityMatrix(SupportBlock):
         a = np.array(blocks, dtype=complex)
         # the block's shape, its support and the basis, checked once
         head = SupportBlock(a[0], basis=basis, support=support, dim=dim)
+        return cls._checked(a, _check_states(a, head.dim, positivity_tol),
+                            basis=basis, support=head.support, dim=head.dim,
+                            positivity_tol=positivity_tol)
+
+    @classmethod
+    def _checked(cls, a: np.ndarray, lows, **fields) -> list:
+        """States of blocks that ``_check_states`` passed, with ``lows``."""
         a.flags.writeable = False
-        fields = {"basis": basis, "support": head.support, "dim": head.dim,
-                  "positivity_tol": positivity_tol}
-        states = []
-        for block, low in zip(a, _check_states(a, head.dim, positivity_tol)):
-            rho = object.__new__(cls)  # checked above, as a stack
+        states = [object.__new__(cls) for _ in lows]  # checked as a stack
+        for rho, block, low in zip(states, a, lows):
             rho.__dict__.update(fields, array=block, _min_eig=low)
-            states.append(rho)
         return states
 
     def min_eigenvalue(self) -> float:

@@ -32,7 +32,7 @@ LN2 = math.log(2.0)
 
 X_AXES = ("t", "omega_t")
 Y_AXES = ("gamma", "gamma_dot")
-MAX_ROWS = 2 ** 20  # per output; an evolve at the cap peaks near 1.7 GB
+MAX_ROWS = 2 ** 20  # per output; an evolve at the cap peaks near 0.9 GB
 _REGIONS = ("hindered", "enhanced")  # by the cell rule ratio >= 1.0
 
 

@@ -221,6 +221,34 @@ def test_twelve_qubit_commands_hold_no_dense_array(capsys, tmp_path, argv):
     assert peak < 16 * 2 ** 20
 
 
+def test_evolve_rows_still_at_the_start_read_the_initial_state(capsys):
+    # linspace(0, 5e-324, 5) repeats t = 0: those rows are the initial
+    # row, not what unwritten memory held
+    code, out, err = run_cli(capsys, "evolve", "--model", GHZ2, "--schedule",
+                             "const:1", "--t", "5e-324", "--dt", "1",
+                             "--samples", "5")
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0.0"] * 3 + ["5e-324"] * 2
+    assert rows[1] == rows[2] == rows[0] == "0.0,0.5,0.5,0.5,0.0,1.0,0.0"
+
+
+def test_evolve_holds_columns_not_states(tmp_path):
+    # 65,536 samples: the columns are read from the pass's stacked blocks,
+    # with no state object per sample (holding them all peaked at 84 MiB;
+    # now about 48 MiB, mostly the CSV's repr strings)
+    argv = ["evolve", "--model", GHZ2, "--schedule", "const:1", "--t", "1",
+            "--samples", "65536", "--out", str(tmp_path / "e.csv")]
+    tracemalloc.start()
+    try:
+        code = parse_and_run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2 ** 20
+
+
 def test_evolve_output_is_byte_deterministic(capsys, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (a, b):

@@ -468,6 +468,20 @@ def test_trajectory_fails_at_its_first_broken_sample(monkeypatch):
         assert seen == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+def test_trajectory_samples_still_at_the_start_keep_the_initial_block():
+    # linspace(0, 5e-324, 5) is 0, 0, 0, 5e-324, 5e-324: the samples
+    # that repeat t = 0 take no step, so their blocks are rho0's bit for
+    # bit, not unwritten memory
+    model = branch_model(CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0))
+    rho0 = cat_initial_state(model)
+    run = EvolutionSpec(model=model, schedule=NoiseSchedule.constant(1.0),
+                        t_final=5e-324, dt=1.0)
+    states = list(trajectory(run, rho0, 5))
+    assert [t for t, _ in states] == [0.0, 0.0, 0.0, 5e-324, 5e-324]
+    for _, rho in states[:3]:
+        assert np.array_equal(rho.array, rho0.array)
+
+
 def test_rk4_zero_time_returns_input():
     model = branch_model(CatSpec(delta_e=1.0, delta_l=1.0, omega=1.0))
     rho0 = cat_initial_state(model)
@@ -524,8 +538,9 @@ def test_trajectory_consistent_with_single_shot():
 
 
 def test_trajectory_streams_its_states():
-    # 7 qubits, 101 samples: consumed one at a time, the run holds a few
-    # 128 x 128 states at once (a list of all 101 holds about 26 MB)
+    # 7 qubits, 101 samples: the cat state is its 2 x 2 branch block at
+    # any dimension, so the run holds the gains and one chunk of 2 x 2
+    # states (dense 128 x 128 states held about 26 MB)
     model = build_sensor_model("qubit_network", 7, omega=1.0)
     run = EvolutionSpec(model=model, schedule=NoiseSchedule.constant(0.2),
                         t_final=1.0)

@@ -45,9 +45,13 @@ inf, every bit pattern) check that the scan CSV, the SVG cell grid and
 the sweep/evolve CSV writer give the text of a plain row and cell loop.
 """
 
+import contextlib
+import io
 import math
+import pathlib
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -61,11 +65,12 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
                       maximize_ratio, observable_expectation,
                       saturation_ratio, schedule_eval, sld_and_qfi,
                       trajectory)
-from dephasor.cli import _csv
+from dephasor.cli import _csv, parse_and_run
 from dephasor.dynamics import _pair_table, _rk4_gains
 from dephasor.estimators import signal_statistics
 from dephasor.fisher import (decay_exponent, law_at, qfi_cat, qfi_closed,
                              qfi_law, qfi_lower_bound, ratio_law,
+                             signal_derivative_law, signal_law,
                              state_derivative)
 from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, X_AXES, HeatmapTable
 from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
@@ -293,6 +298,44 @@ def test_closed_forms_match_mpmath(parameter, law, de, dl, omega, rate,
         assert abs(got - want) <= TINY
     else:
         assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(PARAMS), log_uniform(-3.0, 3.0),
+       log_uniform(-3.0, 3.0), log_uniform(-3.0, 3.0), WIDE,
+       st.one_of(st.just(0.0), WIDE), WIDE)
+# b = 2 Gamma / omega subnormal: b dL^2 lost 6e-12 relative
+@example("omega", 710.919846372015, 710.919846372015, 0.06968927696306627,
+         1.0, 4.362139717e-315, 1.039202286834209e-308)
+def test_signal_laws_match_mpmath(parameter, de, dl, omega, rate, dose, t):
+    # <O> = cos(p) e^{-dL^2 Gamma} and d<O>/d lambda = -e^{-dL^2 Gamma}
+    # (a dE sin(p) + b dL^2 cos(p)) at 60 digits, at the float phase
+    # p = fl(dE t) the laws form, on the inputs of the closed-form
+    # property; within 1e-12 of the sum of the terms' magnitudes (within
+    # the smallest normal where that is subnormal), past the float range
+    # NumericalContractError
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 60
+    if parameter == "omega":
+        dl = de
+    spec = CatSpec(delta_e=de, delta_l=dl, omega=omega)
+    e, l, w, g, big_g, tt = (mp.mpf(v) for v in (de, dl, omega, rate, dose,
+                                                   t))
+    a, b = (1, g) if parameter == "time" else (tt / w, 2 * big_g / w)
+    p, decay = mp.mpf(de * t), mp.exp(-l ** 2 * big_g)
+    wave = (a * e * mp.sin(p), b * l ** 2 * mp.cos(p))
+    for law, want, scale in (
+            (lambda: signal_law(spec, dose, t), mp.cos(p) * decay,
+             abs(mp.cos(p)) * decay),
+            (lambda: signal_derivative_law(spec, parameter, rate, dose, t),
+             -decay * sum(wave), decay * sum(abs(v) for v in wave))):
+        assume(abs(scale / FLOAT_MAX - 1) > 1e-12)  # not on the edge
+        if abs(want) > FLOAT_MAX:
+            with pytest.raises(NumericalContractError, match="non-finite"):
+                law()
+            continue
+        got = law()
+        assert abs(got - want) <= (TINY if scale < TINY else 1e-12 * scale)
 
 
 # ------------------------------------ ratio tables: scan and optimizer
@@ -1279,3 +1322,71 @@ def test_cli_csv_equals_the_row_loop(rows, width, seed):
     want = [header] + [",".join(map(repr, row)) for row in
                        zip(*(np.asarray(c).tolist() for c in columns))]
     assert _csv(header, columns) == "\n".join(want) + "\n"
+
+
+# ------------------------------------------------ the CLI contract over argv
+
+ARGV_FLOATS = ("0", "-0.0", "5e-324", "1e-310", "1e-200", "1e-150", "0.5",
+               "1", "2", "3.7", "1e20", "1e300", "1.7e308", "inf", "-inf",
+               "nan", "-1")
+MODEL_FILES = [str(pathlib.Path(__file__).resolve().parents[1] / "models"
+                   / name) for name in ("ghz2.json", "ghz3.json",
+                                        "noon2.json")]
+
+
+@st.composite
+def rk4_argv(draw):
+    """argv of ``evolve``, ``qfi`` and ``bound``: a shipped model, every
+    schedule variant and every float from extreme values; ``--t=<v>``
+    keeps a value like -inf from reading as an option."""
+    num = st.sampled_from(ARGV_FLOATS)
+    kind = draw(st.sampled_from(("const", "ramp", "pw")))
+    if kind == "pw":
+        schedule = "pw:" + ";".join(f"{draw(num)}:{draw(num)}"
+                                    for _ in range(draw(st.integers(2, 3))))
+    else:
+        schedule = f"{kind}:{draw(num)}"
+        if draw(st.booleans()):
+            schedule += f",t0={draw(num)}"
+    command = draw(st.sampled_from(("evolve", "qfi", "bound")))
+    argv = [command, "--model", draw(st.sampled_from(MODEL_FILES)),
+            "--schedule", schedule, f"--t={draw(num)}"]
+    if draw(st.booleans()):
+        argv.append(f"--dt={draw(num)}")
+    if command == "evolve":
+        samples = draw(st.sampled_from((-1, 0, 1, 2, 3, 17, 2 ** 20 + 1)))
+        return argv + ["--samples", str(samples)]
+    argv += ["--param", draw(st.sampled_from(PARAMS))]
+    if command == "qfi":
+        argv += ["--method", draw(st.sampled_from(("numeric", "bound",
+                                                   "analytic")))]
+    return argv
+
+
+@settings(max_examples=300)
+@given(rk4_argv())
+@example(["evolve", "--model", MODEL_FILES[0], "--schedule", "const:1",
+          "--t=5e-324", "--dt=1", "--samples", "5"])
+# a knot segment of width 5e-324: its line overflowed past the last knot
+@example(["bound", "--model", MODEL_FILES[0], "--schedule", "pw:0:0;5e-324:0",
+          "--t=0.5", "--param", "time"])
+@example(["evolve", "--model", MODEL_FILES[2], "--schedule", "const:80",
+          "--t=4", "--dt=0.5", "--samples", "3"])
+@example(["qfi", "--model", MODEL_FILES[0], "--schedule", "const:0.5",
+          "--t=2", "--dt=0.5", "--param", "time", "--method", "numeric"])
+def test_rk4_commands_end_in_the_cli_contract(argv):
+    # exit 0 with empty stderr, or exit 1 or 2 with one "error: " line;
+    # never a warning or a NaN on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as seen, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = parse_and_run(argv)
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in seen] == []
+    assert "NaN" not in out.getvalue()
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""
