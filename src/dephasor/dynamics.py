@@ -267,9 +267,9 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     ``GAIN_BLOCK`` entries at a time and folded into the running gain in
     time order, by a running product only where a sample reads inside
     the block (the block size can move a gain at round-off)."""
-    edges = np.unique(np.append(times, [
+    edges = np.sort(np.append(times, [
         p for p in schedule.breakpoints(float(times[-1])) if p > times[0]]))
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = (e[edges[:-1] < edges[1:]] for e in (edges[:-1], edges[1:]))
     count = (hi - lo) / dt_target
     if not (count <= MAX_STEPS).all():
         raise ValidationError(f"step count {count.max():.3e} exceeds the "
