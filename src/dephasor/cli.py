@@ -5,7 +5,9 @@ violation, 3 internal error (any other exception, reported as
 ``error: internal: <Type>: <message>``).  Errors are a single
 machine-parsable line on stderr.  All file output goes through an
 atomic write (temp file in the target directory, then rename), and
-identical invocations produce byte-identical files.
+identical invocations produce byte-identical files.  An output file
+gets mode 0o666 less the umask, as ``open`` gives a new file, whether
+it is new or replaces one.
 """
 
 from __future__ import annotations
@@ -38,12 +40,19 @@ def _check_paths(model_path: str | None, outputs):
             raise ValidationError(f"output directory missing: {parent}")
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)  # reading the umask means setting it
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dephasor-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates it 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

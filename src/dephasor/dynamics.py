@@ -223,29 +223,42 @@ def _pair_table(model: SensorModel, support=None):
     """Distinct (|w|, d) = (|omega (e_j - e_k)|, (l_j - l_k)^2) over the
     strict upper triangle of the support's levels; its (j, k) indices,
     each element's pair, and where w < 0 (the gain of (-w, d) is the
-    conjugate of the gain of (w, d), exactly)."""
+    conjugate of the gain of (w, d), exactly).  Two levels, as on a cat
+    block, are one pair: the same table without the mask or the sort."""
     levels = slice(None) if support is None else list(support)
     eps, lam = model.spectrum[levels], model.lindblad_spectrum[levels]
-    upper = np.triu_indices(len(eps), 1)
-    j, k = upper
+    one = len(eps) == 2  # a cat block: its one pair, unmasked, unsorted
+    j, k = upper = (np.array([0]), np.array([1])) if one else \
+        np.triu_indices(len(eps), 1)
     w = model.omega * (eps[j] - eps[k])
     # one complex key |w| + i d: np.unique sorts it by |w|, then by d
     key = np.empty(w.size, dtype=complex)
     key.real, key.imag = np.abs(w), (lam[j] - lam[k]) ** 2
-    pairs, inverse = np.unique(key, return_inverse=True)
+    pairs, inverse = (key, np.array([0])) if one else \
+        np.unique(key, return_inverse=True)
     # contiguous copies: the RK4 loop reads them once per block
     return pairs.real.copy(), pairs.imag.copy(), upper, inverse, w < 0.0
 
 
 def _step_gain(phase, d, step, g1, gm, g2):
     """One RK4 step's gain for m(g) = phase - g d, with the rate g1 at
-    the step's start, gm at its midpoint and g2 at its end."""
+    the step's start, gm at its midpoint and g2 at its end.  Each real
+    step factor is cast to complex once, as a mixed product would cast
+    it, and dropped after its last product; every product keeps its
+    operand order, since a complex product can move a bit when they
+    swap.  The k's are fresh arrays: updated in place, they left the
+    freed blocks of many pairs at the top of the heap, to be trimmed
+    and faulted back in at every call (a 496-pair ramp took 1.4 times
+    as long)."""
     k1 = phase - g1 * d
     mid = phase - gm * d
-    k2 = mid * (1.0 + 0.5 * step * k1)
-    k3 = mid * (1.0 + 0.5 * step * k2)
-    k4 = (phase - g2 * d) * (1.0 + step * k3)
-    return 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    half = np.asarray(0.5 * step, dtype=complex)
+    k2 = mid * (1.0 + half * k1)
+    k3 = mid * (1.0 + half * k2)
+    del half
+    k4 = (phase - g2 * d) * (1.0 + np.asarray(step, dtype=complex) * k3)
+    return 1.0 + np.asarray(step / 6.0, dtype=complex) * (
+        k1 + 2.0 * (k2 + k3) + k4)
 
 
 @np.errstate(all="ignore")  # a blown-up step fails the state's check
@@ -266,7 +279,9 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     any other is one row per step.  Rows are formed a block of about
     ``GAIN_BLOCK`` entries at a time and folded into the running gain in
     time order, by a running product only where a sample reads inside
-    the block (the block size can move a gain at round-off)."""
+    the block (the block size can move a gain at round-off).  What does
+    not change per block (each segment's first row, the step points x)
+    is formed once per call."""
     edges = np.sort(np.append(times, [
         p for p in schedule.breakpoints(float(times[-1])) if p > times[0]]))
     lo, hi = (e[edges[:-1] < edges[1:]] for e in (edges[:-1], edges[1:]))
@@ -286,15 +301,16 @@ def _rk4_gains(w: np.ndarray, d: np.ndarray, schedule: NoiseSchedule,
     out[read == 0] = 1.0  # a later sample still at times[0]
     running = np.ones(w.size, dtype=complex)
     block = max(2, GAIN_BLOCK // (w.size + 4))
+    starts, xs = ends - rows, np.array([[0.0], [0.5], [1.0]])
     for a in range(0, ends[-1], block):
         b = min(a + block, ends[-1])
         r = np.arange(a, b)
         s = ends.searchsorted(r, "right")
-        # row r is step r - (ends - rows)[s] of its segment s
-        rates = sigma[s] * (r - (ends - rows)[s] + [[0], [0.5], [1]]) + g[s]
+        # row r is step r - starts[s] of its segment s, read at its xs
+        rates = sigma[s] * (r - starts[s] + xs) + g[s]
         done = np.arange(s[0], s[-1] + (ends[s[-1]] == b))  # ending here
         rates[2, ends[done] - 1 - a] = g_end[done]
-        gain = _step_gain(phase, d, dt[s, None], *rates[..., None])
+        gain = _step_gain(phase, d, dt[s][:, None], *rates[..., None])
         c = done[const[done]]
         gain[ends[c] - 1 - a] **= n[c, None]  # a constant segment: R^n
         gain[0] *= running

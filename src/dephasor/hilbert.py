@@ -483,24 +483,41 @@ def branch_model(spec: CatSpec) -> SensorModel:
                               branches=(0, 1))
 
 
+# The cat block [[1/2, 1/2], [1/2, 1/2]] is Hermitian with trace 1, and
+# eigvalsh gives its eigenvalues as exactly [0, 1] (pinned in the tests).
+_CAT_BLOCK = np.full((2, 2), 0.5, dtype=complex)
+_CAT_BLOCK.flags.writeable = False
+
+
+def _cat_block(basis=None, support=None, dim=None) -> DensityMatrix:
+    """The cat block on ``support`` of ``basis``: the structural checks
+    of ``DensityMatrix.stack``, with the least eigenvalue 0 exactly."""
+    head = SupportBlock(_CAT_BLOCK, basis, support, dim)
+    return DensityMatrix._checked(head.array[None], [0.0], basis=basis,
+                                  support=head.support, dim=head.dim,
+                                  positivity_tol=POSITIVITY_TOL)[0]
+
+
 def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
     """Equal superposition of the two branch states, as a density matrix.
 
     With a CatSpec the state lives on the 2-dimensional branch space.
     With a SensorModel it is either the 2 x 2 block on the model's
     branch columns of its eigenbasis, or a dense matrix on explicitly
-    supplied orthonormal eigenvector columns.
+    supplied orthonormal eigenvector columns.  The block is the constant
+    [[1/2, 1/2], [1/2, 1/2]], whose least eigenvalue is 0 exactly, so
+    only its basis, support and dimension are checked per call; the
+    dense matrix takes every state check.
     """
     if isinstance(model_or_spec, CatSpec):
         if branch_vectors is not None:
             raise ValidationError("branch vectors only apply to models")
-        return DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+        return _cat_block()
     model = model_or_spec
     if not isinstance(model, SensorModel):
         raise ValidationError("expected a CatSpec or SensorModel")
     if branch_vectors is None:
-        return DensityMatrix(np.full((2, 2), 0.5, dtype=complex), model.basis,
-                             model.branch_indices, model.dim)
+        return _cat_block(model.basis, model.branch_indices, model.dim)
     v0 = np.asarray(branch_vectors[0], dtype=complex).reshape(-1)
     v1 = np.asarray(branch_vectors[1], dtype=complex).reshape(-1)
     if v0.shape != (model.dim,) or v1.shape != (model.dim,):

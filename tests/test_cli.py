@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -259,6 +260,32 @@ def test_evolve_output_is_byte_deterministic(capsys, tmp_path):
     assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
     # the atomic writer must not leave temp files behind
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_output_files_take_the_mode_open_gives(capsys, tmp_path, umask):
+    # 0o666 less the umask, for a new file and for one it replaces
+    # (mkstemp's 0o600 used to stay on both)
+    new, old = tmp_path / "new.csv", tmp_path / "old.json"
+    old.write_text("stale")
+    old.chmod(0o600 if umask == 0o022 else 0o644)
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "evolve", "--model", GHZ2, "--schedule",
+                             "const:1", "--t", "0.5", "--dt", "1e-2",
+                             "--samples", "3", "--out", str(new))
+        assert code == 0
+        code, _, _ = run_cli(capsys, "qfi", "--model", GHZ2, "--schedule",
+                             "const:1", "--t", "0.5", "--param", "time",
+                             "--out", str(old))
+        assert code == 0
+    finally:
+        os.umask(previous)
+    for path in (new, old):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert old.read_text() != "stale"
+    assert sorted(os.listdir(tmp_path)) == ["new.csv", "old.json"]
 
 
 def test_evolve_exit_2_on_broken_integration(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -291,6 +292,64 @@ def test_rk4_gains_memory_stays_near_one_block():
     assert peak < 8 * 2 ** 20
     one, = _rk4_gains(w[7:8], d[7:8], *args)
     assert abs(gain[7] - one[0]) <= 1e-13 * abs(one[0])
+
+
+@pytest.mark.parametrize("eps, lam", [
+    ([-1.5, 1.5], [-1.5, 1.5]), ([2.0, -0.5], [0.25, 3.0]),
+    ([0.7, 0.7], [0.0, 1.0]), ([0.0, 1.0], [2.0, 2.0]),
+    ([1.0, 1.0], [1.0, 1.0]),
+])
+def test_a_two_level_pair_table_is_the_sorted_one(eps, lam):
+    # a cat block's table skips the index mask and the sort: it must be
+    # the table np.triu_indices and np.unique give, bit for bit
+    model = types.SimpleNamespace(spectrum=np.array(eps),
+                                  lindblad_spectrum=np.array(lam),
+                                  omega=1.3)
+    w_abs, d, (j, k), inverse, negative = dynamics._pair_table(model)
+    want_j, want_k = np.triu_indices(2, 1)
+    w = model.omega * (model.spectrum[want_j] - model.spectrum[want_k])
+    key = np.abs(w) + 1j * (model.lindblad_spectrum[want_j]
+                            - model.lindblad_spectrum[want_k]) ** 2
+    pairs, want_inverse = np.unique(key, return_inverse=True)
+    for got, want in ((j, want_j), (k, want_k), (inverse, want_inverse),
+                      (negative, w < 0.0), (w_abs, pairs.real),
+                      (d, pairs.imag)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def plain_step_gain(phase, d, step, g1, gm, g2):
+    """The RK4 step gain as one plain expression, real step factors
+    mixed into complex products as they come."""
+    k1 = phase - g1 * d
+    mid = phase - gm * d
+    k2 = mid * (1.0 + 0.5 * step * k1)
+    k3 = mid * (1.0 + 0.5 * step * k2)
+    k4 = (phase - g2 * d) * (1.0 + step * k3)
+    return 1.0 + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+@pytest.mark.parametrize("shape", ["scalar", "rows", "pairs"])
+def test_step_gain_is_the_plain_expression_bit_for_bit(shape):
+    # the kernel casts the real step factors to complex once and keeps
+    # every operand order: the same bits as the plain expression, signed
+    # zeros included, at zero rates and gaps too
+    rng = np.random.default_rng(23)
+    rows, pairs = 300, 6
+    w = np.append([0.0, 0.0, 1.0], rng.uniform(-50.0, 50.0, pairs - 3))
+    d = np.append([0.0, 2.0, 0.0], rng.uniform(0.0, 30.0, pairs - 3))
+    step = rng.uniform(1e-5, 0.1, (rows, 1))
+    rates = rng.uniform(0.0, 20.0, (3, rows, pairs))
+    rates[:, ::3] = 0.0  # rate-free steps
+    cases = [(step, rates if shape == "pairs" else rates[..., :1])]
+    if shape == "scalar":  # a rate-free step, then two with rates
+        cases = [(float(step[i, 0]), rates[:, i, 0].tolist())
+                 for i in range(3)]
+    for step, rates in cases:
+        got = _step_gain(-1j * w, d, step, *rates)
+        want = plain_step_gain(-1j * w, d, step, *rates)
+        assert got.shape == want.shape == np.shape(step)[:1] + (pairs,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def segment_gain(w, d, schedule, t_start, t_end, dt_target):

@@ -13,7 +13,7 @@ from dephasor import (CatSpec, DensityMatrix, NoiseSchedule, Operator,
                       cat_initial_state, cat_spec_for, load_model,
                       model_from_json, model_to_json, operator_expectation,
                       qfi_lower_bound)
-from dephasor.hilbert import _check_spectrum
+from dephasor.hilbert import POSITIVITY_TOL, _check_spectrum, _check_states
 
 from conftest import random_hermitian
 
@@ -286,6 +286,62 @@ def test_cat_state_on_spec_is_exact():
     rho = cat_initial_state(CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0))
     assert np.array_equal(rho.matrix, np.full((2, 2), 0.5, dtype=complex))
     assert rho.purity() == 1.0
+
+
+def _framed_custom():
+    # a dense h in a random frame, with an explicit commuting L: the
+    # state's basis is the model's joint eigenbasis
+    q, _ = np.linalg.qr(random_hermitian(np.random.default_rng(3), 5))
+    frame = lambda levels: Operator(q @ np.diag(levels) @ q.conj().T)
+    return build_sensor_model("custom", 5, 1.3,
+                              frame([0.0, 0.5, 0.5, 1.5, 2.0]),
+                              h=frame([-1.0, 0.0, 0.5, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: build_sensor_model("qubit_network", n, omega=0.7)
+      for n in range(1, 13)],
+    lambda: build_sensor_model("photonic_two_mode", 3, omega=2.0),
+    _framed_custom,
+    lambda: branch_model(CatSpec(delta_e=2.0, delta_l=0.5, omega=1.0)),
+    lambda: CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0),
+])
+def test_cat_state_is_the_checked_block(make):
+    # the cat state skips the stack check of its constant block; it
+    # must be the state that check gives, field for field
+    x = make()
+    rho = cat_initial_state(x)
+    where = () if isinstance(x, CatSpec) else \
+        (x.basis, x.branch_indices, x.dim)
+    ref = DensityMatrix(np.full((2, 2), 0.5), *where)
+    assert type(rho) is DensityMatrix
+    assert rho.array.dtype == ref.array.dtype == complex
+    assert rho.array.shape == (2, 2)
+    assert rho.array.tobytes() == ref.array.tobytes()
+    assert rho.support == ref.support and rho.dim == ref.dim
+    assert rho.basis is ref.basis
+    assert rho.positivity_tol == ref.positivity_tol
+    low = rho.min_eigenvalue()
+    assert type(low) is float and low == ref.min_eigenvalue() == 0.0
+    assert math.copysign(1.0, low) == math.copysign(1.0, ref.min_eigenvalue())
+    # a full dim-2 support, in order, is normalized to None
+    full = rho.dim == 2 and getattr(x, "branch_indices", (0, 1)) == (0, 1)
+    assert (rho.support is None) == full
+    assert not rho.array.flags.writeable
+    with pytest.raises(ValueError):
+        rho.array[0, 1] = 1.0
+    assert np.array_equal(rho.matrix, ref.matrix)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4096])
+def test_cat_block_least_eigenvalue_is_zero_exactly(dim):
+    # the constant cat_initial_state relies on, pinned: eigvalsh gives
+    # [0, 1] for [[1/2, 1/2], [1/2, 1/2]], with a positive zero
+    lows = _check_states(np.full((1, 2, 2), 0.5, dtype=complex), dim,
+                         POSITIVITY_TOL)
+    assert lows == [0.0] and math.copysign(1.0, lows[0]) == 1.0
+    assert np.linalg.eigvalsh(np.full((2, 2), 0.5, dtype=complex)).tolist() \
+        == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
