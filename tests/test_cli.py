@@ -793,6 +793,44 @@ def test_commands_back_to_back_print_what_they_print_alone(capsys):
     assert [run_cli(capsys, *argv) for argv in runs[::-1]] == alone[::-1]
 
 
+PARAMS = ("time", "omega")
+REQUIRED = (True, None, None)
+OUT = (False, None, None)
+CLI_SURFACE = {
+    "validate": {"--model": REQUIRED, "--out": OUT},
+    "evolve": {"--model": REQUIRED, "--schedule": REQUIRED, "--t": REQUIRED,
+               "--dt": OUT, "--samples": (False, 101, None), "--out": OUT},
+    "qfi": {"--model": REQUIRED, "--schedule": REQUIRED, "--t": REQUIRED,
+            "--param": (True, None, PARAMS), "--dt": OUT, "--out": OUT,
+            "--method": (False, "analytic",
+                         ("analytic", "numeric", "bound"))},
+    "bound": {"--model": REQUIRED, "--schedule": REQUIRED, "--t": REQUIRED,
+              "--param": (True, None, PARAMS), "--dt": OUT, "--out": OUT},
+    "estimate": {"--model": REQUIRED, "--schedule": REQUIRED,
+                 "--param": (True, None, PARAMS), "--t": OUT,
+                 "--sweep": OUT, "--out": OUT},
+    "scan": {"--param": (True, None, PARAMS),
+             "--grid": (False, "default_fig1", None), "--out": REQUIRED,
+             "--svg": OUT},
+    "optimize": {"--model": REQUIRED, "--param": (True, None, PARAMS),
+                 "--box": REQUIRED, "--t0": (False, 0.0, None), "--out": OUT,
+                 "--schedule-kind": (False, "constant",
+                                     ("constant", "linear_ramp"))},
+}
+
+
+def test_cli_surface_is_frozen():
+    # each subcommand's option strings, with required, default and choices
+    parser = cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    surface = {name: {opt: (a.required, a.default,
+                            tuple(a.choices) if a.choices else None)
+                      for a in sub._actions if a.dest != "help"
+                      for opt in a.option_strings}
+               for name, sub in commands.items()}
+    assert surface == CLI_SURFACE
+
+
 def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
