@@ -8,6 +8,13 @@ atomic write (temp file in the target directory, then rename), and
 identical invocations produce byte-identical files.  An output file
 gets mode 0o666 less the umask, as ``open`` gives a new file, whether
 it is new or replaces one.
+
+``_OPTIONS`` defines each option once; ``_COMMANDS`` lists each
+subcommand's options.  Every number, in an option or an inline grammar
+(schedule, grid, box, sweep), passes one rule, ``_number``: a finite
+float, else a validation error naming the field; counts are ``int``
+literals.  A flag a command would ignore is an error: ``estimate`` takes
+one of ``--t`` and ``--sweep``, and ``--dt`` is not for ``analytic``.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -40,24 +47,47 @@ def _check_paths(model_path: str | None, outputs):
             raise ValidationError(f"output directory missing: {parent}")
 
 
-def _umask() -> int:
-    mask = os.umask(0o022)  # reading the umask means setting it
-    os.umask(mask)
-    return mask
-
-
 def write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dephasor-")
+    """Write a new file next to ``path``, then rename it over ``path``.
+    It is created 0o666, so the kernel applies the umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-dephasor-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp creates it 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _number(text: str, field: str, kind=float, error=ValidationError):
+    """The one number rule: ``text`` as a finite float (an integer
+    literal for ``kind=int``), else ``error`` naming ``field``."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    rule = "an integer" if kind is int else "a finite number"
+    raise error(f"{field} must be {rule}, got {text!r}")
+
+
+# the rule as an argparse type, whose error argparse prefixes with the option
+_OPTION_NUMBER = functools.partial(_number, field="value",
+                                   error=argparse.ArgumentTypeError)
+
+
+def _pairs(chunks, sep: str, what: str):
+    """(key, value) of each ``key<sep>value`` chunk, in order."""
+    for chunk in chunks:
+        key, found, raw = chunk.partition(sep)
+        if not found:
+            raise ValidationError(f"malformed {what} {chunk!r}")
+        yield key, raw
 
 
 def parse_schedule(text: str) -> NoiseSchedule:
@@ -66,37 +96,21 @@ def parse_schedule(text: str) -> NoiseSchedule:
     head, sep, rest = text.partition(":")
     if not sep:
         raise ValidationError(f"malformed schedule {text!r}")
-    if head in ("const", "ramp"):
-        parts = rest.split(",")
-        try:
-            value = float(parts[0])
-        except ValueError as exc:
-            raise ValidationError(f"malformed schedule rate: {exc}") from exc
-        t0 = 0.0
-        for extra in parts[1:]:
-            key, eq, raw = extra.partition("=")
-            if key != "t0" or not eq:
-                raise ValidationError(
-                    f"unknown schedule option {extra!r}")
-            try:
-                t0 = float(raw)
-            except ValueError as exc:
-                raise ValidationError(f"malformed t0: {exc}") from exc
-        if head == "const":
-            return NoiseSchedule.constant(value, t0=t0)
-        return NoiseSchedule.linear_ramp(value, t0=t0)
     if head == "pw":
-        knots = []
-        for chunk in rest.split(";"):
-            tk, sep2, gk = chunk.partition(":")
-            if not sep2:
-                raise ValidationError(f"malformed knot {chunk!r}")
-            try:
-                knots.append((float(tk), float(gk)))
-            except ValueError as exc:
-                raise ValidationError(f"malformed knot {chunk!r}") from exc
-        return NoiseSchedule.piecewise_linear(knots)
-    raise ValidationError(f"unknown schedule variant {head!r}")
+        return NoiseSchedule.piecewise_linear(
+            [(_number(tk, "knot time"), _number(gk, "knot rate"))
+             for tk, gk in _pairs(rest.split(";"), ":", "knot")])
+    if head not in ("const", "ramp"):
+        raise ValidationError(f"unknown schedule variant {head!r}")
+    rate, *options = rest.split(",")
+    value, t0 = _number(rate, "schedule rate"), 0.0
+    for key, raw in _pairs(options, "=", "schedule option"):
+        if key != "t0":
+            raise ValidationError(f"unknown schedule option {key!r}")
+        t0 = _number(raw, "t0")
+    if head == "const":
+        return NoiseSchedule.constant(value, t0=t0)
+    return NoiseSchedule.linear_ramp(value, t0=t0)
 
 
 def _csv(header: str, columns) -> str:
@@ -125,7 +139,7 @@ def _load_model(args) -> SensorModel:
     return load_model(args.model)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     model = _load_model(args)
     spec = cat_spec_for(model)
     doc = {
@@ -141,10 +155,9 @@ def _cmd_validate(args) -> int:
         "ok": True,
     }
     _emit(_json_text(doc), args.out)
-    return 0
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args):
     protocols.check_rows(args.samples, "--samples")
     model = _load_model(args)
     spec = EvolutionSpec(model=model, schedule=parse_schedule(args.schedule),
@@ -155,39 +168,30 @@ def _cmd_evolve(args) -> int:
     _emit(_csv("t,pop_lo,pop_hi,coher_re,coher_im,trace,min_eig", [
         ts, m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real,
         m[:, 0, 1].imag, m.trace(axis1=1, axis2=2).real, lows]), args.out)
-    return 0
 
 
-def _qfi_report(args, model: SensorModel, schedule: NoiseSchedule,
-                method: str) -> fisher.QfiReport:
-    if method == "analytic":
-        return fisher.qfi_cat(cat_spec_for(model), schedule, args.t,
-                              args.param)
-    run = EvolutionSpec(model=model, schedule=schedule, t_final=args.t,
-                        dt=args.dt)
-    rho_t = dynamics.evolve_lindblad_numeric(run, cat_initial_state(model))
-    if method == "bound":
-        return fisher.qfi_lower_bound(model, schedule, rho_t, args.t,
-                                      args.param)
-    drho = fisher.state_derivative(model, schedule, rho_t, args.t, args.param)
-    return fisher.sld_and_qfi(rho_t, drho, parameter=args.param)[1]
-
-
-def _cmd_qfi(args, method: str | None = None) -> int:
-    model = _load_model(args)
+def _cmd_qfi(args):
+    """``qfi``, and ``bound``, which is ``qfi --method bound``."""
+    if args.method == "analytic" and args.dt is not None:
+        raise ValidationError("--dt is for --method numeric and bound only")
+    model, t, param = _load_model(args), args.t, args.param
     schedule = parse_schedule(args.schedule)
-    report = _qfi_report(args, model, schedule,
-                         method if method else args.method)
+    if args.method == "analytic":
+        report = fisher.qfi_cat(cat_spec_for(model), schedule, t, param)
+    else:
+        run = EvolutionSpec(model=model, schedule=schedule, t_final=t,
+                            dt=args.dt)
+        rho_t = dynamics.evolve_lindblad_numeric(run, cat_initial_state(model))
+        if args.method == "bound":
+            report = fisher.qfi_lower_bound(model, schedule, rho_t, t, param)
+        else:
+            drho = fisher.state_derivative(model, schedule, rho_t, t, param)
+            report = fisher.sld_and_qfi(rho_t, drho, parameter=param)[1]
     _emit(_json_text(report.to_dict()), args.out)
-    return 0
 
 
-def _cmd_bound(args) -> int:
-    return _cmd_qfi(args, method="bound")
-
-
-def _cmd_estimate(args) -> int:
-    sweep = _parse_sweep(args.sweep) if args.sweep else None
+def _cmd_estimate(args):
+    sweep = None if args.sweep is None else _parse_sweep(args.sweep)
     model = _load_model(args)
     schedule = parse_schedule(args.schedule)
     spec = cat_spec_for(model)
@@ -198,14 +202,13 @@ def _cmd_estimate(args) -> int:
         columns += (_one_over_qfi(spec, schedule, ts, args.param),)
         _emit(_csv("t,mean,var_O,d_mean,var_estimator,one_over_qfi",
                    (ts, *columns)), args.out)
-        return 0
+        return
     rep = estimators.estimator_variance(spec, schedule, args.t, args.param)
     doc = rep.to_dict()
     doc["one_over_qfi"] = _one_over_qfi(spec, schedule, args.t, args.param)
     doc["saturation_ratio"] = estimators.saturation_ratio(
         spec, schedule, args.t, args.param)
     _emit(_json_text(doc), args.out)
-    return 0
 
 
 @np.errstate(divide="ignore", over="ignore")
@@ -220,15 +223,21 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError("sweep must look like t_min:t_max:steps")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ValidationError(f"malformed sweep: {exc}") from exc
-    if steps < 2 or not 0.0 <= lo < hi < np.inf:
-        raise ValidationError("sweep needs 0 <= t_min < t_max < inf and "
-                              "steps >= 2")
+    lo, hi = _number(parts[0], "sweep t_min"), _number(parts[1], "sweep t_max")
+    steps = _number(parts[2], "sweep steps", int)
+    if steps < 2 or not 0.0 <= lo < hi:
+        raise ValidationError("sweep needs 0 <= t_min < t_max and steps >= 2")
     protocols.check_rows(steps, "the sweep")
     return lo, hi, steps
+
+
+def _grid_axis(raw: str) -> tuple[str, float, float, int]:
+    bits = raw.split(":")
+    if len(bits) != 4:
+        raise ValidationError(
+            f"axis must look like name:min:max:steps, got {raw!r}")
+    return (bits[0], _number(bits[1], "axis min"),
+            _number(bits[2], "axis max"), _number(bits[3], "axis steps", int))
 
 
 def parse_grid(text: str) -> protocols.GridSpec:
@@ -237,46 +246,25 @@ def parse_grid(text: str) -> protocols.GridSpec:
     [;scale=log|linear][;deltaE=..][;deltaL=..][;omega=..][;t0=..]"""
     if text == "default_fig1":
         return protocols.default_fig_grid()
-    fields = {"scale": "log", "deltaE": "2", "deltaL": None, "omega": "1",
-              "t0": "0"}
-    axes = {}
-    for chunk in text.split(";"):
-        key, eq, raw = chunk.partition("=")
-        if not eq:
-            raise ValidationError(f"malformed grid field {chunk!r}")
-        if key in ("x", "y"):
-            bits = raw.split(":")
-            if len(bits) != 4:
-                raise ValidationError(
-                    f"axis must look like name:min:max:steps, got {raw!r}")
-            try:
-                axes[key] = (bits[0], float(bits[1]), float(bits[2]),
-                             int(bits[3]))
-            except ValueError as exc:
-                raise ValidationError(f"malformed axis {raw!r}") from exc
-        elif key in fields:
-            fields[key] = raw
-        else:
+    fields = {"scale": "log", "deltaE": "2", "omega": "1", "t0": "0"}
+    for key, raw in _pairs(text.split(";"), "=", "grid field"):
+        if key not in ("x", "y", "scale", "deltaE", "deltaL", "omega", "t0"):
             raise ValidationError(f"unknown grid field {key!r}")
-    if "x" not in axes or "y" not in axes:
+        fields[key] = raw
+    if "x" not in fields or "y" not in fields:
         raise ValidationError("grid needs both x= and y= axes")
-    try:
-        delta_e = float(fields["deltaE"])
-        delta_l = float(fields["deltaL"]) if fields["deltaL"] is not None \
-            else delta_e
-        omega = float(fields["omega"])
-        t0 = float(fields["t0"])
-    except ValueError as exc:
-        raise ValidationError(f"malformed grid number: {exc}") from exc
+    (xn, x0, x1, xs), (yn, y0, y1, ys) = map(_grid_axis,
+                                             (fields["x"], fields["y"]))
+    fields.setdefault("deltaL", fields["deltaE"])
+    delta_e, delta_l, omega, t0 = (_number(fields[key], key) for key in
+                                   ("deltaE", "deltaL", "omega", "t0"))
     spec = CatSpec(delta_e=delta_e, delta_l=delta_l, omega=omega)
-    xn, x0, x1, xs = axes["x"]
-    yn, y0, y1, ys = axes["y"]
     return protocols.GridSpec(x_name=xn, x_min=x0, x_max=x1, x_steps=xs,
                               y_name=yn, y_min=y0, y_max=y1, y_steps=ys,
                               scale=fields["scale"], spec=spec, t0=t0)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     _check_paths(None, [args.out, args.svg])
     grid = parse_grid(args.grid)
     table = protocols.heatmap_scan(grid, args.param)
@@ -284,36 +272,25 @@ def _cmd_scan(args) -> int:
     if args.svg:
         title = f"advantage ratio ({args.param})"
         write_atomic(args.svg, render_heatmap_svg(table, title=title))
-    return 0
 
 
 def _parse_box(text: str) -> dict:
     box = {}
-    for chunk in text.split(";"):
-        key, eq, raw = chunk.partition("=")
-        if not eq:
-            raise ValidationError(f"malformed box field {chunk!r}")
+    for key, raw in _pairs(text.split(";"), "=", "box field"):
         bits = raw.split(":")
         if len(bits) > 2:
             raise ValidationError(f"malformed box range {raw!r}")
-        try:
-            values = tuple(float(b) for b in bits)
-        except ValueError as exc:
-            raise ValidationError(f"malformed box value {raw!r}") from exc
-        if not np.isfinite(values).all():
-            raise ValidationError(f"box bounds must be finite, got {raw!r}")
+        values = tuple(_number(b, f"box {key}") for b in bits)
         box[key] = values if len(values) == 2 else values[0]
     return box
 
 
-def _cmd_optimize(args) -> int:
-    model = _load_model(args)
-    spec = cat_spec_for(model)
-    box = _parse_box(args.box)
+def _cmd_optimize(args):
+    spec = cat_spec_for(_load_model(args))
     report = protocols.maximize_ratio(
-        spec, args.param, box, schedule_kind=args.schedule_kind, t0=args.t0)
+        spec, args.param, _parse_box(args.box),
+        schedule_kind=args.schedule_kind, t0=args.t0)
     _emit(_json_text(report.to_dict()), args.out)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,6 +301,47 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+# Every option's argparse keywords, defined once.
+_OPTIONS = {
+    "--model": dict(help="path to a sensor model JSON file"),
+    "--schedule": dict(help="const:<g>[,t0=..] | ramp:<gdot>[,t0=..] "
+                            "| pw:<t:g;t:g;...>"),
+    "--t": dict(type=_OPTION_NUMBER, help="sensing time"),
+    "--param": dict(choices=fisher.PARAMETERS, help="estimated parameter"),
+    "--out": dict(help="output path (stdout when omitted; scan: the CSV)"),
+    "--dt": dict(type=_OPTION_NUMBER,
+                 help="RK4 step (numeric and bound methods only)"),
+    "--samples": dict(type=int, default=101, help="trajectory rows"),
+    "--method": dict(choices=("analytic", "numeric", "bound"),
+                     default="analytic"),
+    "--sweep": dict(help="t_min:t_max:steps for a CSV sweep"),
+    "--grid": dict(default="default_fig1",
+                   help="default_fig1 or x=name:min:max:steps;y=..."),
+    "--svg": dict(help="optional SVG output path"),
+    "--box": dict(help="t=<v|lo:hi>;gamma=<v|lo:hi> (or gamma_dot=...)"),
+    "--schedule-kind": dict(choices=("constant", "linear_ramp"),
+                            default="constant"),
+    "--t0": dict(type=_OPTION_NUMBER, default=0.0, help="noise onset"),
+}
+
+# subcommand: (help, handler, required options, other options)
+_COMMANDS = {
+    "validate": ("check a model file", _cmd_validate, "--model", "--out"),
+    "evolve": ("integrate and dump a trajectory", _cmd_evolve,
+               "--model --schedule --t", "--out --dt --samples"),
+    "qfi": ("Fisher information at a single time", _cmd_qfi,
+            "--model --schedule --t --param", "--out --method --dt"),
+    "bound": ("commutator lower bound on the QFI", _cmd_qfi,
+              "--model --schedule --t --param", "--out --dt"),
+    "estimate": ("signal statistics and estimator variance", _cmd_estimate,
+                 "--model --schedule --param", "--out"),
+    "scan": ("advantage-ratio heatmap over a grid", _cmd_scan,
+             "--param --out", "--grid --svg"),
+    "optimize": ("maximize the advantage ratio", _cmd_optimize,
+                 "--model --param --box", "--schedule-kind --t0 --out"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -332,81 +350,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Fisher information, and noise-advantage analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True, schedule=True, t=True, param=False):
-        if model:
-            p.add_argument("--model", required=True,
-                           help="path to a sensor model JSON file")
-        if schedule:
-            p.add_argument("--schedule", required=True,
-                           help="const:<g>[,t0=..] | ramp:<gdot>[,t0=..] "
-                                "| pw:<t:g;t:g;...>")
-        if t:
-            p.add_argument("--t", type=float, required=True,
-                           help="sensing time")
-        if param:
-            p.add_argument("--param", choices=fisher.PARAMETERS,
-                           required=True, help="estimated parameter")
-        p.add_argument("--out", default=None, help="output path "
-                       "(stdout when omitted)")
+    def add(target, flags: str, **kw):
+        for flag in flags.split():
+            target.add_argument(flag, **_OPTIONS[flag], **kw)
 
-    p = sub.add_parser("validate", help="check a model file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("evolve", help="integrate and dump a trajectory")
-    add_common(p)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--samples", type=int, default=101)
-
-    p = sub.add_parser("qfi", help="Fisher information at a single time")
-    add_common(p, param=True)
-    p.add_argument("--method", choices=("analytic", "numeric", "bound"),
-                   default="analytic")
-    p.add_argument("--dt", type=float, default=None)
-
-    p = sub.add_parser("bound", help="commutator lower bound on the QFI")
-    add_common(p, param=True)
-    p.add_argument("--dt", type=float, default=None)
-
-    p = sub.add_parser("estimate", help="signal statistics and estimator "
-                                        "variance")
-    add_common(p, t=False, param=True)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--sweep", default=None,
-                   help="t_min:t_max:steps for a CSV sweep")
-
-    p = sub.add_parser("scan", help="advantage-ratio heatmap over a grid")
-    p.add_argument("--param", choices=fisher.PARAMETERS, required=True)
-    p.add_argument("--grid", default="default_fig1",
-                   help="default_fig1 or x=name:min:max:steps;y=...")
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--svg", default=None, help="optional SVG output path")
-
-    p = sub.add_parser("optimize", help="maximize the advantage ratio")
-    p.add_argument("--model", required=True)
-    p.add_argument("--param", choices=fisher.PARAMETERS, required=True)
-    p.add_argument("--box", required=True,
-                   help="t=<v|lo:hi>;gamma=<v|lo:hi> (or gamma_dot=...)")
-    p.add_argument("--schedule-kind", choices=("constant", "linear_ramp"),
-                   default="constant", dest="schedule_kind")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--out", default=None)
+    for name, (text, run, required, other) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(run=run)
+        add(p, required, required=True)
+        add(p, other)
+    add(sub.choices["estimate"].add_mutually_exclusive_group(required=True),
+        "--t --sweep")
+    sub.choices["bound"].set_defaults(method="bound")
     return parser
 
 
 def parse_and_run(argv=None) -> int:
-    """Run one command.  The parser is built on the first call and kept;
-    the handler is looked up by command name at each call."""
+    """Run one command; the parser is built on the first call and kept."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "estimate" and args.t is None \
-                and args.sweep is None:
-            raise ValidationError("estimate needs --t or --sweep")
-        return globals()[f"_cmd_{args.command}"](args)
-    except ValidationError as exc:
-        sys.stderr.write(f"error: validation: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
+        args.run(args)
+        return 0
+    except (ValidationError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: validation: {exc}\n")
         return 1
     except NumericalContractError as exc:

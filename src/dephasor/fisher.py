@@ -82,7 +82,8 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     p_j + p_k < 1e-10 contribute nothing; ``truncated_rank`` counts the
     eigenvalues whose diagonal pair fell below the cutoff, the n - k
     zeros off a k-column support among them.  A ``drho`` written like
-    ``rho`` is solved on the block, anything else on dense matrices.
+    ``rho`` is solved on the block, anything else on dense matrices.  A
+    QFI past the float range is a NumericalContractError.
     """
     check_parameter(parameter)
     basis, support = rho.basis, rho.support
@@ -109,8 +110,12 @@ def sld_and_qfi(rho: DensityMatrix, drho, parameter: str = "time"
     if not np.any(keep):
         raise ValidationError("all eigenvalue pairs fall below the SLD cutoff")
     lam = np.zeros_like(dd)
-    lam[keep] = 2.0 * dd[keep] / sums[keep]
-    qfi = float(np.sum(w[:, None] * np.abs(lam) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lam[keep] = 2.0 * dd[keep] / sums[keep]
+        qfi = float(np.sum(w[:, None] * np.abs(lam) ** 2))
+    # a finite QFI bounds every kept lam, so the SLD below is finite too
+    if not math.isfinite(qfi):
+        raise NumericalContractError("the SLD QFI is past the float range")
     off = rho.dim - len(w)  # zeros off the support
     truncated = off + int(np.sum(2.0 * w < SLD_PAIR_CUTOFF))
 

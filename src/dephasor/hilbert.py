@@ -150,15 +150,13 @@ class SupportBlock:
 def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
     """Check a (samples, k, k) stack of state blocks on a dim-n space.
 
-    Per block, in order: finite entries, Hermiticity defect, trace, the
-    Gershgorin screen and, where it fails, the least eigenvalue; the
-    first failing block raises the ValidationError of its first failing
-    check, with ``lows``, those before it.  Returns each block's least
-    eigenvalue (at most 0 off a full support) from one ``eigvalsh``."""
+    Per block, in order: finite entries, Hermiticity defect, trace and
+    least eigenvalue; the first failing block raises the ValidationError
+    of its first failing check, with ``lows``, those before it.  Returns
+    each block's least eigenvalue (at most 0 off a full support) from
+    one ``eigvalsh``."""
     defect = hermiticity_defect(a)
     tr = a.trace(axis1=1, axis2=2)
-    d = a.diagonal(axis1=1, axis2=2)  # Gershgorin: cheap, sufficient
-    screen = (d.real - (np.abs(a).sum(axis=2) - np.abs(d))).min(axis=1)
     fails = [~np.isfinite(a.view(float)).all(axis=(1, 2)),
              defect > HERMITICITY_TOL, np.abs(tr - 1.0) > TRACE_TOL]
     ok = ~np.logical_or.reduce(fails)
@@ -166,7 +164,7 @@ def _check_states(a: np.ndarray, dim: int, positivity_tol: float) -> list:
     low[ok] = np.linalg.eigvalsh(a if ok.all() else a[ok])[:, 0]
     if a.shape[1] < dim:  # min(low, 0.0), signed zeros included
         low = np.where(low > 0.0, 0.0, low)
-    fails.append((screen < -positivity_tol) & (low < -positivity_tol))
+    fails.append(low < -positivity_tol)
     bad = np.logical_or.reduce(fails)
     if bad.any():
         i = int(np.argmax(bad))

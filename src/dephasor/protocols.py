@@ -237,7 +237,9 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
 
     A constant rate and a linear ramp are linear in their rate value g:
     their rate, dose and right rate are g times those at g = 1.  So the
-    unit schedule is evaluated once and scaled by each row's g."""
+    unit schedule is evaluated once and scaled by each row's g.  A row
+    with g = 0 is the noiseless schedule: its rate, dose and jump are 0,
+    also where the unit dose is inf (not 0 x inf = NaN)."""
     unit = _rate_schedule(rate_key, 1.0, t0)
     g = np.asarray(rates, dtype=float)[:, None]
     if not ((g >= 0.0) & (g < math.inf)).all():
@@ -246,7 +248,10 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
     with np.errstate(over="ignore"):  # a dose past the float range: inf
         rate, dose = schedule_eval(unit, ts)
         jump = unit.rate_right(ts) - rate
-        return ratio_law(spec, parameter, g * rate, g * dose, ts, g * jump)
+        # only the unit dose can be inf: the unit rate and jump are finite
+        dose = np.multiply(g, dose, out=np.zeros((len(g), len(ts))),
+                           where=g > 0.0)
+        return ratio_law(spec, parameter, g * rate, dose, ts, g * jump)
 
 
 def heatmap_scan(grid: GridSpec, parameter: str) -> HeatmapTable:

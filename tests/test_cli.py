@@ -370,6 +370,24 @@ def test_evolve_overflow_prints_one_stderr_line():
     (["scan", "--param", "time", "--grid", "x=t:1e-156:2e-156:2;"
       "y=gamma:1e150:2e150:2;scale=log;deltaE=100;deltaL=100", "--out",
       "{tmp}/r.csv"], 0, ""),
+    # a zero-rate row where the unit ramp's dose is inf: the noiseless
+    # schedule, not 0 x inf
+    (["scan", "--param", "time", "--grid",
+      "x=t:0:1e300:2;y=gamma_dot:0:1:2;scale=linear", "--out",
+      "{tmp}/z.csv"], 0, ""),
+    (["optimize", "--model", NOON2, "--param", "time", "--box",
+      "t=1e20:1e300;gamma_dot=0", "--schedule-kind", "linear_ramp",
+      "--t0=1"], 0, ""),
+    (["optimize", "--model", NOON2, "--param", "omega", "--box",
+      "t=1e20:1e300;gamma_dot=0", "--schedule-kind", "linear_ramp",
+      "--t0=1"], 0, ""),
+    # an SLD QFI past the float range, as the closed form reports it
+    (["qfi", "--model", GHZ2, "--schedule", "const:1e300", "--t=1e-310",
+      "--param", "time", "--method", "numeric"], 2,
+     "error: numerical-contract:"),
+    (["qfi", "--model", GHZ2, "--schedule", "const:1e160", "--t=1e-310",
+      "--param", "time", "--method", "numeric"], 2,
+     "error: numerical-contract:"),
 ])
 def test_extreme_floats_end_in_the_contract_without_warnings(capsys, argv,
                                                              code, err,
@@ -382,6 +400,7 @@ def test_extreme_floats_end_in_the_contract_without_warnings(capsys, argv,
     assert got == code
     assert [str(w.message) for w in seen] == []
     assert "NaN" not in captured.out
+    assert not [p for p in tmp_path.iterdir() if b"NaN" in p.read_bytes()]
     if code:
         assert captured.out == ""
         assert captured.err.startswith(err)
@@ -585,7 +604,28 @@ def test_estimate_needs_time_or_sweep(capsys):
     code, _, err = run_cli(capsys, "estimate", "--model", GHZ2,
                            "--schedule", "const:0.1", "--param", "time")
     assert code == 1
-    assert "needs --t or --sweep" in err
+    assert "one of the arguments --t --sweep is required" in err
+
+
+def test_estimate_takes_only_one_of_time_and_sweep(capsys):
+    # --t used to be dropped without a word when --sweep was given
+    code, out, err = run_cli(capsys, "estimate", "--model", GHZ2,
+                             "--schedule", "const:1", "--param", "time",
+                             "--t", "0.5", "--sweep", "0:1:3")
+    assert code == 1 and out == ""
+    assert err == ("error: validation: dephasor estimate: argument --sweep: "
+                   "not allowed with argument --t\n")
+
+
+@pytest.mark.parametrize("dt", ["1e-3", "nan"])
+def test_qfi_analytic_rejects_a_step(capsys, dt):
+    # the closed form takes no step: --dt used to be dropped, even --dt nan
+    code, out, err = run_cli(capsys, "qfi", "--model", GHZ2, "--schedule",
+                             "const:1", "--t", "0.5", "--param", "time",
+                             "--method", "analytic", f"--dt={dt}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: validation: ") and "--dt" in err
+    assert err.count("\n") == 1
 
 
 # -------------------------------------------------------------------- scan
@@ -795,25 +835,29 @@ def test_commands_back_to_back_print_what_they_print_alone(capsys):
 
 PARAMS = ("time", "omega")
 REQUIRED = (True, None, None)
-OUT = (False, None, None)
+OPTIONAL = (False, None, None)
 CLI_SURFACE = {
-    "validate": {"--model": REQUIRED, "--out": OUT},
+    "validate": {"--model": REQUIRED, "--out": OPTIONAL},
     "evolve": {"--model": REQUIRED, "--schedule": REQUIRED, "--t": REQUIRED,
-               "--dt": OUT, "--samples": (False, 101, None), "--out": OUT},
+               "--dt": OPTIONAL, "--samples": (False, 101, None),
+               "--out": OPTIONAL},
     "qfi": {"--model": REQUIRED, "--schedule": REQUIRED, "--t": REQUIRED,
-            "--param": (True, None, PARAMS), "--dt": OUT, "--out": OUT,
+            "--param": (True, None, PARAMS), "--dt": OPTIONAL,
+            "--out": OPTIONAL,
             "--method": (False, "analytic",
                          ("analytic", "numeric", "bound"))},
     "bound": {"--model": REQUIRED, "--schedule": REQUIRED, "--t": REQUIRED,
-              "--param": (True, None, PARAMS), "--dt": OUT, "--out": OUT},
+              "--param": (True, None, PARAMS), "--dt": OPTIONAL,
+              "--out": OPTIONAL},
     "estimate": {"--model": REQUIRED, "--schedule": REQUIRED,
-                 "--param": (True, None, PARAMS), "--t": OUT,
-                 "--sweep": OUT, "--out": OUT},
+                 "--param": (True, None, PARAMS), "--t": OPTIONAL,
+                 "--sweep": OPTIONAL, "--out": OPTIONAL},
     "scan": {"--param": (True, None, PARAMS),
              "--grid": (False, "default_fig1", None), "--out": REQUIRED,
-             "--svg": OUT},
+             "--svg": OPTIONAL},
     "optimize": {"--model": REQUIRED, "--param": (True, None, PARAMS),
-                 "--box": REQUIRED, "--t0": (False, 0.0, None), "--out": OUT,
+                 "--box": REQUIRED, "--t0": (False, 0.0, None),
+                 "--out": OPTIONAL,
                  "--schedule-kind": (False, "constant",
                                      ("constant", "linear_ramp"))},
 }
@@ -835,7 +879,7 @@ def test_unexpected_exception_exits_3_with_one_line(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("dephasor.cli._cmd_validate", broken)
+    monkeypatch.setattr("dephasor.cli.cat_spec_for", broken)
     code, out, err = run_cli(capsys, "validate", "--model", GHZ2)
     assert code == 3 and out == ""
     assert err == "error: internal: RuntimeError: boom\n"

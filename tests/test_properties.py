@@ -43,6 +43,11 @@ the one a double loop over neighbouring cells finds.  Random tables and
 float columns (subnormals, 1 and its predecessor, the largest doubles,
 inf, every bit pattern) check that the scan CSV, the SVG cell grid and
 the sweep/evolve CSV writer give the text of a plain row and cell loop.
+
+Random argv of every subcommand, with numbers from extreme and ordinary
+values in every option and inline grammar, check the CLI contract: exit
+0 with empty stderr, or exit 1 or 2 with one ``error:`` line, and never
+a warning, nor a NaN on stdout or in an output file.
 """
 
 import contextlib
@@ -50,6 +55,7 @@ import io
 import math
 import pathlib
 import re
+import tempfile
 import types
 import warnings
 
@@ -1326,12 +1332,31 @@ def test_cli_csv_equals_the_row_loop(rows, width, seed):
 
 # ------------------------------------------------ the CLI contract over argv
 
+# extreme values, then ordinary ones, so that draws also reach exit 0
 ARGV_FLOATS = ("0", "-0.0", "5e-324", "1e-310", "1e-200", "1e-150", "0.5",
                "1", "2", "3.7", "1e20", "1e300", "1.7e308", "inf", "-inf",
-               "nan", "-1")
+               "nan", "-1", "0.01", "0.1", "0.2", "0.25", "0.75", "1.5",
+               "2.5", "3", "4", "5", "8", "10", "20", "50", "100")
 MODEL_FILES = [str(pathlib.Path(__file__).resolve().parents[1] / "models"
                    / name) for name in ("ghz2.json", "ghz3.json",
                                         "noon2.json")]
+
+
+@st.composite
+def schedule_texts(draw, num):
+    """Every ``--schedule`` variant, with numbers drawn from ``num``."""
+    kind = draw(st.sampled_from(("const", "ramp", "pw")))
+    if kind == "pw":
+        return "pw:" + ";".join(f"{draw(num)}:{draw(num)}"
+                                for _ in range(draw(st.integers(2, 3))))
+    schedule = f"{kind}:{draw(num)}"
+    if draw(st.booleans()):
+        schedule += f",t0={draw(num)}"
+    return schedule
+
+
+def out_flag(draw):
+    return ["--out", "{tmp}/o.out"] if draw(st.booleans()) else []
 
 
 @st.composite
@@ -1340,17 +1365,10 @@ def rk4_argv(draw):
     schedule variant and every float from extreme values; ``--t=<v>``
     keeps a value like -inf from reading as an option."""
     num = st.sampled_from(ARGV_FLOATS)
-    kind = draw(st.sampled_from(("const", "ramp", "pw")))
-    if kind == "pw":
-        schedule = "pw:" + ";".join(f"{draw(num)}:{draw(num)}"
-                                    for _ in range(draw(st.integers(2, 3))))
-    else:
-        schedule = f"{kind}:{draw(num)}"
-        if draw(st.booleans()):
-            schedule += f",t0={draw(num)}"
+    schedule = draw(schedule_texts(num))
     command = draw(st.sampled_from(("evolve", "qfi", "bound")))
     argv = [command, "--model", draw(st.sampled_from(MODEL_FILES)),
-            "--schedule", schedule, f"--t={draw(num)}"]
+            "--schedule", schedule, f"--t={draw(num)}", *out_flag(draw)]
     if draw(st.booleans()):
         argv.append(f"--dt={draw(num)}")
     if command == "evolve":
@@ -1361,6 +1379,75 @@ def rk4_argv(draw):
         argv += ["--method", draw(st.sampled_from(("numeric", "bound",
                                                    "analytic")))]
     return argv
+
+
+@st.composite
+def closed_form_argv(draw):
+    """argv of ``validate``, ``estimate``, ``scan`` and ``optimize``, with
+    every inline grammar; counts beyond the row cap, or not integers, are
+    drawn too, and ``estimate`` sometimes gets both --t and --sweep."""
+    num = st.sampled_from(ARGV_FLOATS)
+    count = st.sampled_from(("2", "3", "4", "5", "0", "1", "3.0", "2097152"))
+
+    def span():  # two numbers, mostly in order, as lo:hi
+        return ":".join(sorted((draw(num), draw(num)), key=float))
+
+    command = draw(st.sampled_from(("validate", "estimate", "scan",
+                                    "optimize")))
+    model = ["--model", draw(st.sampled_from(MODEL_FILES))]
+    if command == "validate":
+        return ["validate", *model, *out_flag(draw)]
+    param = ["--param", draw(st.sampled_from(PARAMS))]
+    if command == "estimate":
+        argv = ["estimate", *model, "--schedule", draw(schedule_texts(num)),
+                *param, *out_flag(draw)]
+        given = draw(st.sampled_from(("t", "sweep", "both")))
+        if given != "sweep":
+            argv.append(f"--t={draw(num)}")
+        if given != "t":
+            argv += ["--sweep", f"{span()}:{draw(count)}"]
+        return argv
+    if command == "scan":
+        fields = [f"{axis}={draw(st.sampled_from(names))}:{span()}:"
+                  f"{draw(count)}"
+                  for axis, names in (("x", X_AXES),
+                                      ("y", ("gamma", "gamma_dot")))]
+        fields += [f"{key}={draw(num)}" for key in ("deltaE", "deltaL",
+                                                    "omega", "t0")
+                   if draw(st.booleans())]
+        fields.append(f"scale={draw(st.sampled_from(('log', 'linear')))}")
+        argv = ["scan", *param, "--grid", ";".join(fields), "--out",
+                "{tmp}/o.csv"]
+        return argv + (["--svg", "{tmp}/o.svg"] if draw(st.booleans())
+                       else [])
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    box = ";".join(f"{key}={span() if draw(st.booleans()) else draw(num)}"
+                   for key in ("t", KINDS[kind]))
+    argv = ["optimize", *model, *param, "--box", box, "--schedule-kind",
+            kind, *out_flag(draw)]
+    return argv + ([f"--t0={draw(num)}"] if draw(st.booleans()) else [])
+
+
+def check_cli_contract(argv):
+    """Exit 0 with empty stderr, or exit 1 or 2 with one "error: " line;
+    never a warning, or a NaN on stdout or in an output file."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        with warnings.catch_warnings(record=True) as seen, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = parse_and_run([a.format(tmp=tmp) for a in argv])
+        files = [p.read_bytes() for p in pathlib.Path(tmp).iterdir()]
+    assert code in (0, 1, 2)
+    assert [str(w.message) for w in seen] == []
+    assert "NaN" not in out.getvalue()
+    assert not [text for text in files if b"NaN" in text]
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""
 
 
 @settings(max_examples=300)
@@ -1374,19 +1461,45 @@ def rk4_argv(draw):
           "--t=4", "--dt=0.5", "--samples", "3"])
 @example(["qfi", "--model", MODEL_FILES[0], "--schedule", "const:0.5",
           "--t=2", "--dt=0.5", "--param", "time", "--method", "numeric"])
+# --dt under the closed form used to be dropped, even --dt=nan
+@example(["qfi", "--model", MODEL_FILES[0], "--schedule", "const:1",
+          "--t=0.5", "--dt=1e-3", "--param", "time", "--method", "analytic"])
+@example(["qfi", "--model", MODEL_FILES[0], "--schedule", "const:1",
+          "--t=0.5", "--dt=nan", "--param", "time", "--method", "analytic"])
+# an SLD QFI past the float range: overflow warnings, then exit 1 or an
+# Infinity on exit 0
+@example(["qfi", "--model", MODEL_FILES[0], "--schedule", "const:1e300",
+          "--t=1e-310", "--param", "time", "--method", "numeric"])
 def test_rk4_commands_end_in_the_cli_contract(argv):
-    # exit 0 with empty stderr, or exit 1 or 2 with one "error: " line;
-    # never a warning or a NaN on stdout
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as seen, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = parse_and_run(argv)
-    assert code in (0, 1, 2)
-    assert [str(w.message) for w in seen] == []
-    assert "NaN" not in out.getvalue()
-    if code:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    else:
-        assert err.getvalue() == ""
+    check_cli_contract(argv)
+
+
+@settings(max_examples=300)
+@given(closed_form_argv())
+# a zero-rate row where the unit ramp's dose is inf used to be 0 x inf
+@example(["scan", "--param", "time", "--grid",
+          "x=t:0:1e300:2;y=gamma_dot:0:1:2;scale=linear", "--out",
+          "{tmp}/z.csv"])
+@example(["optimize", "--model", MODEL_FILES[2], "--param", "time", "--box",
+          "t=1e20:1e300;gamma_dot=0", "--schedule-kind", "linear_ramp",
+          "--t0=1"])
+@example(["optimize", "--model", MODEL_FILES[2], "--param", "omega", "--box",
+          "t=1e20:1e300;gamma_dot=0", "--schedule-kind", "linear_ramp",
+          "--t0=1"])
+# --t used to be dropped when --sweep was given
+@example(["estimate", "--model", MODEL_FILES[0], "--schedule", "const:1",
+          "--param", "time", "--t=0.5", "--sweep", "0:1:3"])
+# earlier repros: a non-finite box bound, a subnormal QFI's inverse, a
+# ramp dose past the float range, an axis division before the checks
+@example(["optimize", "--model", MODEL_FILES[1], "--param", "time", "--box",
+          "t=2:inf;gamma=0.5:1", "--schedule-kind", "constant", "--t0=0.5"])
+@example(["estimate", "--model", MODEL_FILES[0], "--schedule", "ramp:1e300",
+          "--param", "omega", "--t=1e-310"])
+@example(["optimize", "--model", MODEL_FILES[2], "--param", "omega", "--box",
+          "t=0:1.7e308;gamma_dot=3.7:1e300", "--schedule-kind",
+          "linear_ramp"])
+@example(["scan", "--param", "omega", "--grid", "x=omega_t:-1:1e20:2;"
+          "y=gamma_dot:5e-324:1:2;scale=linear;deltaE=3.7;deltaL=1.7e308;"
+          "omega=1e-310;t0=0", "--out", "{tmp}/o.csv"])
+def test_closed_form_commands_end_in_the_cli_contract(argv):
+    check_cli_contract(argv)

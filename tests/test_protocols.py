@@ -1,6 +1,7 @@
 """Advantage ratios, operating points, heatmap scans, optimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -424,3 +425,26 @@ def test_scan_rejects_a_negative_rate_row():
                         scale="linear", spec=spec)
         with pytest.raises(ValidationError, match="nonnegative and finite"):
             heatmap_scan(grid, "time")
+
+
+@pytest.mark.parametrize("parameter", ["time", "omega"])
+def test_a_zero_rate_row_is_the_noiseless_schedule(parameter):
+    # past t ~ 1.9e154 the unit ramp's dose overflows to inf, which a zero
+    # row scaled to 0 x inf = NaN, a contract error on finite cells
+    spec = CatSpec(delta_e=2.0, delta_l=2.0, omega=1.0)
+
+    def scan(y_min, y_steps):
+        grid = GridSpec(x_name="t", x_min=0.0, x_max=1e300, x_steps=3,
+                        y_name="gamma_dot", y_min=y_min, y_max=2.0,
+                        y_steps=y_steps, scale="linear", spec=spec, t0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return grid.x_values(), heatmap_scan(grid, parameter).ratios
+
+    ts, table = scan(0.0, 3)
+    quiet = advantage_ratio(spec, NoiseSchedule.linear_ramp(0.0, t0=1.0), ts,
+                            parameter)
+    assert table[0].tolist() == quiet.tolist()
+    assert table[0, -1] == 1.0
+    # the other rows keep every bit
+    assert table[1:].tobytes() == scan(1.0, 2)[1].tobytes()
