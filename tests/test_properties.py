@@ -1362,7 +1362,7 @@ def out_flag(draw):
 @st.composite
 def rk4_argv(draw):
     """argv of ``evolve``, ``qfi`` and ``bound``: a shipped model, every
-    schedule variant and every float from extreme values; ``--t=<v>``
+    schedule variant and every float from ``ARGV_FLOATS``; ``--t=<v>``
     keeps a value like -inf from reading as an option."""
     num = st.sampled_from(ARGV_FLOATS)
     schedule = draw(schedule_texts(num))
@@ -1401,10 +1401,10 @@ def closed_form_argv(draw):
     if command == "estimate":
         argv = ["estimate", *model, "--schedule", draw(schedule_texts(num)),
                 *param, *out_flag(draw)]
-        given = draw(st.sampled_from(("t", "sweep", "both")))
-        if given != "sweep":
+        times = draw(st.sampled_from(("t", "sweep", "both")))
+        if times != "sweep":
             argv.append(f"--t={draw(num)}")
-        if given != "t":
+        if times != "t":
             argv += ["--sweep", f"{span()}:{draw(count)}"]
         return argv
     if command == "scan":
