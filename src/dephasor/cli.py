@@ -198,25 +198,12 @@ def _cmd_estimate(args):
     if sweep:
         ts = np.linspace(*sweep)
         columns = estimators.signal_statistics(spec, schedule, ts,
-                                               args.param)[1:]
-        columns += (_one_over_qfi(spec, schedule, ts, args.param),)
+                                               args.param)[1:6]
         _emit(_csv("t,mean,var_O,d_mean,var_estimator,one_over_qfi",
                    (ts, *columns)), args.out)
         return
-    rep = estimators.estimator_variance(spec, schedule, args.t, args.param)
-    doc = rep.to_dict()
-    doc["one_over_qfi"] = _one_over_qfi(spec, schedule, args.t, args.param)
-    doc["saturation_ratio"] = estimators.saturation_ratio(
-        spec, schedule, args.t, args.param)
-    _emit(_json_text(doc), args.out)
-
-
-@np.errstate(divide="ignore", over="ignore")
-def _one_over_qfi(spec: CatSpec, schedule: NoiseSchedule, t, param: str):
-    """1/F: 0 at the onset, inf where F is 0, past the range an error."""
-    qfi = fisher.law_at(fisher.qfi_law, spec, schedule, t, param)
-    return dynamics.scalar_or_array(t, fisher.require_finite(
-        np.divide(1.0, qfi), qfi == 0.0))
+    _emit(_json_text(estimators.estimator_variance(
+        spec, schedule, args.t, args.param).to_dict()), args.out)
 
 
 def _parse_sweep(text: str) -> tuple[float, float, int]:

@@ -325,44 +325,6 @@ def ratio_law(spec: CatSpec, parameter: str, rate, dose, t, onset_rate=0.0):
 
 
 @_quiet
-def signal_law(spec: CatSpec, dose, t):
-    """Parity signal <O> = cos(dE t) e^{-dL^2 Gamma}."""
-    return require_finite(np.cos(spec.delta_e * np.asarray(t, dtype=float))
-                          * np.exp(-spec.delta_l ** 2 * np.asarray(dose)))
-
-
-@_quiet
-def signal_derivative_law(spec: CatSpec, parameter: str, rate, dose, t):
-    """d<O>/d lambda = -e^{-dL^2 Gamma} (a dE sin(dE t) + b dL^2 cos(dE t))
-    with (a, b) from ``derivative_coefficients``; for omega dL = dE, and
-    the envelope picks up its omega dependence through dE = w d_eps.
-    Where b is subnormal, b dL^2 is (b / Gamma) dL^2 Gamma, with b / Gamma
-    b at (rate / Gamma, 1), as in ``_cat_law``: b = 2 Gamma / omega
-    rounds there.  Past the float range each term is taken from logs
-    (see ``_decayed``).
-    """
-    t, dose = np.asarray(t, dtype=float), np.asarray(dose, dtype=float)
-    a, b = derivative_coefficients(parameter, spec.omega, rate, dose, t)
-    de, dl2, phase = spec.delta_e, spec.delta_l ** 2, spec.delta_e * t
-    sin, cos = np.sin(phase), np.cos(phase)
-    x = dl2 * dose
-    noise = b * dl2
-    lossy = (0.0 < b) & (b < _TINY)
-    if np.any(lossy):
-        scaled = derivative_coefficients(parameter, spec.omega, rate / dose,
-                                         1.0, t)[1] * dl2 * dose
-        noise = np.where(lossy & np.isfinite(scaled), scaled, noise)
-
-    def from_logs(pick):
-        return sum(np.sign(pick(wave)) * np.exp(
-            np.log(pick(c)) + np.log(np.abs(pick(wave))) + np.log(f)
-            - pick(x)) for c, f, wave in ((a, de, sin), (b, dl2, cos)))
-
-    return require_finite(-_decayed(x, a * de * sin + noise * cos,
-                                    from_logs))
-
-
-@_quiet
 def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
     """``qfi_law`` or ``ratio_law`` on a schedule, at a time or an array
     of times, with the rate's jump at t as ``onset_rate``; a scalar time

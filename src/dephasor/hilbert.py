@@ -496,51 +496,21 @@ def _cat_block(basis=None, support=None, dim=None) -> DensityMatrix:
                                   positivity_tol=POSITIVITY_TOL)[0]
 
 
-def cat_initial_state(model_or_spec, branch_vectors=None) -> DensityMatrix:
+def cat_initial_state(model_or_spec) -> DensityMatrix:
     """Equal superposition of the two branch states, as a density matrix.
 
-    With a CatSpec the state lives on the 2-dimensional branch space.
-    With a SensorModel it is either the 2 x 2 block on the model's
-    branch columns of its eigenbasis, or a dense matrix on explicitly
-    supplied orthonormal eigenvector columns.  The block is the constant
+    With a CatSpec the state lives on the 2-dimensional branch space;
+    with a SensorModel it is the 2 x 2 block on the model's branch
+    columns of its eigenbasis.  The block is the constant
     [[1/2, 1/2], [1/2, 1/2]], whose least eigenvalue is 0 exactly, so
-    only its basis, support and dimension are checked per call; the
-    dense matrix takes every state check.
+    only its basis, support and dimension are checked per call.
     """
     if isinstance(model_or_spec, CatSpec):
-        if branch_vectors is not None:
-            raise ValidationError("branch vectors only apply to models")
         return _cat_block()
     model = model_or_spec
     if not isinstance(model, SensorModel):
         raise ValidationError("expected a CatSpec or SensorModel")
-    if branch_vectors is None:
-        return _cat_block(model.basis, model.branch_indices, model.dim)
-    v0 = np.asarray(branch_vectors[0], dtype=complex).reshape(-1)
-    v1 = np.asarray(branch_vectors[1], dtype=complex).reshape(-1)
-    if v0.shape != (model.dim,) or v1.shape != (model.dim,):
-        raise ValidationError("branch vectors have the wrong dimension")
-    g00 = abs(np.vdot(v0, v0) - 1.0)
-    g11 = abs(np.vdot(v1, v1) - 1.0)
-    g01 = abs(np.vdot(v0, v1))
-    if max(g00, g11, g01) > 1e-10:
-        raise ValidationError(
-            f"branch vectors are not orthonormal "
-            f"(defects {g00:.3e}, {g11:.3e}, {g01:.3e})")
-    hmat = model.hamiltonian()
-    for v in (v0, v1):
-        hv = hmat @ v
-        e = np.vdot(v, hv)
-        resid = float(np.sqrt(np.sum(np.abs(hv - e * v) ** 2)))
-        if resid > 1e-8 * max(1.0, abs(e)):
-            raise ValidationError(
-                f"branch vectors must be H eigenvectors "
-                f"(residual {resid:.3e})")
-    # Expanded form keeps standard-basis branches at exactly 0.5 per
-    # entry; squaring 1/sqrt(2) would leave rounding dust on the trace.
-    rho = 0.5 * (np.outer(v0, v0.conj()) + np.outer(v0, v1.conj())
-                 + np.outer(v1, v0.conj()) + np.outer(v1, v1.conj()))
-    return DensityMatrix(rho)
+    return _cat_block(model.basis, model.branch_indices, model.dim)
 
 
 def operator_expectation(op: Operator, rho: DensityMatrix) -> tuple[float, float]:
@@ -551,8 +521,7 @@ def operator_expectation(op: Operator, rho: DensityMatrix) -> tuple[float, float
     """
     if not isinstance(op, Operator):
         op = Operator(op, hermitian=True)
-    if hermiticity_defect(op.matrix) > HERMITICITY_TOL:
-        raise ValidationError("expectation requires a Hermitian operator")
+    op = _hermitian(op, "expectation operator")
     if op.dim != rho.dim:
         raise ValidationError("operator and state dimensions differ")
     m = op.matrix @ rho.matrix

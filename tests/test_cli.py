@@ -345,12 +345,13 @@ def test_evolve_overflow_prints_one_stderr_line():
       "--out", "{tmp}/o.csv"], 1, "error: validation:"),
     (["estimate", "--model", GHZ2, "--schedule", "const:1", "--sweep",
       "0:inf:3", "--param", "time"], 1, "error: validation:"),
-    # the envelope underflows where b dL^2 = inf or is huge: d<O>/dt is
-    # about 0, each term taken from logs, not 0 x inf
-    (["estimate", "--model", GHZ2, "--schedule", "const:1e308", "--t", "1",
-      "--param", "time"], 0, ""),
+    # the envelope underflows where b dL^2 = inf or is huge (x = 2000
+    # and 1600): d<O>/dt and var(O) / (d<O>/dt)^2 = expm1(x) / N^2 are
+    # finite, formed as mantissa and power of 2, not 0 x inf or inf / inf
     (["estimate", "--model", GHZ2, "--schedule", "const:1e308", "--t",
-      "1e-300", "--param", "time"], 0, ""),
+      "2.5e-306", "--param", "time"], 0, ""),
+    (["estimate", "--model", GHZ2, "--schedule", "const:1e300", "--t",
+      "2e-298", "--param", "time"], 0, ""),
     # box bounds are checked where they are parsed, before any linspace
     (["optimize", "--model", GHZ3, "--param", "time", "--box",
       "t=2:inf;gamma=0.5:1", "--schedule-kind", "constant", "--t0", "0.5"],
@@ -388,6 +389,12 @@ def test_evolve_overflow_prints_one_stderr_line():
     (["qfi", "--model", GHZ2, "--schedule", "const:1e160", "--t=1e-310",
       "--param", "time", "--method", "numeric"], 2,
      "error: numerical-contract:"),
+    # var(O) / (d<O>/dt)^2 = e^x / N^2 past the float range (x = 8e308
+    # and 8e8), where d<O>/dt underflows to 0: not inf flagged as diverged
+    (["estimate", "--model", GHZ2, "--schedule", "const:1e308", "--t", "1",
+      "--param", "time"], 2, "error: numerical-contract:"),
+    (["estimate", "--model", GHZ2, "--schedule", "const:1e308", "--t",
+      "1e-300", "--param", "time"], 2, "error: numerical-contract:"),
 ])
 def test_extreme_floats_end_in_the_contract_without_warnings(capsys, argv,
                                                              code, err,

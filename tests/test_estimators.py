@@ -77,21 +77,27 @@ def test_stationary_signal_diverges_cleanly():
     assert rep.diverged
     assert math.isinf(saturation_ratio(spec, quiet, 0.0, "time"))
     # at a noise-free extremum both var(O) and the derivative go to
-    # zero together; the quotient stays finite instead of blowing up
+    # zero together; the quotient stays finite instead of blowing up.
+    # The float phase fl(pi) is not a node: var(O) = sin(fl(pi))^2 and
+    # var(O) / (d<O>/dt)^2 = 1 / dE^2, with nothing cancelled
     near = estimator_variance(spec, quiet, math.pi / 2.0, "time")
-    assert near.variance_o == 0.0
+    assert near.variance_o == pytest.approx(math.sin(math.pi) ** 2,
+                                            rel=1e-15)
+    assert near.variance_estimator == pytest.approx(0.25, rel=1e-15)
     assert not near.diverged
 
 
 @pytest.mark.parametrize("t", [5e-324, 1e-200, 1e-170])
 def test_estimator_variance_survives_an_underflowing_slope(t):
     # d<O>/dt = -dE^2 t is nonzero but its square leaves the normal
-    # range, and var(O) = 1 - <O>^2 rounds to 0: the quotient is 0, not
-    # 0/0 (a NaN) or 0/subnormal
+    # range, and var(O) = sin(dE t)^2 underflows to 0: the quotient is
+    # (sin(dE t) / N)^2 = 1 / dE^2, formed without the square, not 0/0
+    # (a NaN) or 0/subnormal
     spec = CatSpec(delta_e=3.0, delta_l=3.0, omega=1.0)
     rep = estimator_variance(spec, NoiseSchedule.constant(0.0), t, "time")
     assert rep.d_mean != 0.0 and rep.d_mean ** 2 < 2.3e-308
-    assert rep.variance_o == 0.0 and rep.variance_estimator == 0.0
+    assert rep.variance_o == 0.0
+    assert rep.variance_estimator == pytest.approx(1.0 / 9.0, rel=1e-15)
     assert not rep.diverged
 
 

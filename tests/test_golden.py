@@ -105,6 +105,13 @@ CASES = {
     "estimate-noon2-omega": (
         ["estimate", "--model", NOON2, "--schedule", "ramp:1.5,t0=0.1",
          "--t", "0.8", "--param", "omega"], ("json",)),
+    # small t, where var(O) = 1 - <O>^2 would cancel: 0.25 and 2.5e199
+    "estimate-ghz2-small-t": (
+        ["estimate", "--model", GHZ2, "--schedule", "const:0",
+         "--t", "1e-9", "--param", "time"], ("json",)),
+    "estimate-ghz2-omega-small-t": (
+        ["estimate", "--model", GHZ2, "--schedule", "const:0",
+         "--t", "1e-100", "--param", "omega"], ("json",)),
     "sweep-ghz2-time": (
         ["estimate", "--model", GHZ2, "--schedule",
          "ramp:4,t0=1.362657674005472", "--param", "time",

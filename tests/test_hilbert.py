@@ -374,30 +374,6 @@ def test_cat_state_carries_its_eigenbasis_form(rng):
     assert np.max(np.abs(v @ m @ v.conj().T - rho.matrix)) <= 1e-15
 
 
-def test_cat_state_with_explicit_vectors():
-    model = build_sensor_model("qubit_network", 2, omega=1.0)
-    assert model.basis is None  # the computational basis
-    v0, v1 = np.eye(4)[1], np.eye(4)[2]
-    rho = cat_initial_state(model, branch_vectors=(v0, v1))
-    assert rho.matrix[1, 2] == pytest.approx(0.5)
-    assert rho.basis is None and rho.matrix is rho.array
-
-
-def test_cat_state_rejects_nonorthonormal_vectors():
-    model = build_sensor_model("qubit_network", 2, omega=1.0)
-    v = np.eye(4)[0]
-    with pytest.raises(ValidationError, match="orthonormal"):
-        cat_initial_state(model, branch_vectors=(v, v))
-
-
-def test_cat_state_rejects_non_eigenvectors():
-    model = build_sensor_model("qubit_network", 2, omega=1.0)
-    v0 = (np.eye(4)[0] + np.eye(4)[1]) / math.sqrt(2.0)
-    v1 = np.eye(4)[3]
-    with pytest.raises(ValidationError, match="eigenvector"):
-        cat_initial_state(model, branch_vectors=(v0, v1))
-
-
 # ------------------------------------------------------------- expectations
 
 def test_operator_expectation_known_values():
@@ -411,6 +387,13 @@ def test_operator_expectation_known_values():
     mean, var = operator_expectation(sz, rho)
     assert mean == pytest.approx(0.0, abs=1e-15)
     assert var == pytest.approx(1.0, abs=1e-15)
+
+
+def test_operator_expectation_rejects_an_unflagged_non_hermitian_operator():
+    rho = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+    shift = Operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(ValidationError, match="must be Hermitian"):
+        operator_expectation(shift, rho)
 
 
 def test_operator_expectation_dimension_mismatch():

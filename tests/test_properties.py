@@ -5,8 +5,10 @@ the scalar wrappers agree bit for bit, that the advantage ratio is the
 QFI over its noiseless baseline, that the ratio tends to 1 with the
 dose, and that the time QFI sits above its commutator lower bound.
 Log-uniform gaps, rates, doses and times, from subnormals to 1e300,
-check ``qfi_law`` and ``ratio_law`` against the plain laws in 60-digit
-mpmath, past the float range and at the onset too.
+check ``qfi_law``, ``ratio_law`` and the parity readout ``readout_law``
+(with the saturation ratio) against the plain laws in 60-digit mpmath,
+past the float range and at the onset too, and the saturation ratio
+never drops below 1.
 Random boxes check that the optimizer's result lies in the box,
 reproduces the scalar ratio, beats the coarse grid and is stationary,
 and random scan grids check the table rows against per-row ratios.
@@ -73,10 +75,9 @@ from dephasor import (CatSpec, DensityMatrix, EvolutionSpec, GridSpec,
                       trajectory)
 from dephasor.cli import _csv, parse_and_run
 from dephasor.dynamics import _pair_table, _rk4_gains
-from dephasor.estimators import signal_statistics
+from dephasor.estimators import readout_law, signal_statistics
 from dephasor.fisher import (decay_exponent, law_at, qfi_cat, qfi_closed,
                              qfi_law, qfi_lower_bound, ratio_law,
-                             signal_derivative_law, signal_law,
                              state_derivative)
 from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, X_AXES, HeatmapTable
 from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
@@ -191,7 +192,7 @@ def test_array_kernel_equals_scalar_wrappers(data, parameter):
          each(lambda t: qfi_cat(spec, sch, t, parameter).value)),
         (lambda: saturation_ratio(spec, sch, ts, parameter),
          each(lambda t: saturation_ratio(spec, sch, t, parameter))),
-        (lambda: signal_statistics(spec, sch, ts, parameter)[1],
+        (lambda: readout_law(spec, None, 0.0, sch.integral(ts), ts)[0],
          each(lambda t: observable_expectation(spec, sch, t).mean)),
     ]
     fields = ("mean", "variance_o", "d_mean", "variance_estimator")
@@ -309,17 +310,22 @@ def test_closed_forms_match_mpmath(parameter, law, de, dl, omega, rate,
 @settings(max_examples=1000)
 @given(st.sampled_from(PARAMS), log_uniform(-3.0, 3.0),
        log_uniform(-3.0, 3.0), log_uniform(-3.0, 3.0), WIDE,
-       st.one_of(st.just(0.0), WIDE), WIDE)
+       st.one_of(st.just(0.0), WIDE), log_uniform(-323.3, 300.0))
 # b = 2 Gamma / omega subnormal: b dL^2 lost 6e-12 relative
 @example("omega", 710.919846372015, 710.919846372015, 0.06968927696306627,
          1.0, 4.362139717e-315, 1.039202286834209e-308)
 def test_signal_laws_match_mpmath(parameter, de, dl, omega, rate, dose, t):
-    # <O> = cos(p) e^{-dL^2 Gamma} and d<O>/d lambda = -e^{-dL^2 Gamma}
-    # (a dE sin(p) + b dL^2 cos(p)) at 60 digits, at the float phase
-    # p = fl(dE t) the laws form, on the inputs of the closed-form
-    # property; within 1e-12 of the sum of the terms' magnitudes (within
-    # the smallest normal where that is subnormal), past the float range
-    # NumericalContractError
+    # the readout at 60 digits, at the float phase p = fl(dE t) the laws
+    # form, on the inputs of the closed-form property with t down to
+    # 5e-324: <O> = cos(p) e^{-x/2} and d<O>/d lambda = -e^{-x/2} N,
+    # N = a dE sin(p) + b dL^2 cos(p), within 1e-12 of the sum of the
+    # terms' magnitudes; var(O) = -expm1(-x) + e^{-x} sin(p)^2 and
+    # var(O) / (d<O>/d lambda)^2 within 1e-12 relative, the latter times
+    # the condition of N (1 where its terms share a sign), inf where N
+    # is 0; the saturation ratio F var(O) / (d<O>/d lambda)^2, with F
+    # from ``qfi_law``, likewise where both factors are in range.  Within
+    # the smallest normal where a value is subnormal; past the float
+    # range NumericalContractError
     mp = pytest.importorskip("mpmath").mp
     mp.dps = 60
     if parameter == "omega":
@@ -328,20 +334,55 @@ def test_signal_laws_match_mpmath(parameter, de, dl, omega, rate, dose, t):
     e, l, w, g, big_g, tt = (mp.mpf(v) for v in (de, dl, omega, rate, dose,
                                                    t))
     a, b = (1, g) if parameter == "time" else (tt / w, 2 * big_g / w)
-    p, decay = mp.mpf(de * t), mp.exp(-l ** 2 * big_g)
+    p, x = mp.mpf(de * t), 2 * l ** 2 * big_g
+    decay, sin2 = mp.exp(-x / 2), mp.sin(p) ** 2
     wave = (a * e * mp.sin(p), b * l ** 2 * mp.cos(p))
-    for law, want, scale in (
-            (lambda: signal_law(spec, dose, t), mp.cos(p) * decay,
-             abs(mp.cos(p)) * decay),
-            (lambda: signal_derivative_law(spec, parameter, rate, dose, t),
-             -decay * sum(wave), decay * sum(abs(v) for v in wave))):
+    slope = sum(wave)
+    cond = sum(abs(v) for v in wave) / abs(slope) if slope else 1
+    var_est = (mp.expm1(x) + sin2) / slope ** 2 if slope else mp.inf
+    qfi = (a * e) ** 2 + (b ** 2 * l ** 4 / -mp.expm1(-x) if dose else 0)
+    qfi *= mp.exp(-x)
+    wants = ((mp.cos(p) * decay, abs(mp.cos(p)) * decay),
+             (-mp.expm1(-x) + mp.exp(-x) * sin2, None),
+             (-decay * slope, decay * sum(abs(v) for v in wave)),
+             (var_est, None))
+    for want, scale in wants:
+        scale = abs(want) if scale is None else scale
         assume(abs(scale / FLOAT_MAX - 1) > 1e-12)  # not on the edge
-        if abs(want) > FLOAT_MAX:
-            with pytest.raises(NumericalContractError, match="non-finite"):
-                law()
+    if any(abs(want) > FLOAT_MAX and want != mp.inf for want, _ in wants):
+        with pytest.raises(NumericalContractError, match="non-finite"):
+            readout_law(spec, parameter, rate, dose, t)
+        return
+
+    def close(got, want, scale=None, rtol=1e-12):
+        scale = abs(want) if scale is None else scale
+        assert abs(got - want) <= (TINY if scale < TINY else rtol * scale)
+
+    got = readout_law(spec, parameter, rate, dose, t)
+    for value, (want, scale) in zip(got[:3], wants):
+        close(value, want, scale)
+    if var_est == mp.inf:
+        assert got[3] == math.inf
+        return
+    close(got[3], var_est, rtol=1e-12 * cond)
+    saturation = qfi * var_est
+    if TINY <= qfi <= FLOAT_MAX and TINY <= var_est and \
+            saturation < FLOAT_MAX * (1 - 1e-12):
+        close(qfi_law(spec, parameter, rate, dose, t) * got[3], saturation,
+              rtol=1e-12 * cond)
+
+
+@given(st.data(), st.sampled_from(PARAMS))
+def test_saturation_ratio_is_at_least_one(data, parameter):
+    # the Cramer-Rao bound: var(estimate) F >= 1 wherever it is finite
+    spec = data.draw(specs(energy=True if parameter == "omega" else None))
+    sch = data.draw(schedules())
+    for t in data.draw(time_grids(sch)):
+        try:
+            ratio = saturation_ratio(spec, sch, float(t), parameter)
+        except NumericalContractError:  # past the float range
             continue
-        got = law()
-        assert abs(got - want) <= (TINY if scale < TINY else 1e-12 * scale)
+        assert ratio >= 1.0 - 1e-12
 
 
 # ------------------------------------ ratio tables: scan and optimizer
