@@ -318,10 +318,13 @@ def _qubit_diagonal(n: int) -> np.ndarray:
 
 
 def _hermitian(op: Operator, name: str) -> Operator:
-    """``op``, checked and flagged Hermitian unless it is flagged so."""
-    if not op.hermitian and hermiticity_defect(op.matrix) > HERMITICITY_TOL:
-        raise ValidationError(f"{name} must be Hermitian")
-    return op if op.hermitian else Operator(op.matrix, hermitian=True)
+    """``op``, flagged Hermitian, checked once unless it is flagged so."""
+    if op.hermitian:
+        return op
+    try:
+        return Operator(op.matrix, hermitian=True)
+    except ValidationError:
+        raise ValidationError(f"{name} must be Hermitian") from None
 
 
 def _resolve_lindblad(h: Operator, omega: float, lindblad) -> Operator | None:
