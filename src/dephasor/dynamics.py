@@ -4,11 +4,12 @@ The equation of motion is
 
     d rho / dt = -i [H, rho] - gamma_t [L, [L, rho]]
 
-with Hermitian L commuting with H and a nonnegative, possibly
-time-dependent rate gamma_t that switches on at an onset time t0.
-Because H and L commute, every matrix element in their joint eigenbasis
-evolves independently: element (j, k) is multiplied by a gain that
-depends only on its pair (w, d) = (omega (e_j - e_k), (l_j - l_k)^2).
+with Hermitian L commuting with H and a nonnegative rate gamma_t of one
+law, ``NoiseSchedule``: linear between knots (t, g), then on with a tail
+slope, switched on after the first knot's time t0.  Because H and L
+commute, every matrix element in their joint eigenbasis evolves
+independently: element (j, k) is multiplied by a gain that depends only
+on its pair (w, d) = (omega (e_j - e_k), (l_j - l_k)^2).
 A state never leaves its support block, and all work is on that block
 (a cat state: 2 x 2, one distinct pair, at any dimension).  Each state
 is the initial block times its pairs' gains: ``evolve_exact`` takes
@@ -37,65 +38,52 @@ MAX_STEPS_DEFAULT = 10_000
 GAIN_BLOCK = 2 ** 14
 MAX_STEPS = 10 ** 8
 
-SCHEDULE_VARIANTS = ("constant", "linear_ramp", "piecewise_linear")
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Dephasing rate profile gamma_t with onset t0.
+    """Dephasing rate profile gamma_t: rate knots (t, g) and a tail slope.
 
-    Noise acts strictly after the onset: the reported rate is zero for
-    t <= t0.  Integrals are closed-form for all three variants.  Rates
-    and integrals broadcast over an array of times.
+    The first knot's time is the onset t0, and noise acts strictly after
+    it: the reported rate is zero for t <= t0.  Between knots the rate is
+    the line through them; after the last knot (t_L, g_L) it is
+    g_L + slope (t - t_L).  A constant rate g is the knot (t0, g) with
+    slope 0, a linear ramp the knot (t0, 0) with its slope.  Integrals
+    are closed-form; rates and integrals broadcast over an array of
+    times.
     """
 
-    variant: str
-    gamma: float = 0.0
-    gamma_dot: float = 0.0
-    t0: float = 0.0
-    knots: tuple[tuple[float, float], ...] = ()
+    knots: tuple[tuple[float, float], ...]
+    slope: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in SCHEDULE_VARIANTS:
-            raise ValidationError(f"unknown schedule variant {self.variant!r}")
-        if self.t0 < 0.0 or not math.isfinite(self.t0):
-            raise ValidationError("t0 must be nonnegative and finite")
-        if self.variant == "constant":
-            if self.gamma < 0.0 or not math.isfinite(self.gamma):
-                raise ValidationError("gamma must be nonnegative and finite")
-        elif self.variant == "linear_ramp":
-            if self.gamma_dot < 0.0 or not math.isfinite(self.gamma_dot):
-                raise ValidationError(
-                    "ramp slope must be nonnegative and finite")
-        else:
-            ks = self.knots
-            if len(ks) < 2:
-                raise ValidationError("piecewise schedule needs >= 2 knots")
-            for tk, gk in ks:
-                if not (math.isfinite(tk) and math.isfinite(gk)):
-                    raise ValidationError("knots must be finite")
-                if gk < 0.0:
-                    raise ValidationError(f"negative rate {gk} at knot t={tk}")
-                if tk < 0.0:
-                    raise ValidationError("knot times must be nonnegative")
-            for (ta, _), (tb, _) in zip(ks, ks[1:]):
-                if not tb > ta:
-                    raise ValidationError("knot times must strictly increase")
-            object.__setattr__(self, "t0", ks[0][0])
+        ks = self.knots
+        if not ks or not all(0.0 <= v < math.inf for k in ks for v in k):
+            raise ValidationError(
+                "knot times and rates must be nonnegative and finite")
+        if not all(tb > ta for (ta, _), (tb, _) in zip(ks, ks[1:])):
+            raise ValidationError("knot times must strictly increase")
+        if not 0.0 <= self.slope < math.inf:
+            raise ValidationError("tail slope must be nonnegative and finite")
 
     @classmethod
     def constant(cls, gamma: float, t0: float = 0.0) -> "NoiseSchedule":
-        return cls(variant="constant", gamma=float(gamma), t0=float(t0))
+        return cls(((float(t0), float(gamma)),))
 
     @classmethod
     def linear_ramp(cls, gamma_dot: float, t0: float = 0.0) -> "NoiseSchedule":
-        return cls(variant="linear_ramp", gamma_dot=float(gamma_dot),
-                   t0=float(t0))
+        return cls(((float(t0), 0.0),), float(gamma_dot))
 
     @classmethod
     def piecewise_linear(cls, knots) -> "NoiseSchedule":
         ks = tuple((float(t), float(g)) for t, g in knots)
-        return cls(variant="piecewise_linear", knots=ks)
+        if len(ks) < 2:
+            raise ValidationError("piecewise schedule needs >= 2 knots")
+        return cls(ks)
+
+    @property
+    def t0(self) -> float:
+        """The onset: the first knot's time."""
+        return self.knots[0][0]
 
     def rate(self, t):
         """gamma_t; zero at and before the onset, by convention."""
@@ -111,57 +99,46 @@ class NoiseSchedule:
         return self._rate(t, right=True)
 
     def _rate(self, t, right: bool):
-        ts = times(t)
-        if self.variant == "constant":
-            g = self.gamma
-        elif self.variant == "linear_ramp":
-            with np.errstate(over="ignore"):  # inf beyond the float range
-                g = self.gamma_dot * (ts - self.t0)
-        else:
-            kt, kg = np.array(self.knots).T
-            # index of the segment [kt[i], kt[i+1]) holding t, clamped
-            i = np.searchsorted(kt[1:-1], ts, side="right")
-            ta, tb, ga, gb = kt[i], kt[i + 1], kg[i], kg[i + 1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # off its segment (discarded) the line can leave the range
-                g = np.where(ts >= kt[-1], kg[-1],
-                             ga + (gb - ga) * ((ts - ta) / (tb - ta)))
-        on = ts >= self.t0 if right else ts > self.t0
+        ts, ks, t0 = times(t), self.knots, self.t0
+        (tl, g), on = ks[-1], ts >= t0 if right else ts > t0
+        if self.slope or len(ks) > 1:  # else flat: the one knot's rate
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, quiet
+                g = g + self.slope * (ts - tl)  # the tail past the last knot
+                if len(ks) > 1:
+                    kt, kg = np.array(ks).T
+                    # the segment [kt[i], kt[i+1]) holding t, clamped; off
+                    # its segment (discarded) a line can leave the range
+                    i = np.searchsorted(kt[1:-1], ts, side="right")
+                    ta, tb, ga, gb = kt[i], kt[i + 1], kg[i], kg[i + 1]
+                    g = np.where(ts >= tl, g,
+                                 ga + (gb - ga) * ((ts - ta) / (tb - ta)))
         return scalar_or_array(t, np.where(on, g, 0.0))
 
+    @np.errstate(over="ignore")  # inf beyond the float range
     def integral(self, t):
         """Integrated rate from the onset up to t (0 when t <= t0)."""
-        ts = times(t)
-        if self.variant == "constant":
-            total = self.gamma * np.maximum(0.0, ts - self.t0)
-        elif self.variant == "linear_ramp":
-            dt = np.maximum(0.0, ts - self.t0)
-            total = 0.5 * self.gamma_dot * dt * dt
-        else:
-            ks = self.knots
-            total = np.zeros_like(ts)
-            for (ta, ga), (tb, gb) in zip(ks, ks[1:]):
-                hi = np.clip(ts, ta, tb)
-                # exact trapezoid of the linear segment, cut at t (empty
-                # where t <= ta), from halves: a sum of two rates can overflow
-                ghi = ga + (gb - ga) * ((hi - ta) / (tb - ta))
-                total = total + (0.5 * ga + 0.5 * ghi) * (hi - ta)
-            total = total + ks[-1][1] * np.maximum(0.0, ts - ks[-1][0])
-        return scalar_or_array(t, total)
+        ts, ks, doses = times(t), self.knots, []
+        for (ta, ga), (tb, gb) in zip(ks, ks[1:]):
+            hi = np.clip(ts, ta, tb)
+            # exact trapezoid of the linear segment, cut at t (empty
+            # where t <= ta), from halves: a sum of two rates can overflow
+            ghi = ga + (gb - ga) * ((hi - ta) / (tb - ta))
+            doses.append((0.5 * ga + 0.5 * ghi) * (hi - ta))
+        gl, dt = ks[-1][1], np.maximum(0.0, ts - ks[-1][0])
+        doses.append(dt * (gl + 0.5 * self.slope * dt) if self.slope
+                     else gl * dt)  # the tail
+        return scalar_or_array(t, sum(doses[1:], doses[0]))
 
     def max_rate(self, t_final: float) -> float:
-        if self.variant != "piecewise_linear":
-            return self.rate(t_final)
-        return max([0.0, self.rate_right(min(t_final, self.knots[-1][0]))]
+        """The largest rate on (t0, t_final]; 0 when t_final <= t0."""
+        if t_final <= self.t0:
+            return 0.0
+        return max([self.rate(t_final)]
                    + [gk for tk, gk in self.knots if tk <= t_final])
 
     def breakpoints(self, t_final: float) -> list[float]:
         """Times in (0, t_final) where the rate is not smooth."""
-        if self.variant == "piecewise_linear":
-            pts = [tk for tk, _ in self.knots]
-        else:
-            pts = [self.t0]
-        return sorted({p for p in pts if 0.0 < p < t_final})
+        return [tk for tk, _ in self.knots if 0.0 < tk < t_final]
 
 
 def times(t) -> np.ndarray:

@@ -339,9 +339,14 @@ def law_at(law, spec: CatSpec, schedule: NoiseSchedule, t, parameter: str):
 @_quiet
 def qfi_cat(spec: CatSpec, schedule: NoiseSchedule, t: float,
             parameter: str) -> QfiReport:
-    """Exact cat-state QFI (``qfi_law``) at one time, with diagnostics."""
-    value = law_at(qfi_law, spec, schedule, t, parameter)
-    rate, dose = schedule_eval(schedule, t)
+    """Exact cat-state QFI (``qfi_law``) at one time, with diagnostics,
+    from one read of the schedule."""
+    require_law(spec, parameter)
+    ts = times(t)
+    rate, dose = schedule_eval(schedule, ts)
+    value, rate, dose = (v.item() for v in (qfi_law(
+        spec, parameter, rate, dose, ts, schedule.rate_right(ts) - rate),
+        rate, dose))
     diagnostics = {"rate": rate} if parameter == "time" else {}
     diagnostics.update(integral=dose,
                        exponent=float(decay_exponent(spec, dose)))

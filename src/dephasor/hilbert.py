@@ -239,6 +239,7 @@ class CatSpec:
 
     delta_e and delta_l are the energy and noise-eigenvalue gaps between
     the two branches; delta_eps = delta_e / omega is derived, never set.
+    2 delta_l^2, the decay exponent per unit dose, must be finite.
     """
 
     delta_e: float
@@ -254,8 +255,10 @@ class CatSpec:
             raise ValidationError("omega must be positive and finite")
         if self.delta_e < 0.0 or not math.isfinite(self.delta_e):
             raise ValidationError("delta_e must be nonnegative and finite")
-        if self.delta_l < 0.0 or not math.isfinite(self.delta_l):
-            raise ValidationError("delta_l must be nonnegative and finite")
+        dl = self.delta_l  # a product: dl ** 2 raises past 1.3e154
+        if dl < 0.0 or not math.isfinite(2.0 * dl * dl):
+            raise ValidationError("delta_l must be nonnegative and finite, "
+                                  "and 2 delta_l^2 too")
         object.__setattr__(self, "delta_eps", self.delta_e / self.omega)
 
     @property

@@ -38,15 +38,12 @@ def rel(a, b):
 def dense_schedule_integral(schedule, t, n=64):
     """Segment-split trapezoid of the rate, oracle for closed integrals.
 
-    Splits at the schedule's own declared onset or knot times (plain
-    data fields) so every segment is linear, where the trapezoid rule
+    Splits at the schedule's own knot times, the onset first (plain
+    data fields), so every segment is linear, where the trapezoid rule
     is exact.  Only the rate evaluators are exercised, never the
     closed-form integral under test.
     """
-    if schedule.variant == "piecewise_linear":
-        cuts = [tk for tk, _ in schedule.knots]
-    else:
-        cuts = [schedule.t0]
+    cuts = [tk for tk, _ in schedule.knots]
     edges = sorted({0.0, t} | {c for c in cuts if 0.0 < c < t})
     total = 0.0
     for a, b in zip(edges, edges[1:]):

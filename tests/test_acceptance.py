@@ -75,7 +75,7 @@ def qfi_grid():
             for sch in grid_schedules():
                 for t in GRID_T:
                     model, rho = evolved_branch_state(spec, sch, t, dt=1e-3)
-                    label = f"dE={de} dL={dl} {sch.variant} t={t}"
+                    label = f"dE={de} dL={dl} {sch} t={t}"
                     exact = qfi_cat(spec, sch, t, "time").value
                     num = numeric_qfi(model, sch, rho, t, "time").value
                     bound = qfi_lower_bound(model, sch, rho, t, "time").value
@@ -369,7 +369,7 @@ def test_criterion_7d_cramer_rao_floor():
                     ratio = saturation_ratio(spec, sch, float(t), parameter)
                     if math.isinf(ratio):
                         continue
-                    assert ratio >= 1.0 - 1e-10, (spec, sch.variant, t,
+                    assert ratio >= 1.0 - 1e-10, (spec, sch, t,
                                                   parameter)
                     worst = min(worst, ratio)
                     checked += 1

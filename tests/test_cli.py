@@ -48,13 +48,12 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------- grammars
 
 def test_parse_schedule_variants():
-    sch = parse_schedule("const:0.5")
-    assert sch.variant == "constant" and sch.gamma == 0.5
+    assert parse_schedule("const:0.5") == NoiseSchedule.constant(0.5)
     sch = parse_schedule("ramp:2,t0=0.1")
-    assert sch.variant == "linear_ramp"
-    assert sch.gamma_dot == 2.0 and sch.t0 == 0.1
+    assert sch == NoiseSchedule.linear_ramp(2.0, t0=0.1) and sch.t0 == 0.1
     sch = parse_schedule("pw:0:0;0.2:1;0.5:0.5")
-    assert sch.variant == "piecewise_linear"
+    assert sch == NoiseSchedule.piecewise_linear(
+        [(0.0, 0.0), (0.2, 1.0), (0.5, 0.5)])
     assert sch.knots == ((0.0, 0.0), (0.2, 1.0), (0.5, 0.5))
 
 
@@ -360,6 +359,10 @@ def test_evolve_overflow_prints_one_stderr_line():
     (["scan", "--param", "omega", "--grid", "x=omega_t:-1:1e20:2;"
       "y=gamma_dot:5e-324:1:2;scale=linear;deltaE=3.7;deltaL=1.7e308;"
       "omega=1e-310;t0=0", "--out", "{tmp}/o.csv"], 1, "error: validation:"),
+    (["scan", "--param", "omega", "--grid", "x=omega_t:-1:1e20:2;"
+      "y=gamma_dot:5e-324:1:2;scale=linear;deltaE=3.7;deltaL=1e150;"
+      "omega=1e-310;t0=0", "--out", "{tmp}/o.csv"], 1,
+     "error: validation: frequency laws"),
     # a ramp dose past the float range is inf, without a warning
     (["optimize", "--model", NOON2, "--param", "omega", "--box",
       "t=0:1.7e308;gamma_dot=3.7:1e300", "--schedule-kind", "linear_ramp"],
@@ -913,6 +916,15 @@ def test_module_entry_point_malformed_command_line(argv):
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: validation: ")
+
+
+def test_cli_import_loads_no_test_or_masked_array_modules():
+    # every CLI call pays for what importing the CLI imports
+    code = ("import sys, dephasor.cli; print(sorted({'mpmath', 'hypothesis',"
+            " 'numpy.ma'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_module_entry_point_runs():

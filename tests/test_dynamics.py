@@ -28,24 +28,26 @@ def make_schedules():
         NoiseSchedule.linear_ramp(2.0),
         NoiseSchedule.linear_ramp(2.0, t0=0.1),
         NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.2, 1.0), (0.5, 0.5)]),
+        # interior knots, then a tail that keeps rising
+        NoiseSchedule(((0.1, 0.2), (0.4, 1.0), (0.7, 0.5)), slope=1.5),
     ]
 
 
 # --------------------------------------------------------------- schedules
 
 @pytest.mark.parametrize("bad", [
-    dict(variant="constant", gamma=-0.1),
-    dict(variant="constant", gamma=math.nan),
-    dict(variant="linear_ramp", gamma_dot=-1.0),
-    dict(variant="constant", gamma=0.1, t0=-0.5),
-    dict(variant="piecewise_linear", knots=((0.0, 0.0),)),
-    dict(variant="piecewise_linear", knots=((0.0, 0.0), (0.0, 1.0))),
-    dict(variant="piecewise_linear", knots=((0.0, 0.0), (0.5, -1.0))),
-    dict(variant="sigmoid"),
+    lambda: NoiseSchedule.constant(-0.1),
+    lambda: NoiseSchedule.constant(math.nan),
+    lambda: NoiseSchedule.linear_ramp(-1.0),
+    lambda: NoiseSchedule.constant(0.1, t0=-0.5),
+    lambda: NoiseSchedule.piecewise_linear([(0.0, 0.0)]),
+    lambda: NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.0, 1.0)]),
+    lambda: NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.5, -1.0)]),
+    lambda: NoiseSchedule(knots=()),  # no onset
 ])
 def test_schedule_validation(bad):
     with pytest.raises(ValidationError):
-        NoiseSchedule(**bad)
+        bad()
 
 
 def test_onset_is_left_continuous():
@@ -135,6 +137,21 @@ def test_max_rate_and_breakpoints():
     assert ramp.breakpoints(1.0) == [0.25]
     assert ramp.breakpoints(0.2) == []
     assert ramp.max_rate(1.0) == pytest.approx(0.75)
+
+
+def test_max_rate_is_zero_at_the_onset():
+    # the largest rate on (t0, t_final]: an empty span at t_final == t0,
+    # for every kind, though the rate just after t0 may be positive
+    ramp = NoiseSchedule.linear_ramp(3.0, t0=0.5)
+    for sch, later in ((NoiseSchedule.constant(0.7, t0=0.5), 0.7),
+                       (ramp, ramp.rate(0.6)),
+                       (NoiseSchedule.piecewise_linear(
+                           [(0.5, 0.4), (0.8, 0.1)]), 0.4)):
+        assert sch.max_rate(0.5) == 0.0
+        assert sch.max_rate(0.6) == later > 0.0
+    tail = NoiseSchedule(((0.0, 1.0), (0.5, 0.2)), slope=2.0)
+    assert tail.max_rate(0.75) == 1.0
+    assert tail.max_rate(2.0) == tail.rate(2.0) == 3.2
 
 
 def test_schedule_eval_validates_time():

@@ -79,7 +79,8 @@ from dephasor.estimators import readout_law, signal_statistics
 from dephasor.fisher import (decay_exponent, law_at, qfi_cat, qfi_closed,
                              qfi_law, qfi_lower_bound, ratio_law,
                              state_derivative)
-from dephasor.protocols import COARSE_POINTS, MAX_ROUNDS, X_AXES, HeatmapTable
+from dephasor.protocols import (COARSE_POINTS, MAX_ROUNDS, X_AXES,
+                                HeatmapTable, _rate_schedule, _ratio_table)
 from dephasor.svgmap import (LOG_CEIL, LOG_FLOOR, _NEG_HI, _NEG_LO, _POS_HI,
                              _POS_LO, HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT,
                              MARGIN_RIGHT, MARGIN_TOP, WIDTH, _color,
@@ -547,6 +548,58 @@ def test_scan_rows_match_per_row_ratios(data, parameter, kind):
             kept = np.isfinite(rtol)
             assert np.isclose(row[kept], want[kept], rtol=rtol[kept],
                               atol=1e-300).all()
+
+
+# g and t log-uniform from the least subnormal to past 1e154, where a
+# square overflows
+FAR = log_uniform(-324.0, 308.0).map(lambda v: max(v, 5e-324))
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(sorted(KINDS)), FAR, FAR, FAR)
+@example("constant", 2.0, 0.5, 0.5)  # the onset, where the rate jumps
+@example("linear_ramp", 2.0, 0.5, 0.5)
+def test_one_knot_schedules_are_the_closed_forms_bit_for_bit(kind, g, t0,
+                                                             t):
+    # a constant rate and a ramp are one knot and a tail slope: their
+    # rates and doses are g and g dt, and g dt and (g dt / 2) dt, with
+    # dt = t - t0, out of the float range too, and never a warning
+    sch = getattr(NoiseSchedule, kind)(g, t0=t0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [sch.rate(t), sch.rate_right(t), sch.integral(t)]
+    dt = t - t0
+    want = [g, g, g * dt] if kind == "constant" else \
+        [g * dt, g * dt, 0.5 * g * dt * dt]
+    if t <= t0:
+        want = [0.0, want[1] if t == t0 else 0.0, 0.0]
+    assert bits(got) == bits(want)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(PARAMS), st.sampled_from(sorted(KINDS)),
+       st.lists(FAR, min_size=1, max_size=3),
+       st.lists(FAR, min_size=1, max_size=3), log_uniform(-3.0, 3.0),
+       log_uniform(-3.0, 3.0), st.sampled_from((0.0, 0.5)))
+# a unit ramp dose past the float range used to read as a full decay
+@example("time", "linear_ramp", [5e-324, 1e-323], [2e154, 3e154], 1e-150,
+         1.0, 0.0)
+def test_ratio_table_rows_are_their_own_schedules_ratios(
+        parameter, kind, rates, taus, de, dl, t0):
+    # one table call scales the unit schedule by each row's rate; each
+    # row is the ratio on its own schedule within 1e-12, or both raise
+    spec = CatSpec(delta_e=de, delta_l=de if parameter == "omega" else dl,
+                   omega=1.0)
+    ts = t0 + np.array(taus)
+    try:
+        rows = [advantage_ratio(spec, _rate_schedule(KINDS[kind], g, t0),
+                                ts, parameter) for g in rates]
+    except NumericalContractError:
+        with pytest.raises(NumericalContractError):
+            _ratio_table(spec, parameter, KINDS[kind], t0, ts, rates)
+        return
+    table = _ratio_table(spec, parameter, KINDS[kind], t0, ts, rates)
+    assert np.allclose(table, rows, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------ random commuting models
@@ -1542,5 +1595,14 @@ def test_rk4_commands_end_in_the_cli_contract(argv):
 @example(["scan", "--param", "omega", "--grid", "x=omega_t:-1:1e20:2;"
           "y=gamma_dot:5e-324:1:2;scale=linear;deltaE=3.7;deltaL=1.7e308;"
           "omega=1e-310;t0=0", "--out", "{tmp}/o.csv"])
+@example(["scan", "--param", "omega", "--grid", "x=omega_t:-1:1e20:2;"
+          "y=gamma_dot:5e-324:1:2;scale=linear;deltaE=3.7;deltaL=1e150;"
+          "omega=1e-310;t0=0", "--out", "{tmp}/o.csv"])
+# a noise gap whose square overflows: an OverflowError, exit 3
+@example(["scan", "--param", "time", "--grid", "x=t:0:5e-324:2;"
+          "y=gamma:0:5e-324:2;deltaL=1e300;scale=linear", "--out",
+          "{tmp}/o.csv"])
+@example(["scan", "--param", "omega", "--grid", "x=omega_t:2.5:50:4;"
+          "y=gamma:4:50:4;deltaE=1e300;scale=linear", "--out", "{tmp}/o.csv"])
 def test_closed_form_commands_end_in_the_cli_contract(argv):
     check_cli_contract(argv)
