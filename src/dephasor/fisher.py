@@ -344,9 +344,9 @@ def qfi_cat(spec: CatSpec, schedule: NoiseSchedule, t: float,
     require_law(spec, parameter)
     ts = times(t)
     rate, dose = schedule_eval(schedule, ts)
-    value, rate, dose = (v.item() for v in (qfi_law(
-        spec, parameter, rate, dose, ts, schedule.rate_right(ts) - rate),
-        rate, dose))
+    value = qfi_law(spec, parameter, rate, dose, ts,
+                    schedule.rate_right(ts) - rate).item()
+    rate, dose = rate.item(), dose.item()
     diagnostics = {"rate": rate} if parameter == "time" else {}
     diagnostics.update(integral=dose,
                        exponent=float(decay_exponent(spec, dose)))

@@ -239,10 +239,9 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
     their rate, dose and right rate are g times those at g = 1.  So the
     unit schedule is evaluated once and scaled by each row's g.  A row
     with g = 0 is the noiseless schedule: its rate, dose and jump are 0,
-    also where the unit dose is inf (not 0 x inf = NaN).  A row with
-    g > 0 reads its own schedule's dose where its scaled dose or the unit
-    dose is not a normal float: the scaling lost bits to under- or
-    overflow."""
+    also where the unit dose is inf (not 0 x inf = NaN).  A row reads its
+    own schedule's dose where its scaled dose or the unit dose is not a
+    normal float: the scaling lost bits to under- or overflow."""
     unit = _rate_schedule(rate_key, 1.0, t0)
     g = np.asarray(rates, dtype=float)[:, None]
     g_lo, g_hi = (g.min(), g.max()) if g.size else (1.0, 1.0)
@@ -253,14 +252,14 @@ def _ratio_table(spec: CatSpec, parameter: str, rate_key: str, t0: float,
         rate, unit_dose = schedule_eval(unit, ts)
         jump = unit.rate_right(ts) - rate
         dose, u = g * unit_dose, unit_dose[ts > t0]
-        if not g_lo:  # noiseless rows: 0, not 0 x inf; g_lo: least g > 0
-            dose[g[:, 0] == 0.0], g_lo = 0.0, g[g > 0].min(initial=math.inf)
+        g_pos = g_lo or g[g > 0.0].min(initial=math.inf)  # least g > 0
         # products round monotonically, so the extremes tell whether a
-        # unit or scaled dose after the onset is out of the normal range
-        if u.size and not (_TINY <= u.min() * min(g_lo, 1.0)
+        # unit or scaled dose after the onset is out of the normal range;
+        # only then can a g = 0 row hold 0 x inf, and it reads 0 there
+        if u.size and not (_TINY <= u.min() * min(g_pos, 1.0)
                            and u.max() * max(g_hi, 1.0) < math.inf):
-            redo = (g > 0.0) & (ts > t0) & ~((unit_dose >= _TINY) & (
-                dose >= _TINY) & (dose < math.inf))
+            redo = (ts > t0) & ~((unit_dose >= _TINY) & (dose >= _TINY) & (
+                dose < math.inf))
             for j in np.flatnonzero(redo.any(axis=1)):
                 dose[j, redo[j]] = _rate_schedule(rate_key, g[j, 0],
                                                   t0).integral(ts[redo[j]])

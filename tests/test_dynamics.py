@@ -44,7 +44,7 @@ def make_schedules():
     lambda: NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.0, 1.0)]),
     lambda: NoiseSchedule.piecewise_linear([(0.0, 0.0), (0.5, -1.0)]),
     lambda: NoiseSchedule(knots=()),  # no onset
-])
+], ids=[f"bad{i}" for i in range(8)])
 def test_schedule_validation(bad):
     with pytest.raises(ValidationError):
         bad()
